@@ -24,7 +24,6 @@ from .metrics import (
     negativity_avg_closed,
     negativity_convex_avg,
     negativity_mixture_closed,
-    phase_avg_negativity,
     ppt_separable,
     report_for_state,
     von_neumann_entropy,
@@ -71,7 +70,6 @@ __all__ = [
     "negativity_avg_closed",
     "negativity_convex_avg",
     "negativity_mixture_closed",
-    "phase_avg_negativity",
     "phase_protocol",
     "ppt_separable",
     "report_for_state",

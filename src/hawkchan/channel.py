@@ -97,7 +97,9 @@ class ChannelParams:
             raise ValueError(f"squeezing r must be in [0, pi/2), got {self.r}")
         if not math.isfinite(self.phi):
             raise ValueError(f"phase phi must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+        phi = self.phi % (2.0 * math.pi)
+        # A tiny negative phase reduces to 2*pi - eps, which rounds to 2*pi.
+        object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)
 
 
 class KrausPair(NamedTuple):
@@ -141,13 +143,17 @@ def kraus_pair(p: ChannelParams) -> KrausPair:
     return pair
 
 
+def _kraus_block(rho: np.ndarray, ki: KrausPair, kj: KrausPair) -> np.ndarray:
+    """``sum_n M_in rho M_jn^dag`` on a 4x4 state the caller has validated or built."""
+    return ki.m0 @ rho @ kj.m0.conj().T + ki.m1 @ rho @ kj.m1.conj().T
+
+
 def apply_channel(rho, k: KrausPair) -> np.ndarray:
     """Apply the channel ``rho -> m0 rho m0^dag + m1 rho m1^dag``."""
     arr = linop.check_density_matrix(rho, "input state")
     if arr.shape != (4, 4):
         raise ValueError(f"channel acts on 4x4 states, got shape {arr.shape}")
-    out = k.m0 @ arr @ k.m0.conj().T + k.m1 @ arr @ k.m1.conj().T
-    return linop.check_density_matrix(out, "channel output")
+    return linop.check_density_matrix(_kraus_block(arr, k, k), "channel output")
 
 
 def cross_term(rho, ki: KrausPair, kj: KrausPair) -> np.ndarray:
@@ -160,7 +166,7 @@ def cross_term(rho, ki: KrausPair, kj: KrausPair) -> np.ndarray:
     arr = linop.check_density_matrix(rho, "input state")
     if arr.shape != (4, 4):
         raise ValueError(f"cross term acts on 4x4 states, got shape {arr.shape}")
-    return ki.m0 @ arr @ kj.m0.conj().T + ki.m1 @ arr @ kj.m1.conj().T
+    return _kraus_block(arr, ki, kj)
 
 
 def channel_output_closed_form(p: ChannelParams) -> np.ndarray:

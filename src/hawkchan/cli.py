@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -40,6 +41,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-17" as a flag; take any negative float literal as a value.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -64,37 +70,44 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# Per-subcommand parameter tables: name -> (type, default, required).
-# Defaults are applied after the config-file merge, so the parser itself
-# always uses None as the "not provided" sentinel.
+# Report format row shared by the subcommands that print one report.
+_REPORT_FORMAT = (str, "human", False, ("human", "json"))
+
+# Per-subcommand parameter tables: name -> (type, default, required, choices).
+# Defaults and choices are applied after the config-file merge, so the
+# parser itself always uses None as the "not provided" sentinel.
 _PARAMS = {
     "geometry": {
-        "mass": (_finite_float, None, True),
-        "radius": (_finite_float, None, True),
-        "k0": (_finite_float, None, True),
-        "hbar": (_finite_float, 1.0, False),
+        "mass": (_finite_float, None, True, None),
+        "radius": (_finite_float, None, True, None),
+        "k0": (_finite_float, None, True, None),
+        "hbar": (_finite_float, 1.0, False, None),
+        "format": _REPORT_FORMAT,
     },
     "channel": {
-        "r": (_finite_float, None, True),
-        "phi": (_finite_float, 0.0, False),
-        "state": (str, "bell", False),
+        "r": (_finite_float, None, True, None),
+        "phi": (_finite_float, 0.0, False, None),
+        "state": (str, "bell", False, ("bell",)),
+        "format": _REPORT_FORMAT,
     },
     "protocol": {
-        "r1": (_finite_float, None, True),
-        "r2": (_finite_float, None, True),
-        "phi1": (_finite_float, 0.0, False),
-        "phi2": (_finite_float, 0.0, False),
+        "r1": (_finite_float, None, True, None),
+        "r2": (_finite_float, None, True, None),
+        "phi1": (_finite_float, 0.0, False, None),
+        "phi2": (_finite_float, 0.0, False, None),
+        "format": _REPORT_FORMAT,
     },
     "phase": {
-        "r": (_finite_float, None, True),
+        "r": (_finite_float, None, True, None),
+        "format": _REPORT_FORMAT,
     },
     "sweep": {
-        "metric": (str, None, True),
-        "resolution": (_positive_int, 101, False),
-        "min": (_finite_float, 0.0, False),
-        "max": (_finite_float, math.pi / 4, False),
-        "out": (str, None, True),
-        "format": (str, "csv", False),
+        "metric": (str, None, True, METRICS),
+        "resolution": (_positive_int, 101, False, None),
+        "min": (_finite_float, 0.0, False, None),
+        "max": (_finite_float, math.pi / 4, False, None),
+        "out": (str, None, True, None),
+        "format": (str, "csv", False, ("csv", "json")),
     },
 }
 
@@ -108,17 +121,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, params in _PARAMS.items():
         p = sub.add_parser(name, prog=f"hawkchan {name}")
-        for flag, (ftype, _, _) in params.items():
-            if name == "sweep" and flag == "metric":
-                p.add_argument("--metric", type=str, choices=METRICS, default=None)
-            elif name == "sweep" and flag == "format":
-                p.add_argument("--format", type=str, choices=("csv", "json"), default=None)
-            elif name == "channel" and flag == "state":
-                p.add_argument("--state", type=str, choices=("bell",), default=None)
-            else:
-                p.add_argument(f"--{flag}", type=ftype, default=None)
-        if name != "sweep":
-            p.add_argument("--format", type=str, choices=("human", "json"), default=None)
+        for flag, (ftype, _, _, choices) in params.items():
+            shown = "{" + ",".join(choices) + "}" if choices else None
+            p.add_argument(f"--{flag}", type=ftype, default=None, metavar=shown)
         p.add_argument("--config", type=str, default=None)
     return parser
 
@@ -143,9 +148,7 @@ def load_config(path: str) -> dict:
 
 def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
     """Resolve effective values: explicit flag > config file > default."""
-    params = dict(_PARAMS[subcommand])
-    if subcommand != "sweep":
-        params["format"] = (str, "human", False)
+    params = _PARAMS[subcommand]
     if args.format is None:
         args.format = args.global_format
     config_path = args.config if args.config is not None else args.global_config
@@ -162,7 +165,7 @@ def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
             raise UsageError(f"--config: unknown key {key!r} for subcommand {subcommand!r}")
 
     effective = {"subcommand": subcommand}
-    for flag, (ftype, default, required) in params.items():
+    for flag, (ftype, default, required, choices) in params.items():
         value = getattr(args, flag)
         if value is None and flag in config:
             raw = config[flag]
@@ -174,18 +177,9 @@ def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
             value = default
         if value is None and required:
             raise UsageError(f"--{flag} is required for {subcommand!r}")
+        if choices is not None and value not in choices:
+            raise UsageError(f"--{flag}: expected one of {', '.join(choices)}, got {value!r}")
         effective[flag] = value
-
-    fmt = effective.get("format")
-    if subcommand == "sweep":
-        if fmt not in ("csv", "json"):
-            raise UsageError(f"--format: expected csv or json, got {fmt!r}")
-    elif fmt not in ("human", "json"):
-        raise UsageError(f"--format: expected human or json, got {fmt!r}")
-    if subcommand == "channel" and effective["state"] != "bell":
-        raise UsageError(f"--state: only 'bell' is supported, got {effective['state']!r}")
-    if subcommand == "sweep" and effective["metric"] not in METRICS:
-        raise UsageError(f"--metric: expected one of {METRICS}, got {effective['metric']!r}")
     return effective
 
 
@@ -196,12 +190,11 @@ def _matrix_payload(arr: Optional[np.ndarray]):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(arr)]
 
 
-def _channel_params(cfg: dict, r_key: str, phi_key: Optional[str]) -> ChannelParams:
-    phi = cfg[phi_key] if phi_key is not None else 0.0
+def _channel_params(cfg: dict, r_key: str, phi_key: str) -> ChannelParams:
     try:
-        return ChannelParams(r=cfg[r_key], phi=phi)
+        return ChannelParams(r=cfg[r_key], phi=cfg[phi_key])
     except ValueError as exc:
-        raise UsageError(f"--{r_key}/--{phi_key or 'phi'}: {exc}")
+        raise UsageError(f"--{r_key}/--{phi_key}: {exc}")
 
 
 def _run_geometry(cfg: dict) -> dict:
@@ -245,7 +238,7 @@ def _run_protocol(cfg: dict) -> dict:
     stats = protocol.measure_control(run_cfg)
     mixture = protocol.classical_mixture(run_cfg)
     branches = [(stats.p_plus, stats.rho_plus), (stats.p_minus, stats.rho_minus)]
-    payload = {
+    return {
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
         "c_scalar": stats.c_scalar,
@@ -260,12 +253,8 @@ def _run_protocol(cfg: dict) -> dict:
         "coherent_info_ensemble": metrics.ensemble_coherent_information(branches),
         "coherent_info_plus_branch": metrics.coherent_information(stats.rho_plus),
         "coherent_info_mixture": metrics.coherent_information(mixture),
+        "negativity_avg_closed": metrics.negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi),
     }
-    # The closed form assumes equal phases; suppress it otherwise.
-    payload["negativity_avg_closed"] = (
-        metrics.negativity_avg_closed(p1.r, p2.r) if p1.phi == p2.phi else None
-    )
-    return payload
 
 
 def _run_phase(cfg: dict) -> dict:
@@ -282,7 +271,7 @@ def _run_phase(cfg: dict) -> dict:
         "rho_minus": _matrix_payload(stats.rho_minus),
         "negativity_plus": metrics.negativity(stats.rho_plus),
         "negativity_avg": metrics.average_branch_negativity(branches),
-        "negativity_avg_closed": metrics.phase_avg_negativity(cfg["r"]),
+        "negativity_avg_closed": metrics.negativity_avg_closed(cfg["r"], cfg["r"], math.pi),
         "negativity_single_channel": metrics.negativity(single),
     }
 

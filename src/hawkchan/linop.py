@@ -42,17 +42,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def check_hermitian(m, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate that ``m`` is square and Hermitian within ``tol``."""
-    arr = as_complex_matrix(m, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    defect = hermiticity_defect(arr)
-    if defect > tol:
-        raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} > {tol:.3e}")
-    return arr
-
-
 def check_density_matrix(
     rho,
     name: str = "state",
@@ -66,7 +55,12 @@ def check_density_matrix(
     ``trace_tol`` of 1, and has smallest eigenvalue >= ``eig_floor``.
     Raises ``ValueError`` naming the violated invariant.
     """
-    arr = check_hermitian(rho, herm_tol, name)
+    arr = as_complex_matrix(rho, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    defect = hermiticity_defect(arr)
+    if defect > herm_tol:
+        raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} > {herm_tol:.3e}")
     tr = arr.trace()
     if abs(tr.imag) > trace_tol or abs(tr.real - 1.0) > trace_tol:
         raise ValueError(f"{name} trace {tr} differs from 1 by more than {trace_tol:.3e}")
@@ -147,17 +141,6 @@ def partial_transpose(rho, dims: Sequence[int]) -> np.ndarray:
         raise ValueError(f"partial_transpose expects two subsystems, got dims {dims}")
     da, db = dims
     return arr.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    arr = check_hermitian(m)
-    return np.linalg.eigvalsh(arr)
-
-
-def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(hermitian_eigenvalues(m)).sum())
 
 
 def matrix_exponential(m) -> np.ndarray:

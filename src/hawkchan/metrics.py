@@ -2,7 +2,9 @@
 
 Numeric negativity and coherent information sit next to the closed
 forms for the protocol scenarios, so every closed form can be checked
-against the fully numeric pipeline.  All entropies are in bits.
+against the fully numeric pipeline.  All entropies are in bits.  Each
+public function validates the state it is handed once, then takes the
+spectra it needs with ``numpy.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -64,21 +66,29 @@ def negativity(rho) -> float:
     pair.  Values in [-1e-12, 0) from roundoff are clipped to 0.
     """
     arr = _check_two_qubit(rho, "state")
-    value = (linop.trace_norm(linop.partial_transpose(arr, (2, 2))) - 1.0) / 2.0
+    eigs = np.linalg.eigvalsh(linop.partial_transpose(arr, (2, 2)))
+    value = (float(np.abs(eigs).sum()) - 1.0) / 2.0
     if value < -NEGATIVITY_CLIP:
         raise ValueError(f"negativity {value} below clip floor {-NEGATIVITY_CLIP}")
     return max(value, 0.0)
 
 
-def negativity_avg_closed(r1: float, r2: float) -> float:
+def negativity_avg_closed(r1: float, r2: float, dphi: float = 0.0) -> float:
     """Average post-measurement negativity of the superposed channels.
 
-    Closed form for equal phases; equals ``p_plus * negativity(rho_plus)``
-    from the numeric protocol path within 1e-10.
+    ``(-|w|^2 + sqrt(|w|^4 + 16 (c1 + c2)^2)) / 16`` with
+    ``|w|^2 = (s1 + s2)^2 - 4 s1 s2 sin^2(dphi/2)`` and ``dphi = phi1 - phi2``;
+    equals ``p_plus * negativity(rho_plus)`` from the numeric protocol
+    path within 1e-10.  At r1 = r2 and dphi = pi it is exactly |cos r|/2.
     """
-    s_sum = math.sin(r1) + math.sin(r2)
+    s1, s2 = math.sin(r1), math.sin(r2)
+    w = s1 + s2  # |w| at equal phases
+    if dphi:
+        # |w|^2 >= (s1 - s2)^2, but roundoff can dip below 0 near s1 = s2, dphi = pi.
+        w_sq = w * w - 4.0 * s1 * s2 * math.sin(dphi / 2.0) ** 2
+        w = math.sqrt(w_sq) if w_sq > 0.0 else 0.0
     c_sum = math.cos(r1) + math.cos(r2)
-    return (-(s_sum**2) + math.sqrt(16.0 * c_sum**2 + s_sum**4)) / 16.0
+    return (-(w**2) + math.sqrt(16.0 * c_sum**2 + w**4)) / 16.0
 
 
 def negativity_mixture_closed(r1: float, r2: float) -> float:
@@ -93,18 +103,16 @@ def negativity_convex_avg(r1: float, r2: float) -> float:
     return (math.cos(r1) ** 2 + math.cos(r2) ** 2) / 4.0
 
 
-def phase_avg_negativity(r: float) -> float:
-    """Average negativity |cos r|/2 of the opposite-phase superposition."""
-    return abs(math.cos(r)) / 2.0
+def _entropy(arr: np.ndarray) -> float:
+    eigs = np.linalg.eigvalsh(arr)
+    eigs = np.where((eigs < 0.0) & (eigs >= ENTROPY_CLIP), 0.0, eigs)
+    positive = eigs[eigs > 0.0]
+    return float(-(positive * np.log2(positive)).sum())
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(l * log2 l) of a state's spectrum, in bits."""
-    arr = linop.check_density_matrix(rho, "state")
-    eigs = linop.hermitian_eigenvalues(arr)
-    eigs = np.where((eigs < 0.0) & (eigs >= ENTROPY_CLIP), 0.0, eigs)
-    positive = eigs[eigs > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
+    return _entropy(linop.check_density_matrix(rho, "state"))
 
 
 def coherent_information(rho) -> float:
@@ -115,8 +123,11 @@ def coherent_information(rho) -> float:
     entangled state gives +1 bit, a maximally mixed one -1 bit.
     """
     arr = _check_two_qubit(rho, "state")
-    rho_b = linop.partial_trace(arr, (2, 2), keep=1)
-    return von_neumann_entropy(rho_b) - von_neumann_entropy(arr)
+    return _entropy(linop.partial_trace(arr, (2, 2), keep=1)) - _entropy(arr)
+
+
+def _branch_average(branches, measure) -> float:
+    return sum((prob * measure(rho) for prob, rho in branches if rho is not None), 0.0)
 
 
 def ensemble_coherent_information(branches: Iterable[tuple[float, Optional[np.ndarray]]]) -> float:
@@ -125,12 +136,7 @@ def ensemble_coherent_information(branches: Iterable[tuple[float, Optional[np.nd
     ``branches`` yields ``(probability, state)`` pairs; absent branches
     (state ``None``) contribute nothing.
     """
-    total = 0.0
-    for prob, rho in branches:
-        if rho is None:
-            continue
-        total += prob * coherent_information(rho)
-    return total
+    return _branch_average(branches, coherent_information)
 
 
 def average_branch_negativity(branches: Iterable[tuple[float, Optional[np.ndarray]]]) -> float:
@@ -140,18 +146,13 @@ def average_branch_negativity(branches: Iterable[tuple[float, Optional[np.ndarra
     record is retained.  Absent branches (state ``None``) contribute
     nothing.
     """
-    total = 0.0
-    for prob, rho in branches:
-        if rho is None:
-            continue
-        total += prob * negativity(rho)
-    return total
+    return _branch_average(branches, negativity)
 
 
 def ppt_separable(rho) -> bool:
     """Positive-partial-transpose test; equivalent to separability for 2x2."""
     arr = _check_two_qubit(rho, "state")
-    eigs = linop.hermitian_eigenvalues(linop.partial_transpose(arr, (2, 2)))
+    eigs = np.linalg.eigvalsh(linop.partial_transpose(arr, (2, 2)))
     return bool(eigs[0] >= PPT_TOL)
 
 

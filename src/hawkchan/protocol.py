@@ -11,9 +11,11 @@ entangled state:
   (`classical_mixture`), the baseline a stochastic classical field
   would produce.
 
-`phase_protocol` covers the special superposition of two channels with
-equal squeezing and opposite phases, where the closed forms are
-simplest.
+`phase_protocol` is the superposition of two channels with equal
+squeezing and opposite phases, where the closed forms are simplest.
+
+States are validated where they leave this module; the Bell state and
+the Kraus blocks built from it are trusted in between.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import linop
-from .channel import ChannelParams, apply_channel, cross_term, kraus_pair
+from .channel import ChannelParams, _kraus_block, kraus_pair
 
 # Below this value of the minus-branch scalar the branch never occurs
 # and its posterior state is undefined (the 0/0 guard).
@@ -74,7 +76,8 @@ def bell_state() -> np.ndarray:
 
 def classical_scenario(p: ChannelParams) -> np.ndarray:
     """Shared state after a single channel: the definite-geometry case."""
-    return apply_channel(bell_state(), kraus_pair(p))
+    k = kraus_pair(p)
+    return linop.check_density_matrix(_kraus_block(bell_state(), k, k), "channel output")
 
 
 def _interference_blocks(cfg: ProtocolConfig):
@@ -83,10 +86,10 @@ def _interference_blocks(cfg: ProtocolConfig):
     k1 = kraus_pair(cfg.params1)
     k2 = kraus_pair(cfg.params2)
     return (
-        cross_term(rho, k1, k1),
-        cross_term(rho, k2, k2),
-        cross_term(rho, k1, k2),
-        cross_term(rho, k2, k1),
+        _kraus_block(rho, k1, k1),
+        _kraus_block(rho, k2, k2),
+        _kraus_block(rho, k1, k2),
+        _kraus_block(rho, k2, k1),
     )
 
 
@@ -164,43 +167,17 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
 def classical_mixture(cfg: ProtocolConfig) -> np.ndarray:
     """Equal incoherent mixture of the two channel outputs."""
     rho = bell_state()
-    mixed = 0.5 * (
-        apply_channel(rho, kraus_pair(cfg.params1))
-        + apply_channel(rho, kraus_pair(cfg.params2))
-    )
+    k1, k2 = kraus_pair(cfg.params1), kraus_pair(cfg.params2)
+    mixed = 0.5 * (_kraus_block(rho, k1, k1) + _kraus_block(rho, k2, k2))
     return linop.check_density_matrix(mixed, "classical mixture")
 
 
 def phase_protocol(r: float) -> BranchStatistics:
     """Superposition of equal-squeezing channels with opposite phases.
 
-    For phi1 = phi2 + pi and common squeezing ``r`` the closed forms
-    collapse: p_plus = (1 + cos(r)^2)/2, the plus branch is
-
-        [[cos^2 r, 0, 0, cos r],
-         [0,       0, 0, 0    ],
-         [0,       0, 0, 0    ],
-         [cos r,   0, 0, 1    ]] / (1 + cos^2 r)
-
-    with negativity |cos r| / (1 + cos^2 r), and the minus branch is
-    the product state |0_A 1_R><0_A 1_R| (absent at r = 0).
+    For phi1 = phi2 + pi and common squeezing ``r`` the plus branch has
+    probability (1 + cos(r)^2)/2 and negativity |cos r| / (1 + cos^2 r),
+    and the minus branch is the product state |0_A 1_R><0_A 1_R|
+    (absent at r = 0).
     """
-    if not (math.isfinite(r) and 0.0 <= r < math.pi / 2):
-        raise ValueError(f"squeezing r must be in [0, pi/2), got {r}")
-    cos_r = math.cos(r)
-    sin_r = math.sin(r)
-    a = 2.0 + 2.0 * cos_r * cos_r
-    b = sin_r * sin_r
-    c = 2.0 * sin_r * sin_r
-    p_plus = a / 4.0
-    p_minus = c / 4.0
-    rho_plus = np.zeros((4, 4), dtype=complex)
-    rho_plus[0, 0] = cos_r * cos_r
-    rho_plus[0, 3] = rho_plus[3, 0] = cos_r
-    rho_plus[3, 3] = 1.0
-    rho_plus = linop.check_density_matrix(rho_plus / (1.0 + cos_r * cos_r), "plus branch")
-    if c < ABSENT_BRANCH_TOL:
-        rho_minus = None
-    else:
-        rho_minus = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
-    return BranchStatistics(a, b, c, p_plus, p_minus, rho_plus, rho_minus)
+    return measure_control(ProtocolConfig(ChannelParams(r, 0.0), ChannelParams(r, math.pi)))

@@ -10,8 +10,9 @@ of two channels and its classical baseline, over a rectangular
   the single-channel negativities,
 * ``coherent_info_diff``: raw coherent-information gain (ensemble
   average over measurement branches) over the classical mixture,
-* ``phase_curve``: average negativity |cos r|/2 of the opposite-phase
-  superposition as a function of r.
+* ``phase_curve``: average negativity of the opposite-phase
+  superposition (``negativity_avg_closed(r, r, pi)`` = |cos r|/2) as a
+  function of r.
 
 Percentage differences use 100 * (quantum - classical) / classical, so
 quantum advantage is positive.  Grids are emitted in a deterministic
@@ -119,29 +120,26 @@ def run_sweep(spec: SweepSpec) -> SweepGrid:
     2-D grids are row-major with r1 as the outer (slow) axis.  Cells
     are independent, and the output ordering is deterministic.
     """
-    if spec.is_one_dimensional:
-        rs = np.linspace(spec.r1_range[0], spec.r1_range[1], spec.resolution)
-        values = np.array([metrics.phase_avg_negativity(r) for r in rs])
-        return SweepGrid(spec, [rs], values)
-
     r1s = np.linspace(spec.r1_range[0], spec.r1_range[1], spec.resolution)
+    if spec.is_one_dimensional:
+        values = np.array([metrics.negativity_avg_closed(r, r, math.pi) for r in r1s])
+        return SweepGrid(spec, [r1s], values)
+
     r2s = np.linspace(spec.r2_range[0], spec.r2_range[1], spec.resolution)
     values = np.empty((spec.resolution, spec.resolution))
     flags = np.zeros((spec.resolution, spec.resolution), dtype=bool)
+    baseline = {
+        "neg_pct_diff_mixture": metrics.negativity_mixture_closed,
+        "neg_pct_diff_convex": metrics.negativity_convex_avg,
+    }.get(spec.metric)
     for i, r1 in enumerate(r1s):
         for j, r2 in enumerate(r2s):
-            if spec.metric == "neg_pct_diff_mixture":
-                values[i, j], flags[i, j] = _pct_difference(
-                    metrics.negativity_avg_closed(r1, r2),
-                    metrics.negativity_mixture_closed(r1, r2),
-                )
-            elif spec.metric == "neg_pct_diff_convex":
-                values[i, j], flags[i, j] = _pct_difference(
-                    metrics.negativity_avg_closed(r1, r2),
-                    metrics.negativity_convex_avg(r1, r2),
-                )
-            else:
+            if baseline is None:
                 values[i, j] = _coherent_info_diff(r1, r2)
+            else:
+                values[i, j], flags[i, j] = _pct_difference(
+                    metrics.negativity_avg_closed(r1, r2), baseline(r1, r2)
+                )
     if not np.all(np.isfinite(values)):
         raise ValueError("sweep produced non-finite values")
     return SweepGrid(spec, [r1s, r2s], values, flags if flags.any() else None)

@@ -80,24 +80,6 @@ def ptrace_oracle(rho, dims, keep):
     return out
 
 
-def charpoly_eigenvalues(m):
-    """Eigenvalues via Faddeev-LeVerrier coefficients and companion roots.
-
-    Independent of LAPACK's Hermitian solver: the characteristic
-    polynomial comes from trace recursions, its roots from the
-    (non-Hermitian) companion matrix.  Valid for small Hermitian input.
-    """
-    n = m.shape[0]
-    coeffs = [1.0 + 0.0j]
-    mk = np.zeros_like(m)
-    for k in range(1, n + 1):
-        mk = m @ (mk + coeffs[-1] * np.eye(n))
-        coeffs.append(-mk.trace() / k)
-    roots = np.roots(np.array(coeffs))
-    assert np.abs(roots.imag).max() < 1e-8
-    return np.sort(roots.real)
-
-
 def taylor_expm(m, terms=30):
     """Matrix exponential by scaling, Taylor summation, and squaring."""
     norm = np.abs(m).sum(axis=1).max()

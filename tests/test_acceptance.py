@@ -153,7 +153,7 @@ def test_criterion_04_closed_form_negativities():
     for r in phase_rs:
         stats = measure_control(ProtocolConfig(ChannelParams(r, 0.0), ChannelParams(r, math.pi)))
         numeric = metrics.average_branch_negativity(branch_list(stats))
-        worst = max(worst, abs(numeric - metrics.phase_avg_negativity(r)))
+        worst = max(worst, abs(numeric - metrics.negativity_avg_closed(r, r, math.pi)))
     check(4, "closed-form-negativities", worst <= 1e-10, f"worst gap {worst:.2e} (tol 1e-10)")
 
 
@@ -248,7 +248,7 @@ def test_criterion_08_phase_superposition_curve():
     rs = np.linspace(0.0, math.pi / 2, 102)[:-1]
     ok = True
     for r in rs:
-        quantum = metrics.phase_avg_negativity(r)
+        quantum = metrics.negativity_avg_closed(r, r, math.pi)
         classical = math.cos(r) ** 2 / 2
         if r == 0.0:
             ok = ok and quantum == classical

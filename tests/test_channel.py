@@ -82,6 +82,10 @@ class TestChannelParams:
         assert ChannelParams(r=0.1, phi=2 * math.pi + 0.5).phi == pytest.approx(0.5, abs=1e-12)
         assert ChannelParams(r=0.1, phi=-0.5).phi == pytest.approx(2 * math.pi - 0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [-1e-17, -5e-324, 2 * math.pi, -2 * math.pi, 4 * math.pi])
+    def test_phase_reduction_stays_below_two_pi(self, phi):
+        assert 0.0 <= ChannelParams(r=0.3, phi=phi).phi < 2 * math.pi
+
 
 class TestKrausPair:
     def test_identity_channel_at_zero(self):
@@ -136,7 +140,7 @@ class TestApplyChannel:
             p = random_params(RNG)
             out = apply_channel(random_density(RNG, 4), kraus_pair(p))
             assert abs(out.trace() - 1.0) < 1e-12
-            assert linop.hermitian_eigenvalues(out)[0] > -1e-12
+            assert np.linalg.eigvalsh(out)[0] > -1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="4x4"):

@@ -40,9 +40,18 @@ class TestProtocolCommand:
         assert doc["negativity_mixture"] == metrics.negativity(mixture)
         assert doc["coherent_info_mixture"] == metrics.coherent_information(mixture)
 
-    def test_closed_form_suppressed_for_unequal_phases(self):
+    def test_closed_form_reported_for_unequal_phases(self):
         doc = run_json(["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0"])
-        assert doc["negativity_avg_closed"] is None
+        assert doc["negativity_avg_closed"] == metrics.negativity_avg_closed(0.2, 0.7, -1.0)
+        assert abs(doc["negativity_avg_closed"] - doc["negativity_avg"]) < 1e-10
+
+    def test_negative_scientific_notation_is_a_value(self):
+        spaced, joined = io.StringIO(), io.StringIO()
+        argv = ["protocol", "--r1", "0.2", "--r2", "0.7", "--format", "json"]
+        assert cli.run(argv + ["--phi2", "-1e-17"], stdout=spaced) == 0
+        assert cli.run(argv + ["--phi2=-1e-17"], stdout=joined) == 0
+        assert spaced.getvalue() == joined.getvalue()
+        assert isinstance(json.loads(spaced.getvalue())["negativity_avg_closed"], float)
 
     def test_human_format(self):
         buf = io.StringIO()
@@ -99,7 +108,7 @@ class TestPhaseCommand:
         doc = run_json(["phase", "--r", "0.5"])
         stats = protocol.phase_protocol(0.5)
         assert doc["p_plus"] == stats.p_plus
-        assert doc["negativity_avg_closed"] == metrics.phase_avg_negativity(0.5)
+        assert doc["negativity_avg_closed"] == abs(math.cos(0.5)) / 2
         assert abs(doc["negativity_avg"] - abs(math.cos(0.5)) / 2) < 1e-12
         assert doc["negativity_single_channel"] < doc["negativity_avg"]
 
@@ -173,6 +182,21 @@ class TestConfigFile:
         path.write_text(json.dumps({"subcommand": "phase"}))
         assert cli.run(["channel", "--r", "0.4", "--config", str(path)]) == 2
         assert "subcommand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["channel", "--r", "0.4"], "format", "xml"),
+            (["sweep", "--metric", "phase_curve", "--out", "-"], "format", "xml"),
+            (["sweep", "--out", "-"], "metric", "nope"),
+            (["channel", "--r", "0.4"], "state", "ghz"),
+        ],
+    )
+    def test_choice_outside_table_rejected(self, tmp_path, capsys, argv, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        assert cli.run(argv + ["--config", str(path)]) == 2
+        assert f"--{key}" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -7,7 +7,6 @@ from hawkchan import linop
 from hawkchan.protocol import bell_state
 
 from helpers import (
-    charpoly_eigenvalues,
     kron_oracle,
     ptrace_oracle,
     random_density,
@@ -108,56 +107,6 @@ class TestPartialTranspose:
     def test_requires_two_subsystems(self):
         with pytest.raises(ValueError, match="two subsystems"):
             linop.partial_transpose(np.eye(8) / 8, (2, 2, 2))
-
-
-class TestHermitianEigenvalues:
-    def test_sorted_diagonal(self):
-        assert np.array_equal(
-            linop.hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0]
-        )
-
-    def test_pure_state_spectrum(self):
-        eigs = linop.hermitian_eigenvalues(bell_state())
-        assert np.abs(eigs - np.array([0.0, 0.0, 0.0, 1.0])).max() < 1e-14
-
-    def test_spectral_reconstruction(self):
-        m = random_hermitian(RNG, 4)
-        eigs, vecs = np.linalg.eigh(m)
-        rebuilt = (vecs * eigs) @ vecs.conj().T
-        assert np.abs(rebuilt - m).max() < 1e-9
-        assert np.abs(linop.hermitian_eigenvalues(m) - eigs).max() < 1e-12
-
-    def test_matches_characteristic_polynomial_oracle(self):
-        for dim in (2, 3, 4):
-            m = random_hermitian(RNG, dim)
-            got = linop.hermitian_eigenvalues(m)
-            assert np.abs(got - charpoly_eigenvalues(m)).max() < 1e-10
-
-    def test_sum_equals_trace(self):
-        m = random_hermitian(RNG, 8)
-        assert abs(linop.hermitian_eigenvalues(m).sum() - m.trace().real) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            linop.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestTraceNorm:
-    def test_density_matrix_is_one(self):
-        for dim in (2, 4, 8):
-            assert abs(linop.trace_norm(random_density(RNG, dim)) - 1.0) < 1e-12
-
-    def test_signed_diagonal(self):
-        assert linop.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0, abs=1e-14)
-
-    def test_transposed_bell_gives_negativity_half(self):
-        value = linop.trace_norm(linop.partial_transpose(bell_state(), (2, 2)))
-        assert abs(value - 2.0) < 1e-12
-        assert abs((value - 1.0) / 2.0 - 0.5) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            linop.trace_norm(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
 class TestMatrixExponential:

@@ -65,6 +65,16 @@ class TestClosedFormNegativities:
         numeric = metrics.average_branch_negativity(branch_list(stats))
         assert abs(numeric - metrics.negativity_avg_closed(0.2, 0.7)) < 1e-10
 
+    def test_avg_matches_numeric_protocol_for_any_phases(self):
+        for _ in range(200):
+            p1 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
+            p2 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
+            numeric = metrics.average_branch_negativity(
+                branch_list(measure_control(ProtocolConfig(p1, p2)))
+            )
+            closed = metrics.negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)
+            assert abs(numeric - closed) < 1e-10
+
     def test_mixture_matches_numeric(self):
         cfg = ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7))
         numeric = metrics.negativity(classical_mixture(cfg))
@@ -192,13 +202,25 @@ class TestPptSeparable:
 
 
 class TestPhaseAvgNegativity:
+    """The opposite-phase case r1 = r2, dphi = pi of `negativity_avg_closed`."""
+
     def test_endpoints(self):
-        assert metrics.phase_avg_negativity(0.0) == 0.5
-        assert abs(metrics.phase_avg_negativity(math.pi / 3) - 0.25) < 1e-15
+        assert metrics.negativity_avg_closed(0.0, 0.0, math.pi) == 0.5
+        assert abs(metrics.negativity_avg_closed(math.pi / 3, math.pi / 3, math.pi) - 0.25) < 1e-15
+
+    def test_is_half_cos_bit_for_bit(self):
+        for r in np.linspace(0.0, math.pi / 2, 401, endpoint=False):
+            assert metrics.negativity_avg_closed(r, r, math.pi) == abs(math.cos(r)) / 2.0
+
+    def test_adjacent_squeezings_survive_roundoff(self):
+        # (s1 + s2)^2 - 4 s1 s2 rounds below zero for some adjacent floats.
+        for r in np.linspace(0.01, 1.5, 200):
+            value = metrics.negativity_avg_closed(r, math.nextafter(r, 2.0), math.pi)
+            assert abs(value - math.cos(r) / 2.0) < 1e-15
 
     def test_dominates_single_channel(self):
         for r in np.linspace(0.0, math.pi / 2, 60, endpoint=False):
-            quantum = metrics.phase_avg_negativity(r)
+            quantum = metrics.negativity_avg_closed(r, r, math.pi)
             classical = math.cos(r) ** 2 / 2
             assert quantum >= classical
             if r > 1e-9:

@@ -128,7 +128,7 @@ class TestSuperposedState:
         state = superposed_state(random_config(RNG))
         assert state.shape == (8, 8)
         assert abs(state.trace() - 1.0) < 1e-12
-        assert linop.hermitian_eigenvalues(state)[0] > -1e-12
+        assert np.linalg.eigvalsh(state)[0] > -1e-12
 
 
 class TestMeasureControl:
@@ -250,7 +250,32 @@ class TestClassicalMixture:
         assert np.abs(classical_mixture(cfg_a) - classical_mixture(cfg_b)).max() < 1e-14
 
 
+def opposite_phase_oracle(r):
+    """Hand-built closed forms for r1 = r2 = r and phi1 = phi2 + pi.
+
+    Returns ``(p_plus, rho_plus, rho_minus)``: the plus branch has weight
+    (1 + cos^2 r)/2 and lives on span{|00>, |11>}; the minus branch is
+    the product state |0_A 1_R><0_A 1_R|.
+    """
+    c = math.cos(r)
+    rho_plus = np.zeros((4, 4), dtype=complex)
+    rho_plus[0, 0] = c * c
+    rho_plus[0, 3] = rho_plus[3, 0] = c
+    rho_plus[3, 3] = 1.0
+    return (1.0 + c * c) / 2.0, rho_plus / (1.0 + c * c), np.diag([0.0, 1.0, 0.0, 0.0])
+
+
 class TestPhaseProtocol:
+    def test_matches_closed_form_oracle(self):
+        for r in np.linspace(0.0, math.pi / 2, 40, endpoint=False):
+            stats = phase_protocol(r)
+            p_plus, rho_plus, rho_minus = opposite_phase_oracle(r)
+            assert abs(stats.p_plus - p_plus) < 1e-12
+            assert abs(stats.p_minus - (1.0 - p_plus)) < 1e-12
+            assert np.abs(stats.rho_plus - rho_plus).max() < 1e-12
+            if r > 0.0:
+                assert np.abs(stats.rho_minus - rho_minus).max() < 1e-12
+
     def test_zero_squeezing(self):
         stats = phase_protocol(0.0)
         assert stats.p_plus == pytest.approx(1.0, abs=1e-15)
@@ -268,8 +293,9 @@ class TestPhaseProtocol:
         assert np.array_equal(stats.rho_minus, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_agrees_with_general_path(self):
+        # Only the phase difference matters: any pair phi, phi + pi gives the same branches.
         r = 0.5
-        cfg = ProtocolConfig(ChannelParams(r, 0.0), ChannelParams(r, math.pi))
+        cfg = ProtocolConfig(ChannelParams(r, 2.3), ChannelParams(r, 2.3 + math.pi))
         general = measure_control(cfg)
         special = phase_protocol(r)
         assert abs(general.p_plus - special.p_plus) < 1e-12
