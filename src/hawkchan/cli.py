@@ -128,6 +128,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so one instance serves every call.
+_PARSER = _build_parser()
+
+
 def load_config(path: str) -> dict:
     """Read a JSON config file; returns a flat flag-name -> value mapping."""
     try:
@@ -305,8 +309,8 @@ def _print_human(payload: dict, stream) -> None:
             for row in value:
                 cells = ", ".join(f"{re!r}{im:+}j" for re, im in row)
                 stream.write(f"  [{cells}]\n")
-        elif isinstance(value, float):
-            stream.write(f"{key} = {value!r}\n")
+        elif isinstance(value, float):  # numpy scalars print as plain floats
+            stream.write(f"{key} = {float(value)!r}\n")
         else:
             stream.write(f"{key} = {value}\n")
 
@@ -322,9 +326,8 @@ _HANDLERS = {
 def run(argv=None, stdout=None) -> int:
     """Parse ``argv``, execute the subcommand, and return the exit code."""
     stream = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.subcommand is None:
             raise UsageError("a subcommand is required (geometry, channel, protocol, phase, sweep)")
         effective = _merge_config(args.subcommand, args)

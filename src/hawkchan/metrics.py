@@ -4,12 +4,12 @@ Numeric negativity and coherent information sit next to the closed
 forms for the protocol scenarios, so every closed form can be checked
 against the fully numeric pipeline.  All entropies are in bits.  Each
 public function validates the state it is handed once, then takes the
-spectra it needs with ``numpy.linalg.eigvalsh``.
+spectra it needs with ``numpy.linalg.eigvalsh``.  The closed forms take
+floats or arrays that broadcast together.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -59,21 +59,27 @@ def _check_two_qubit(rho, name: str) -> np.ndarray:
     return arr
 
 
+def _pt_spectrum(arr: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(linop.partial_transpose(arr, (2, 2)))
+
+
+def _negativity(pt_eigs: np.ndarray) -> float:
+    value = (float(np.abs(pt_eigs).sum()) - 1.0) / 2.0
+    if value < -NEGATIVITY_CLIP:
+        raise ValueError(f"negativity {value} below clip floor {-NEGATIVITY_CLIP}")
+    return max(value, 0.0)
+
+
 def negativity(rho) -> float:
     """Negativity (||rho^T_A||_1 - 1)/2 of a two-qubit state.
 
     Zero exactly for separable states; 1/2 for a maximally entangled
     pair.  Values in [-1e-12, 0) from roundoff are clipped to 0.
     """
-    arr = _check_two_qubit(rho, "state")
-    eigs = np.linalg.eigvalsh(linop.partial_transpose(arr, (2, 2)))
-    value = (float(np.abs(eigs).sum()) - 1.0) / 2.0
-    if value < -NEGATIVITY_CLIP:
-        raise ValueError(f"negativity {value} below clip floor {-NEGATIVITY_CLIP}")
-    return max(value, 0.0)
+    return _negativity(_pt_spectrum(_check_two_qubit(rho, "state")))
 
 
-def negativity_avg_closed(r1: float, r2: float, dphi: float = 0.0) -> float:
+def negativity_avg_closed(r1, r2, dphi=0.0):
     """Average post-measurement negativity of the superposed channels.
 
     ``(-|w|^2 + sqrt(|w|^4 + 16 (c1 + c2)^2)) / 16`` with
@@ -81,26 +87,23 @@ def negativity_avg_closed(r1: float, r2: float, dphi: float = 0.0) -> float:
     equals ``p_plus * negativity(rho_plus)`` from the numeric protocol
     path within 1e-10.  At r1 = r2 and dphi = pi it is exactly |cos r|/2.
     """
-    s1, s2 = math.sin(r1), math.sin(r2)
-    w = s1 + s2  # |w| at equal phases
-    if dphi:
-        # |w|^2 >= (s1 - s2)^2, but roundoff can dip below 0 near s1 = s2, dphi = pi.
-        w_sq = w * w - 4.0 * s1 * s2 * math.sin(dphi / 2.0) ** 2
-        w = math.sqrt(w_sq) if w_sq > 0.0 else 0.0
-    c_sum = math.cos(r1) + math.cos(r2)
-    return (-(w**2) + math.sqrt(16.0 * c_sum**2 + w**4)) / 16.0
+    s1, s2 = np.sin(r1), np.sin(r2)
+    # |w|^2 >= (s1 - s2)^2, but roundoff can dip below 0 near s1 = s2, dphi = pi.
+    w_sq = np.maximum((s1 + s2) ** 2 - 4.0 * s1 * s2 * np.sin(dphi / 2.0) ** 2, 0.0)
+    c_sum = np.cos(r1) + np.cos(r2)
+    return (-w_sq + np.sqrt(16.0 * c_sum**2 + w_sq**2)) / 16.0
 
 
-def negativity_mixture_closed(r1: float, r2: float) -> float:
+def negativity_mixture_closed(r1, r2):
     """Negativity of the equal classical mixture of the two channel outputs."""
-    s_sq = math.sin(r1) ** 2 + math.sin(r2) ** 2
-    c_sum = math.cos(r1) + math.cos(r2)
-    return (-s_sq + math.sqrt(4.0 * c_sum**2 + s_sq**2)) / 8.0
+    s_sq = np.sin(r1) ** 2 + np.sin(r2) ** 2
+    c_sum = np.cos(r1) + np.cos(r2)
+    return (-s_sq + np.sqrt(4.0 * c_sum**2 + s_sq**2)) / 8.0
 
 
-def negativity_convex_avg(r1: float, r2: float) -> float:
+def negativity_convex_avg(r1, r2):
     """Convex average of the two single-channel negativities: (c1^2 + c2^2)/4."""
-    return (math.cos(r1) ** 2 + math.cos(r2) ** 2) / 4.0
+    return (np.cos(r1) ** 2 + np.cos(r2) ** 2) / 4.0
 
 
 def _entropy(arr: np.ndarray) -> float:
@@ -115,6 +118,10 @@ def von_neumann_entropy(rho) -> float:
     return _entropy(linop.check_density_matrix(rho, "state"))
 
 
+def _coherent_information(arr: np.ndarray) -> float:
+    return _entropy(linop.partial_trace(arr, (2, 2), keep=1)) - _entropy(arr)
+
+
 def coherent_information(rho) -> float:
     """Coherent information S(B) - S(AB) of a two-qubit state, B = Rob's side.
 
@@ -122,8 +129,7 @@ def coherent_information(rho) -> float:
     that produced ``rho`` from a maximally entangled input; a maximally
     entangled state gives +1 bit, a maximally mixed one -1 bit.
     """
-    arr = _check_two_qubit(rho, "state")
-    return _entropy(linop.partial_trace(arr, (2, 2), keep=1)) - _entropy(arr)
+    return _coherent_information(_check_two_qubit(rho, "state"))
 
 
 def _branch_average(branches, measure) -> float:
@@ -151,16 +157,16 @@ def average_branch_negativity(branches: Iterable[tuple[float, Optional[np.ndarra
 
 def ppt_separable(rho) -> bool:
     """Positive-partial-transpose test; equivalent to separability for 2x2."""
-    arr = _check_two_qubit(rho, "state")
-    eigs = np.linalg.eigvalsh(linop.partial_transpose(arr, (2, 2)))
-    return bool(eigs[0] >= PPT_TOL)
+    return bool(_pt_spectrum(_check_two_qubit(rho, "state"))[0] >= PPT_TOL)
 
 
 def report_for_state(rho, closed_form: Optional[float] = None) -> MetricReport:
-    """Bundle the standard measures of one state into a `MetricReport`."""
+    """Bundle the standard measures of one state, validated once, into a `MetricReport`."""
+    arr = _check_two_qubit(rho, "state")
+    pt_eigs = _pt_spectrum(arr)
     return MetricReport(
-        negativity_numeric=negativity(rho),
-        coherent_information=coherent_information(rho),
-        ppt=ppt_separable(rho),
+        negativity_numeric=_negativity(pt_eigs),
+        coherent_information=_coherent_information(arr),
+        ppt=bool(pt_eigs[0] >= PPT_TOL),
         negativity_closed_form=closed_form,
     )

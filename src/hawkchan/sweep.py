@@ -15,7 +15,9 @@ of two channels and its classical baseline, over a rectangular
   function of r.
 
 Percentage differences use 100 * (quantum - classical) / classical, so
-quantum advantage is positive.  Grids are emitted in a deterministic
+quantum advantage is positive; both baselines are at least 1/4 on
+[0, pi/4]^2.  Grids are evaluated one r1 row at a time, so memory beyond
+the value array stays at one row, and emitted in a deterministic
 row order (r1 outer, r2 inner, ascending): identical specs produce
 byte-identical CSV and JSON.
 """
@@ -26,7 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import IO, Optional, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -42,8 +44,8 @@ METRICS = TWO_D_METRICS + ONE_D_METRICS
 # the 1-D phase scan extends over the channel's full domain [0, pi/2).
 MAX_R_2D = math.pi / 4
 MAX_R_1D = math.pi / 2
-# A percentage baseline below this is treated as zero (flagged cell).
-BASELINE_TOL = 1e-12
+# The value array alone takes resolution^2 * 8 bytes: 32 MB at the cap.
+MAX_RESOLUTION = 2001
 
 Destination = Union[str, "IO[str]", None]
 
@@ -63,8 +65,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; choose from {METRICS}")
-        if self.resolution < 2:
-            raise ValueError(f"resolution must be >= 2, got {self.resolution}")
+        if not 2 <= self.resolution <= MAX_RESOLUTION:
+            raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
         r_max = MAX_R_1D if self.is_one_dimensional else MAX_R_2D
         ranges = [self.r1_range] if self.is_one_dimensional else [self.r1_range, self.r2_range]
         for label, (lo, hi) in zip(("r1_range", "r2_range"), ranges):
@@ -85,24 +87,11 @@ class SweepSpec:
 
 @dataclass(eq=False)
 class SweepGrid:
-    """Evaluated sweep: axis samples plus row-major metric values.
-
-    ``flags`` marks cells whose percentage baseline vanished; those
-    cells hold the absolute difference instead.  It is ``None`` when no
-    cell was flagged (always, on the allowed domain).
-    """
+    """Evaluated sweep: axis samples plus row-major metric values."""
 
     spec: SweepSpec
     axes: list[np.ndarray]
     values: np.ndarray
-    flags: Optional[np.ndarray] = None
-
-
-def _pct_difference(quantum: float, classical: float) -> tuple[float, bool]:
-    """Percentage difference, falling back to the absolute gap on a zero baseline."""
-    if classical < BASELINE_TOL:
-        return quantum - classical, True
-    return 100.0 * (quantum - classical) / classical, False
 
 
 def _coherent_info_diff(r1: float, r2: float) -> float:
@@ -114,6 +103,17 @@ def _coherent_info_diff(r1: float, r2: float) -> float:
     return ensemble - metrics.coherent_information(classical_mixture(cfg))
 
 
+def _row(metric: str, r1: float, r2s: np.ndarray):
+    """The 2-D ``metric`` at ``(r1, r2)`` for every r2 in ``r2s``."""
+    if metric == "coherent_info_diff":
+        return [_coherent_info_diff(r1, r2) for r2 in r2s]
+    if metric == "neg_pct_diff_mixture":
+        baseline = metrics.negativity_mixture_closed(r1, r2s)
+    else:
+        baseline = metrics.negativity_convex_avg(r1, r2s)
+    return 100.0 * (metrics.negativity_avg_closed(r1, r2s) - baseline) / baseline
+
+
 def run_sweep(spec: SweepSpec) -> SweepGrid:
     """Evaluate the metric on the grid described by ``spec``.
 
@@ -122,27 +122,17 @@ def run_sweep(spec: SweepSpec) -> SweepGrid:
     """
     r1s = np.linspace(spec.r1_range[0], spec.r1_range[1], spec.resolution)
     if spec.is_one_dimensional:
-        values = np.array([metrics.negativity_avg_closed(r, r, math.pi) for r in r1s])
-        return SweepGrid(spec, [r1s], values)
-
-    r2s = np.linspace(spec.r2_range[0], spec.r2_range[1], spec.resolution)
-    values = np.empty((spec.resolution, spec.resolution))
-    flags = np.zeros((spec.resolution, spec.resolution), dtype=bool)
-    baseline = {
-        "neg_pct_diff_mixture": metrics.negativity_mixture_closed,
-        "neg_pct_diff_convex": metrics.negativity_convex_avg,
-    }.get(spec.metric)
-    for i, r1 in enumerate(r1s):
-        for j, r2 in enumerate(r2s):
-            if baseline is None:
-                values[i, j] = _coherent_info_diff(r1, r2)
-            else:
-                values[i, j], flags[i, j] = _pct_difference(
-                    metrics.negativity_avg_closed(r1, r2), baseline(r1, r2)
-                )
+        axes = [r1s]
+        values = metrics.negativity_avg_closed(r1s, r1s, math.pi)
+    else:
+        r2s = np.linspace(spec.r2_range[0], spec.r2_range[1], spec.resolution)
+        axes = [r1s, r2s]
+        values = np.empty((spec.resolution, spec.resolution))
+        for i, r1 in enumerate(r1s):
+            values[i] = _row(spec.metric, r1, r2s)
     if not np.all(np.isfinite(values)):
         raise ValueError("sweep produced non-finite values")
-    return SweepGrid(spec, [r1s, r2s], values, flags if flags.any() else None)
+    return SweepGrid(spec, axes, values)
 
 
 def _format(x: float) -> str:
@@ -164,25 +154,20 @@ def _open_destination(destination: Destination):
 def emit_csv(grid: SweepGrid, destination: Destination = None) -> None:
     """Write the grid as CSV to a path, a text stream, or stdout.
 
-    2-D grids use the header ``r1,r2,value`` (plus ``flag`` when any
-    cell was flagged); the 1-D phase curve uses ``r,value``.  Rows are
-    ordered r1 outer, r2 inner, ascending.
+    2-D grids use the header ``r1,r2,value``; the 1-D phase curve uses
+    ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.
     """
     stream, owned = _open_destination(destination)
     try:
-        flagged = grid.flags is not None
         if grid.spec.is_one_dimensional:
             stream.write("r,value\n")
             for r, v in zip(grid.axes[0], grid.values):
                 stream.write(f"{_format(r)},{_format(v)}\n")
         else:
-            stream.write("r1,r2,value,flag\n" if flagged else "r1,r2,value\n")
+            stream.write("r1,r2,value\n")
             for i, r1 in enumerate(grid.axes[0]):
                 for j, r2 in enumerate(grid.axes[1]):
-                    row = f"{_format(r1)},{_format(r2)},{_format(grid.values[i, j])}"
-                    if flagged:
-                        row += f",{int(grid.flags[i, j])}"
-                    stream.write(row + "\n")
+                    stream.write(f"{_format(r1)},{_format(r2)},{_format(grid.values[i, j])}\n")
     finally:
         if owned:
             stream.close()

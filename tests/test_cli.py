@@ -3,10 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hawkchan
 from hawkchan import cli, metrics, protocol
 from hawkchan.channel import ChannelParams
 
@@ -247,6 +251,15 @@ class TestSweepCommand:
         assert code == 2
         assert "domain" in capsys.readouterr().err
 
+    def test_resolution_above_cap_is_usage_error(self, monkeypatch, capsys):
+        def must_not_run(spec):
+            raise AssertionError("a capped resolution reached the sweep")
+
+        monkeypatch.setattr(cli, "run_sweep", must_not_run)
+        argv = ["sweep", "--metric", "neg_pct_diff_mixture", "--out", "-"]
+        assert cli.run(argv + ["--resolution", "1000000000"]) == 2
+        assert "--resolution" in capsys.readouterr().err
+
     def test_missing_out(self, capsys):
         assert cli.run(["sweep", "--metric", "phase_curve"]) == 2
         assert "--out is required" in capsys.readouterr().err
@@ -265,6 +278,43 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "--out" in capsys.readouterr().err
+
+
+class TestRepeatedRuns:
+    """One process serves many `cli.run` calls; nothing carries over between them."""
+
+    @staticmethod
+    def fresh_process(argv):
+        src = os.path.dirname(os.path.dirname(hawkchan.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "hawkchan.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_each_run_prints_what_a_fresh_process_prints(self, tmp_path, capsys):
+        config = tmp_path / "phi2.json"
+        config.write_text(json.dumps({"phi2": 1.0}))
+        query = ["protocol", "--r1", "0.2", "--r2", "0.7", "--format", "json"]
+        runs = [
+            ["protocol", "--r1", "abc", "--r2", "0.7"],
+            query,
+            query + ["--config", str(config)],
+            query,
+        ]
+        in_process = []
+        for argv in runs:
+            out = io.StringIO()
+            code = cli.run(argv, stdout=out)
+            in_process.append((code, out.getvalue(), capsys.readouterr().err))
+        assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+        assert json.loads(in_process[2][1])["config"]["phi2"] == 1.0
+        assert json.loads(in_process[3][1])["config"]["phi2"] == 0.0
+        assert in_process == [self.fresh_process(argv) for argv in runs]
 
 
 class TestInternalErrorPath:

@@ -101,6 +101,14 @@ class TestClosedFormNegativities:
                 gap = metrics.negativity_avg_closed(r1, r2) - metrics.negativity_mixture_closed(r1, r2)
                 assert gap > -1e-12
 
+    def test_baselines_at_least_a_quarter(self):
+        # The percentage sweeps divide by these.  On [0, pi/4]^2 the mixture
+        # negativity is smallest at the (pi/4, pi/4) corner, (-1 + 3)/8, and
+        # the convex average (c1^2 + c2^2)/4 is smallest there too.
+        r1, r2 = np.meshgrid(*2 * [np.linspace(0.0, math.pi / 4, 101)], indexing="ij")
+        assert metrics.negativity_mixture_closed(r1, r2).min() >= 0.25 - 1e-15
+        assert metrics.negativity_convex_avg(r1, r2).min() >= 0.25 - 1e-15
+
 
 class TestConvexGapOracle:
     """The 50-digit reference that acceptance criterion 06 relies on."""
@@ -233,6 +241,24 @@ class TestMetricReport:
         report = metrics.report_for_state(out, closed_form=math.cos(0.4) ** 2 / 2)
         assert report.ppt is False
         assert abs(report.negativity_numeric - report.negativity_closed_form) < 1e-10
+
+    def test_validates_once_and_matches_public_measures(self, monkeypatch):
+        cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6, 1.0))
+        states = [bell_state(), classical_scenario(ChannelParams(0.4)),
+                  classical_mixture(cfg), measure_control(cfg).rho_plus, random_density(RNG, 4)]
+        expected = [
+            metrics.MetricReport(
+                metrics.negativity(rho), metrics.coherent_information(rho), metrics.ppt_separable(rho)
+            )
+            for rho in states
+        ]
+        calls = []
+        check = linop.check_density_matrix
+        monkeypatch.setattr(
+            linop, "check_density_matrix", lambda rho, *a, **kw: calls.append(1) or check(rho, *a, **kw)
+        )
+        assert [metrics.report_for_state(rho) for rho in states] == expected
+        assert len(calls) == len(states)
 
     def test_rejects_inconsistent_closed_form(self):
         with pytest.raises(ValueError, match="closed-form"):

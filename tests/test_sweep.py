@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from hawkchan import sweep
-from hawkchan.sweep import SweepGrid, SweepSpec, emit_csv, emit_json, run_sweep
+from hawkchan import metrics, sweep
+from hawkchan.sweep import SweepSpec, emit_csv, emit_json, run_sweep
 
 
 class TestSweepSpec:
@@ -29,6 +29,13 @@ class TestSweepSpec:
             SweepSpec("neg_pct_diff_mixture", r2_range=(0.0, 1.0))
         with pytest.raises(ValueError, match="domain"):
             SweepSpec("neg_pct_diff_convex", r1_range=(-0.1, 0.5))
+
+    def test_resolution_cap(self):
+        # A spec only records the resolution; neither call allocates a grid.
+        assert sweep.MAX_RESOLUTION == 2001
+        SweepSpec("neg_pct_diff_mixture", resolution=2001)
+        with pytest.raises(ValueError, match="resolution"):
+            SweepSpec("neg_pct_diff_mixture", resolution=2002)
 
     def test_phase_curve_wider_domain(self):
         SweepSpec("phase_curve", r1_range=(0.0, 1.5), resolution=11)
@@ -62,6 +69,21 @@ class TestRunSweep:
         grid = run_sweep(SweepSpec("neg_pct_diff_convex", resolution=15))
         assert np.abs(np.diagonal(grid.values)).max() < 1e-10
 
+    @pytest.mark.parametrize(
+        "metric, baseline",
+        [
+            ("neg_pct_diff_mixture", metrics.negativity_mixture_closed),
+            ("neg_pct_diff_convex", metrics.negativity_convex_avg),
+        ],
+    )
+    def test_pct_cells_match_scalar_closed_forms(self, metric, baseline):
+        grid = run_sweep(SweepSpec(metric, resolution=41))
+        for i, r1 in enumerate(grid.axes[0]):
+            for j, r2 in enumerate(grid.axes[1]):
+                r1, r2 = float(r1), float(r2)
+                avg, base = metrics.negativity_avg_closed(r1, r2), baseline(r1, r2)
+                assert abs(grid.values[i, j] - 100.0 * (avg - base) / base) <= 1e-12
+
     def test_phase_curve_values(self):
         grid = run_sweep(SweepSpec("phase_curve", r1_range=(0.0, 1.5), resolution=301))
         assert grid.values[0] == 0.5
@@ -70,17 +92,6 @@ class TestRunSweep:
         gap = grid.values - np.cos(grid.axes[0]) ** 2 / 2
         r_star = grid.axes[0][int(np.argmax(gap))]
         assert abs(r_star - math.pi / 3) < 0.01
-
-    def test_no_flags_on_allowed_domain(self):
-        for metric in ("neg_pct_diff_mixture", "neg_pct_diff_convex"):
-            grid = run_sweep(SweepSpec(metric, resolution=9))
-            assert grid.flags is None
-
-    def test_pct_difference_flag_fallback(self):
-        value, flagged = sweep._pct_difference(0.25, 0.0)
-        assert flagged and value == 0.25
-        value, flagged = sweep._pct_difference(0.3, 0.2)
-        assert not flagged and abs(value - 50.0) < 1e-12
 
 
 class TestEmitCsv:
@@ -128,18 +139,6 @@ class TestEmitCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "r,value"
         assert len(lines) == 5
-
-    def test_flag_column_when_flagged(self):
-        spec = SweepSpec("neg_pct_diff_mixture", resolution=2)
-        values = np.array([[0.1, 0.2], [0.3, 0.4]])
-        flags = np.array([[True, False], [False, False]])
-        grid = SweepGrid(spec, [np.array([0.0, 0.1]), np.array([0.0, 0.1])], values, flags)
-        buf = io.StringIO()
-        emit_csv(grid, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "r1,r2,value,flag"
-        assert lines[1].endswith(",1")
-        assert lines[2].endswith(",0")
 
     def test_writes_to_path(self, tmp_path):
         target = tmp_path / "grid.csv"
