@@ -33,7 +33,7 @@ from .channel import (
     kraus_pair,
     squeezing_from_geometry,
 )
-from .sweep import METRICS, SweepSpec, emit_csv, emit_json, run_sweep
+from .sweep import MAX_RESOLUTION, METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
 
 class UsageError(Exception):
@@ -65,8 +65,8 @@ def _positive_int(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    if not 2 <= value <= MAX_RESOLUTION:
+        raise argparse.ArgumentTypeError(f"must be in [2, {MAX_RESOLUTION}], got {value}")
     return value
 
 
@@ -194,11 +194,12 @@ def _matrix_payload(arr: Optional[np.ndarray]):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(arr)]
 
 
-def _channel_params(cfg: dict, r_key: str, phi_key: str) -> ChannelParams:
+def _channel_params(cfg: dict, suffix: str = "") -> ChannelParams:
+    # A phase that passed _finite_float is always accepted, so only r can be wrong.
     try:
-        return ChannelParams(r=cfg[r_key], phi=cfg[phi_key])
+        return ChannelParams(r=cfg["r" + suffix], phi=cfg["phi" + suffix])
     except ValueError as exc:
-        raise UsageError(f"--{r_key}/--{phi_key}: {exc}")
+        raise UsageError(f"--r{suffix}: {exc}")
 
 
 def _run_geometry(cfg: dict) -> dict:
@@ -218,7 +219,7 @@ def _run_geometry(cfg: dict) -> dict:
 
 
 def _run_channel(cfg: dict) -> dict:
-    params = _channel_params(cfg, "r", "phi")
+    params = _channel_params(cfg)
     pair = kraus_pair(params)
     output = protocol.classical_scenario(params)
     closed = math.cos(params.r) ** 2 / 2.0
@@ -236,12 +237,8 @@ def _run_channel(cfg: dict) -> dict:
 
 
 def _run_protocol(cfg: dict) -> dict:
-    p1 = _channel_params(cfg, "r1", "phi1")
-    p2 = _channel_params(cfg, "r2", "phi2")
-    run_cfg = protocol.ProtocolConfig(p1, p2)
-    stats = protocol.measure_control(run_cfg)
-    mixture = protocol.classical_mixture(run_cfg)
-    branches = [(stats.p_plus, stats.rho_plus), (stats.p_minus, stats.rho_minus)]
+    p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
+    stats = protocol.measure_control(protocol.ProtocolConfig(p1, p2))
     return {
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
@@ -250,13 +247,13 @@ def _run_protocol(cfg: dict) -> dict:
         "p_minus": stats.p_minus,
         "rho_plus": _matrix_payload(stats.rho_plus),
         "rho_minus": _matrix_payload(stats.rho_minus),
-        "negativity_avg": metrics.average_branch_negativity(branches),
-        "negativity_mixture": metrics.negativity(mixture),
+        "negativity_avg": metrics.average_branch_negativity(stats.branches),
+        "negativity_mixture": metrics.negativity(stats.rho_mixture),
         "negativity_mixture_closed": metrics.negativity_mixture_closed(p1.r, p2.r),
         "negativity_convex_avg": metrics.negativity_convex_avg(p1.r, p2.r),
-        "coherent_info_ensemble": metrics.ensemble_coherent_information(branches),
+        "coherent_info_ensemble": metrics.ensemble_coherent_information(stats.branches),
         "coherent_info_plus_branch": metrics.coherent_information(stats.rho_plus),
-        "coherent_info_mixture": metrics.coherent_information(mixture),
+        "coherent_info_mixture": metrics.coherent_information(stats.rho_mixture),
         "negativity_avg_closed": metrics.negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi),
     }
 
@@ -266,7 +263,6 @@ def _run_phase(cfg: dict) -> dict:
         stats = protocol.phase_protocol(cfg["r"])
     except ValueError as exc:
         raise UsageError(f"--r: {exc}")
-    branches = [(stats.p_plus, stats.rho_plus), (stats.p_minus, stats.rho_minus)]
     single = protocol.classical_scenario(ChannelParams(cfg["r"]))
     return {
         "p_plus": stats.p_plus,
@@ -274,7 +270,7 @@ def _run_phase(cfg: dict) -> dict:
         "rho_plus": _matrix_payload(stats.rho_plus),
         "rho_minus": _matrix_payload(stats.rho_minus),
         "negativity_plus": metrics.negativity(stats.rho_plus),
-        "negativity_avg": metrics.average_branch_negativity(branches),
+        "negativity_avg": metrics.average_branch_negativity(stats.branches),
         "negativity_avg_closed": metrics.negativity_avg_closed(cfg["r"], cfg["r"], math.pi),
         "negativity_single_channel": metrics.negativity(single),
     }
@@ -289,7 +285,7 @@ def _run_sweep(cfg: dict) -> None:
             resolution=cfg["resolution"],
         )
     except ValueError as exc:
-        raise UsageError(f"--metric/--min/--max/--resolution: {exc}")
+        raise UsageError(f"--min/--max: {exc}")
     grid = run_sweep(spec)
     destination = None if cfg["out"] == "-" else cfg["out"]
     try:

@@ -42,31 +42,25 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def check_density_matrix(
-    rho,
-    name: str = "state",
-    herm_tol: float = HERMITIAN_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIGENVALUE_FLOOR,
-) -> np.ndarray:
+def check_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Validate the density-matrix invariants and return the array.
 
-    A valid state is Hermitian within ``herm_tol``, has trace within
-    ``trace_tol`` of 1, and has smallest eigenvalue >= ``eig_floor``.
+    A valid state is Hermitian within ``HERMITIAN_TOL``, has trace within
+    ``TRACE_TOL`` of 1, and has smallest eigenvalue >= ``EIGENVALUE_FLOOR``.
     Raises ``ValueError`` naming the violated invariant.
     """
     arr = as_complex_matrix(rho, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     defect = hermiticity_defect(arr)
-    if defect > herm_tol:
-        raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} > {herm_tol:.3e}")
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} > {HERMITIAN_TOL:.3e}")
     tr = arr.trace()
-    if abs(tr.imag) > trace_tol or abs(tr.real - 1.0) > trace_tol:
-        raise ValueError(f"{name} trace {tr} differs from 1 by more than {trace_tol:.3e}")
+    if abs(tr.imag) > TRACE_TOL or abs(tr.real - 1.0) > TRACE_TOL:
+        raise ValueError(f"{name} trace {tr} differs from 1 by more than {TRACE_TOL:.3e}")
     smallest = float(np.linalg.eigvalsh(arr)[0])
-    if smallest < eig_floor:
-        raise ValueError(f"{name} has eigenvalue {smallest:.3e} below {eig_floor:.3e}")
+    if smallest < EIGENVALUE_FLOOR:
+        raise ValueError(f"{name} has eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR:.3e}")
     return arr
 
 

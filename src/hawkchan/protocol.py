@@ -14,8 +14,9 @@ entangled state:
 `phase_protocol` is the superposition of two channels with equal
 squeezing and opposite phases, where the closed forms are simplest.
 
-States are validated where they leave this module; the Bell state and
-the Kraus blocks built from it are trusted in between.
+One `measure_control` call builds the branches and the mixture from one
+set of interference blocks.  States are validated where they leave this
+module; the Bell state and the Kraus blocks are trusted in between.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ class BranchStatistics:
 
     with outcome probabilities ``p_plus = A/4`` and ``p_minus = C/4``.
     ``rho_minus`` is ``None`` when the minus branch cannot occur
-    (identical channels, C = 0).
+    (identical channels, C = 0).  ``rho_mixture`` is the classical
+    mixture, the same state with the measurement record discarded:
+    ``p_plus rho_plus + p_minus rho_minus``.
     """
 
     a_scalar: float
@@ -65,6 +68,12 @@ class BranchStatistics:
     p_minus: float
     rho_plus: np.ndarray
     rho_minus: Optional[np.ndarray]
+    rho_mixture: np.ndarray
+
+    @property
+    def branches(self) -> list[tuple[float, Optional[np.ndarray]]]:
+        """The ``(probability, state)`` pairs of the plus and minus outcomes."""
+        return [(self.p_plus, self.rho_plus), (self.p_minus, self.rho_minus)]
 
 
 def bell_state() -> np.ndarray:
@@ -80,17 +89,16 @@ def classical_scenario(p: ChannelParams) -> np.ndarray:
     return linop.check_density_matrix(_kraus_block(bell_state(), k, k), "channel output")
 
 
-def _interference_blocks(cfg: ProtocolConfig):
-    """The four blocks xi_ij(bell) for i, j in {1, 2}."""
+def _interference_blocks(cfg: ProtocolConfig) -> np.ndarray:
+    """The blocks ``xi[i, j]`` of |i><j| on the control, a (2, 2, 4, 4) array.
+
+    ``xi[i, j] = sum_n M_in bell M_jn^dag`` for the channels of
+    ``params1`` (i = 0) and ``params2`` (i = 1).  Every state this module
+    hands out is derived from one such array.
+    """
     rho = bell_state()
-    k1 = kraus_pair(cfg.params1)
-    k2 = kraus_pair(cfg.params2)
-    return (
-        _kraus_block(rho, k1, k1),
-        _kraus_block(rho, k2, k2),
-        _kraus_block(rho, k1, k2),
-        _kraus_block(rho, k2, k1),
-    )
+    ks = (kraus_pair(cfg.params1), kraus_pair(cfg.params2))
+    return np.array([[_kraus_block(rho, ki, kj) for kj in ks] for ki in ks])
 
 
 def branch_scalars(cfg: ProtocolConfig) -> tuple[float, float, float]:
@@ -114,22 +122,13 @@ def superposed_state(cfg: ProtocolConfig) -> np.ndarray:
     The 8x8 state on (A x R) x control is assembled from the four
     interference blocks:
 
-        1/2 [ xi_11 (x) |0><0| + xi_22 (x) |1><1|
-              + xi_12 (x) |0><1| + xi_21 (x) |1><0| ].
+        1/2 [ xi_00 (x) |0><0| + xi_11 (x) |1><1|
+              + xi_01 (x) |0><1| + xi_10 (x) |1><0| ].
 
     Tracing out the control recovers `classical_mixture`.
     """
-    x11, x22, x12, x21 = _interference_blocks(cfg)
-    p00 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p11 = np.array([[0, 0], [0, 1]], dtype=complex)
-    p01 = np.array([[0, 1], [0, 0]], dtype=complex)
-    p10 = np.array([[0, 0], [1, 0]], dtype=complex)
-    state = 0.5 * (
-        linop.tensor(x11, p00)
-        + linop.tensor(x22, p11)
-        + linop.tensor(x12, p01)
-        + linop.tensor(x21, p10)
-    )
+    xi = _interference_blocks(cfg)
+    state = 0.5 * xi.transpose(2, 0, 3, 1).reshape(8, 8)
     return linop.check_density_matrix(state, "superposed state")
 
 
@@ -146,11 +145,12 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
     built from its closed form: normalizing the numeric block by a
     probability as small as C/4 would amplify roundoff past the state
     invariants, while the closed form is non-negative diagonal by
-    construction for every C.
+    construction for every C.  The classical mixture is the control's
+    diagonal, from the same blocks.
     """
     a, b, c = branch_scalars(cfg)
-    x11, x22, x12, x21 = _interference_blocks(cfg)
-    plus_un = 0.25 * (x11 + x22 + x12 + x21)
+    xi = _interference_blocks(cfg)
+    plus_un = 0.25 * (xi[0, 0] + xi[1, 1] + xi[0, 1] + xi[1, 0])
     p_plus = float(plus_un.trace().real)
     p_minus = c / 4.0
     rho_plus = linop.check_density_matrix(plus_un / p_plus, "plus branch")
@@ -161,15 +161,13 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
         excited = (math.sin(cfg.params1.r) - math.sin(cfg.params2.r)) ** 2 + 4.0 * b
         rho_minus = np.diag([vac, excited, 0.0, 0.0]).astype(complex) / (vac + excited)
         rho_minus = linop.check_density_matrix(rho_minus, "minus branch")
-    return BranchStatistics(a, b, c, p_plus, p_minus, rho_plus, rho_minus)
+    mixture = linop.check_density_matrix(0.5 * (xi[0, 0] + xi[1, 1]), "classical mixture")
+    return BranchStatistics(a, b, c, p_plus, p_minus, rho_plus, rho_minus, mixture)
 
 
 def classical_mixture(cfg: ProtocolConfig) -> np.ndarray:
     """Equal incoherent mixture of the two channel outputs."""
-    rho = bell_state()
-    k1, k2 = kraus_pair(cfg.params1), kraus_pair(cfg.params2)
-    mixed = 0.5 * (_kraus_block(rho, k1, k1) + _kraus_block(rho, k2, k2))
-    return linop.check_density_matrix(mixed, "classical mixture")
+    return measure_control(cfg).rho_mixture
 
 
 def phase_protocol(r: float) -> BranchStatistics:

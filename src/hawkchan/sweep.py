@@ -34,7 +34,7 @@ import numpy as np
 
 from . import metrics
 from .channel import ChannelParams
-from .protocol import ProtocolConfig, classical_mixture, measure_control
+from .protocol import ProtocolConfig, measure_control
 
 TWO_D_METRICS = ("neg_pct_diff_mixture", "neg_pct_diff_convex", "coherent_info_diff")
 ONE_D_METRICS = ("phase_curve",)
@@ -95,12 +95,9 @@ class SweepGrid:
 
 
 def _coherent_info_diff(r1: float, r2: float) -> float:
-    cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
-    stats = measure_control(cfg)
-    ensemble = metrics.ensemble_coherent_information(
-        [(stats.p_plus, stats.rho_plus), (stats.p_minus, stats.rho_minus)]
-    )
-    return ensemble - metrics.coherent_information(classical_mixture(cfg))
+    stats = measure_control(ProtocolConfig(ChannelParams(r1), ChannelParams(r2)))
+    ensemble = metrics.ensemble_coherent_information(stats.branches)
+    return ensemble - metrics.coherent_information(stats.rho_mixture)
 
 
 def _row(metric: str, r1: float, r2s: np.ndarray):
@@ -165,9 +162,12 @@ def emit_csv(grid: SweepGrid, destination: Destination = None) -> None:
                 stream.write(f"{_format(r)},{_format(v)}\n")
         else:
             stream.write("r1,r2,value\n")
-            for i, r1 in enumerate(grid.axes[0]):
-                for j, r2 in enumerate(grid.axes[1]):
-                    stream.write(f"{_format(r1)},{_format(r2)},{_format(grid.values[i, j])}\n")
+            r2_texts = [_format(r2) for r2 in grid.axes[1]]
+            for r1, row in zip(grid.axes[0], grid.values):
+                r1_text = _format(r1)
+                stream.writelines(
+                    f"{r1_text},{r2_text},{_format(v)}\n" for r2_text, v in zip(r2_texts, row)
+                )
     finally:
         if owned:
             stream.close()

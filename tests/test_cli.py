@@ -138,6 +138,22 @@ class TestUsageErrors:
         assert cli.run([]) == 2
         assert "subcommand" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, named, not_named",
+        [
+            (["sweep", "--metric", "neg_pct_diff_mixture", "--out", "-", "--resolution", "1000000000"],
+             "--resolution", ("--metric", "--min", "--max")),
+            (["sweep", "--metric", "neg_pct_diff_mixture", "--out", "-", "--max", "1.2"],
+             "--min/--max", ("--metric", "--resolution")),
+            (["protocol", "--r1", "2.0", "--r2", "0.3"], "--r1", ("--phi1", "--r2", "--phi2")),
+        ],
+    )
+    def test_message_names_only_the_wrong_flag(self, capsys, argv, named, not_named):
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert not any(flag in err for flag in not_named), err
+
 
 class TestConfigFile:
     def test_empty_object_uses_defaults(self, tmp_path):

@@ -1,12 +1,19 @@
 """Tests for the superposition, mixture, and opposite-phase protocols."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
-from hawkchan import linop
-from hawkchan.channel import ChannelParams, dilation_unitary
+from hawkchan import channel, cli, linop, protocol, sweep
+from hawkchan.channel import (
+    ChannelParams,
+    apply_channel,
+    apply_channel_dilated,
+    dilation_unitary,
+    kraus_pair,
+)
 from hawkchan.metrics import negativity, ppt_separable
 from hawkchan.protocol import (
     ProtocolConfig,
@@ -248,6 +255,61 @@ class TestClassicalMixture:
         cfg_a = ProtocolConfig(ChannelParams(0.3, 0.0), ChannelParams(0.8, 0.0))
         cfg_b = ProtocolConfig(ChannelParams(0.3, 2.1), ChannelParams(0.8, 4.4))
         assert np.abs(classical_mixture(cfg_a) - classical_mixture(cfg_b)).max() < 1e-14
+
+
+def mixture_oracle(cfg, apply=lambda rho, p: apply_channel(rho, kraus_pair(p))):
+    """The equal mixture built channel by channel, apart from the interference blocks."""
+    return 0.5 * (apply(bell_state(), cfg.params1) + apply(bell_state(), cfg.params2))
+
+
+def oracle_configs():
+    rng = np.random.default_rng(20261018)
+    configs = [random_config(rng) for _ in range(40)]
+    same = [ChannelParams(rng.uniform(0.0, math.pi / 2 - 1e-9), rng.uniform(0.0, 2 * math.pi))
+            for _ in range(5)]
+    return configs + [ProtocolConfig(p, p) for p in same + [ChannelParams(0.0)]]
+
+
+@pytest.fixture
+def kraus_calls(monkeypatch):
+    """Records every ``kraus_pair`` call made through any module that imports it."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return kraus_pair(p)
+
+    for module in (channel, protocol, cli):
+        monkeypatch.setattr(module, "kraus_pair", counting)
+    return calls
+
+
+class TestOneEvaluation:
+    @pytest.mark.parametrize("cfg", oracle_configs())
+    def test_mixture_matches_channel_by_channel_oracle(self, cfg):
+        mixture = classical_mixture(cfg)
+        assert np.array_equal(mixture, mixture_oracle(cfg))
+        assert np.abs(mixture - mixture_oracle(cfg, apply_channel_dilated)).max() < 1e-12
+
+    def test_branches_are_the_two_outcomes(self):
+        stats = measure_control(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7, 1.0)))
+        (p_plus, rho_plus), (p_minus, rho_minus) = stats.branches
+        assert (p_plus, p_minus) == (stats.p_plus, stats.p_minus)
+        assert rho_plus is stats.rho_plus and rho_minus is stats.rho_minus
+        assert rho_minus is not None
+
+    def test_identical_channels_have_no_minus_state(self):
+        p = ChannelParams(0.4, 2.0)
+        assert measure_control(ProtocolConfig(p, p)).branches[1] == (0.0, None)
+
+    def test_protocol_query_builds_two_kraus_pairs(self, kraus_calls):
+        argv = ["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0", "--format", "json"]
+        assert cli.run(argv, stdout=io.StringIO()) == 0
+        assert len(kraus_calls) == 2
+
+    def test_coherent_info_cell_builds_two_kraus_pairs(self, kraus_calls):
+        sweep._coherent_info_diff(0.2, 0.7)
+        assert len(kraus_calls) == 2
 
 
 def opposite_phase_oracle(r):
