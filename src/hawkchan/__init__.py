@@ -18,6 +18,7 @@ from .channel import (
 from .metrics import (
     MetricReport,
     average_branch_negativity,
+    coherent_info_closed,
     coherent_information,
     ensemble_coherent_information,
     negativity,
@@ -57,6 +58,7 @@ __all__ = [
     "channel_output_closed_form",
     "classical_mixture",
     "classical_scenario",
+    "coherent_info_closed",
     "coherent_information",
     "cross_term",
     "cross_term_dilated",

@@ -238,8 +238,20 @@ def _run_channel(cfg: dict) -> dict:
 
 def _run_protocol(cfg: dict) -> dict:
     p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
+    dphi = p1.phi - p2.phi
     stats = protocol.measure_control(protocol.ProtocolConfig(p1, p2))
+    # One report per state; branch averages keep the order 0.0 + plus + minus.
+    branches = [(p, metrics.report_for_state(rho)) for p, rho in stats.branches if rho is not None]
+    mixture = metrics.report_for_state(stats.rho_mixture)
+    coherent_info = {
+        "coherent_info_ensemble": sum((p * r.coherent_information for p, r in branches), 0.0),
+        "coherent_info_mixture": mixture.coherent_information,
+    }
+    closed = metrics.coherent_info_closed(p1.r, p2.r, dphi)
+    for (key, numeric), expected in zip(coherent_info.items(), closed):
+        metrics._check_closed_form(key, numeric, expected)
     return {
+        **coherent_info,
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
         "c_scalar": stats.c_scalar,
@@ -247,14 +259,12 @@ def _run_protocol(cfg: dict) -> dict:
         "p_minus": stats.p_minus,
         "rho_plus": _matrix_payload(stats.rho_plus),
         "rho_minus": _matrix_payload(stats.rho_minus),
-        "negativity_avg": metrics.average_branch_negativity(stats.branches),
-        "negativity_mixture": metrics.negativity(stats.rho_mixture),
+        "negativity_avg": sum((p * r.negativity_numeric for p, r in branches), 0.0),
+        "negativity_mixture": mixture.negativity_numeric,
         "negativity_mixture_closed": metrics.negativity_mixture_closed(p1.r, p2.r),
         "negativity_convex_avg": metrics.negativity_convex_avg(p1.r, p2.r),
-        "coherent_info_ensemble": metrics.ensemble_coherent_information(stats.branches),
-        "coherent_info_plus_branch": metrics.coherent_information(stats.rho_plus),
-        "coherent_info_mixture": metrics.coherent_information(stats.rho_mixture),
-        "negativity_avg_closed": metrics.negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi),
+        "coherent_info_plus_branch": branches[0][1].coherent_information,
+        "negativity_avg_closed": metrics.negativity_avg_closed(p1.r, p2.r, dphi),
     }
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.linalg
 
 # Construction tolerances for density matrices.
 HERMITIAN_TOL = 1e-12
@@ -138,10 +137,18 @@ def partial_transpose(rho, dims: Sequence[int]) -> np.ndarray:
 
 
 def matrix_exponential(m) -> np.ndarray:
-    """Matrix exponential of a small (dim <= 8) square matrix."""
+    """Matrix exponential of a small (dim <= 8) anti-Hermitian matrix, which is unitary.
+
+    ``exp(m) = V diag(exp(i l)) V^dag`` from ``eigh`` of the Hermitian ``-i m``.
+    """
     arr = as_complex_matrix(m, "matrix")
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
     if arr.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {arr.shape[0]} exceeds supported maximum {MAX_DIM}")
-    return scipy.linalg.expm(arr)
+    herm = -1j * arr
+    defect = hermiticity_defect(herm)
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not anti-Hermitian: defect {defect:.3e} > {HERMITIAN_TOL:.3e}")
+    eigs, vecs = np.linalg.eigh(herm)
+    return (vecs * np.exp(1j * eigs)) @ vecs.conj().T

@@ -45,11 +45,13 @@ class MetricReport:
         if self.negativity_numeric < -NEGATIVITY_CLIP:
             raise ValueError(f"negativity {self.negativity_numeric} below clip floor")
         if self.negativity_closed_form is not None:
-            gap = abs(self.negativity_numeric - self.negativity_closed_form)
-            if gap > CLOSED_FORM_TOL:
-                raise ValueError(
-                    f"closed-form negativity differs from numeric by {gap:.3e}"
-                )
+            _check_closed_form("negativity", self.negativity_numeric, self.negativity_closed_form)
+
+
+def _check_closed_form(name: str, numeric: float, closed: float) -> None:
+    gap = abs(numeric - closed)
+    if gap > CLOSED_FORM_TOL:
+        raise ValueError(f"closed-form {name} differs from numeric by {gap:.3e}")
 
 
 def _check_two_qubit(rho, name: str) -> np.ndarray:
@@ -79,6 +81,15 @@ def negativity(rho) -> float:
     return _negativity(_pt_spectrum(_check_two_qubit(rho, "state")))
 
 
+def _plus_branch_terms(r1, r2, dphi):
+    """``(|w|^2, c1 + c2)``: the unnormalised plus branch is
+    ``(1/8)[(C|00> + 2|11>)(h.c.) + |w|^2 |01><01|]`` with ``C = c1 + c2``."""
+    s1, s2 = np.sin(r1), np.sin(r2)
+    # |w|^2 >= (s1 - s2)^2, but roundoff can dip below 0 near s1 = s2, dphi = pi.
+    w_sq = np.maximum((s1 + s2) ** 2 - 4.0 * s1 * s2 * np.sin(dphi / 2.0) ** 2, 0.0)
+    return w_sq, np.cos(r1) + np.cos(r2)
+
+
 def negativity_avg_closed(r1, r2, dphi=0.0):
     """Average post-measurement negativity of the superposed channels.
 
@@ -87,10 +98,7 @@ def negativity_avg_closed(r1, r2, dphi=0.0):
     equals ``p_plus * negativity(rho_plus)`` from the numeric protocol
     path within 1e-10.  At r1 = r2 and dphi = pi it is exactly |cos r|/2.
     """
-    s1, s2 = np.sin(r1), np.sin(r2)
-    # |w|^2 >= (s1 - s2)^2, but roundoff can dip below 0 near s1 = s2, dphi = pi.
-    w_sq = np.maximum((s1 + s2) ** 2 - 4.0 * s1 * s2 * np.sin(dphi / 2.0) ** 2, 0.0)
-    c_sum = np.cos(r1) + np.cos(r2)
+    w_sq, c_sum = _plus_branch_terms(r1, r2, dphi)
     return (-w_sq + np.sqrt(16.0 * c_sum**2 + w_sq**2)) / 16.0
 
 
@@ -104,6 +112,31 @@ def negativity_mixture_closed(r1, r2):
 def negativity_convex_avg(r1, r2):
     """Convex average of the two single-channel negativities: (c1^2 + c2^2)/4."""
     return (np.cos(r1) ** 2 + np.cos(r2) ** 2) / 4.0
+
+
+def _weight_entropy(*weights):
+    """``sum(-x log2 x)`` over non-negative weights, with ``0 log2 0 = 0``."""
+    return sum(-x * np.log2(np.where(x > 0.0, x, 1.0)) for x in weights)
+
+
+def coherent_info_closed(r1, r2, dphi=0.0):
+    """Closed-form coherent information ``(ensemble, mixture)`` of the protocol.
+
+    Every protocol state is an X state: rank 1 on span{|00>, |11>} plus a
+    weight on |01>.  The ensemble value ``p_plus I_c(rho_plus)`` (the minus
+    branch is a product state) is taken on unnormalised weights, where the
+    ``log p_plus`` terms cancel.  The mixture's small eigenvalue is det/big,
+    which does not cancel near r1 = r2.
+    """
+    w_sq, c_sum = _plus_branch_terms(r1, r2, dphi)
+    c_sq = c_sum**2
+    ensemble = (_weight_entropy(c_sq / 8.0, (4.0 + w_sq) / 8.0)
+                - _weight_entropy((c_sq + 4.0) / 8.0, w_sq / 8.0))
+    c1, c2 = np.cos(r1), np.cos(r2)
+    q, s_sq = c1**2 + c2**2, np.sin(r1) ** 2 + np.sin(r2) ** 2
+    big = (q + 2.0 + np.sqrt((q - 2.0) ** 2 + 4.0 * c_sq)) / 8.0
+    rob = _weight_entropy(q / 4.0, (2.0 + s_sq) / 4.0)
+    return ensemble, rob - _weight_entropy(big, (c1 - c2) ** 2 / 16.0 / big, s_sq / 4.0)
 
 
 def _entropy(arr: np.ndarray) -> float:

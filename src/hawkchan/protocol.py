@@ -161,13 +161,17 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
         excited = (math.sin(cfg.params1.r) - math.sin(cfg.params2.r)) ** 2 + 4.0 * b
         rho_minus = np.diag([vac, excited, 0.0, 0.0]).astype(complex) / (vac + excited)
         rho_minus = linop.check_density_matrix(rho_minus, "minus branch")
-    mixture = linop.check_density_matrix(0.5 * (xi[0, 0] + xi[1, 1]), "classical mixture")
-    return BranchStatistics(a, b, c, p_plus, p_minus, rho_plus, rho_minus, mixture)
+    return BranchStatistics(a, b, c, p_plus, p_minus, rho_plus, rho_minus, _mixture(xi))
+
+
+def _mixture(xi: np.ndarray) -> np.ndarray:
+    """The control's diagonal: the two channel outputs, equally weighted."""
+    return linop.check_density_matrix(0.5 * (xi[0, 0] + xi[1, 1]), "classical mixture")
 
 
 def classical_mixture(cfg: ProtocolConfig) -> np.ndarray:
     """Equal incoherent mixture of the two channel outputs."""
-    return measure_control(cfg).rho_mixture
+    return _mixture(_interference_blocks(cfg))
 
 
 def phase_protocol(r: float) -> BranchStatistics:

@@ -57,6 +57,21 @@ class TestProtocolCommand:
         assert spaced.getvalue() == joined.getvalue()
         assert isinstance(json.loads(spaced.getvalue())["negativity_avg_closed"], float)
 
+    @pytest.mark.parametrize("index, key", [(0, "coherent_info_ensemble"), (1, "coherent_info_mixture")])
+    def test_coherent_information_gap_is_internal_error(self, monkeypatch, capsys, index, key):
+        closed = metrics.coherent_info_closed
+
+        def shifted(*args):
+            values = list(closed(*args))
+            values[index] += 1e-9
+            return tuple(values)
+
+        monkeypatch.setattr(metrics, "coherent_info_closed", shifted)
+        buf = io.StringIO()
+        assert cli.run(["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0"], stdout=buf) == 1
+        assert buf.getvalue() == ""
+        assert f"{key} differs from numeric by 1.000e-09" in capsys.readouterr().err
+
     def test_human_format(self):
         buf = io.StringIO()
         assert cli.run(["protocol", "--r1", "0.1", "--r2", "0.3"], stdout=buf) == 0

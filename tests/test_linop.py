@@ -1,7 +1,12 @@
 """Tests for the dense linear-operator core."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hawkchan import linop
 from hawkchan.protocol import bell_state
@@ -124,12 +129,32 @@ class TestMatrixExponential:
 
     def test_matches_taylor_oracle(self):
         for _ in range(5):
-            m = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
+            m = 1j * random_hermitian(RNG, 4)
             assert np.abs(linop.matrix_exponential(m) - taylor_expm(m)).max() < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_matches_scipy_expm(self, dim):
+        for _ in range(5):
+            m = 1j * random_hermitian(RNG, dim)
+            assert np.abs(linop.matrix_exponential(m) - expm(m)).max() < 1e-12
+
+    def test_rejects_general_matrix(self):
+        m = 1j * random_hermitian(RNG, 4)
+        m[0, 1] += 1e-9
+        with pytest.raises(ValueError, match="not anti-Hermitian"):
+            linop.matrix_exponential(m)
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError, match="exceeds supported maximum"):
             linop.matrix_exponential(np.zeros((9, 9)))
+
+    def test_package_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(linop.__file__))
+        code = "import sys, hawkchan; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestDensityMatrixChecks:

@@ -1,6 +1,7 @@
 """Tests for negativity, entropy, coherent information, and closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hawkchan.protocol import (
     classical_scenario,
     measure_control,
 )
+from hawkchan.sweep import SweepSpec, run_sweep
 
 from helpers import convex_gap_oracle, random_density, random_unitary
 
@@ -181,6 +183,26 @@ class TestCoherentInformation:
         ensemble = metrics.ensemble_coherent_information(branch_list(stats))
         mixture = metrics.coherent_information(classical_mixture(cfg))
         assert ensemble - mixture > 0.0
+
+
+def numeric_coherent_info_diff(r1, r2):
+    stats = measure_control(ProtocolConfig(ChannelParams(r1), ChannelParams(r2)))
+    ensemble = metrics.ensemble_coherent_information(stats.branches)
+    return ensemble - metrics.coherent_information(stats.rho_mixture)
+
+
+class TestCoherentInfoClosedForm:
+    def test_perfect_channels_are_exact_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metrics.coherent_info_closed(0.0, 0.0) == (1.0, 1.0)
+
+    def test_sweep_matches_numeric_route(self):
+        grid = run_sweep(SweepSpec("coherent_info_diff", resolution=51))
+        r1s, r2s = grid.axes
+        for i, r1 in enumerate(r1s):
+            expected = [numeric_coherent_info_diff(r1, r2) for r2 in r2s]
+            assert np.abs(grid.values[i] - expected).max() <= 1e-12
 
 
 class TestPptSeparable:

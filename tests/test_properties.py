@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from hawkchan import linop
 from hawkchan.channel import ChannelParams
-from hawkchan.metrics import average_branch_negativity, negativity_avg_closed
+from hawkchan.metrics import (
+    average_branch_negativity,
+    coherent_info_closed,
+    coherent_information,
+    ensemble_coherent_information,
+    negativity_avg_closed,
+)
 from hawkchan.protocol import ProtocolConfig, measure_control, superposed_state
 
 R_MAX = math.pi / 2 - 1e-9
@@ -62,3 +68,12 @@ def test_average_negativity_matches_closed_form(cfg):
     p1, p2 = cfg.params1, cfg.params2
     numeric = average_branch_negativity(measure_control(cfg).branches)
     assert abs(numeric - negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)) <= 1e-10
+
+
+@given(configs())
+def test_coherent_information_matches_closed_form(cfg):
+    p1, p2 = cfg.params1, cfg.params2
+    stats = measure_control(cfg)
+    ensemble, mixture = coherent_info_closed(p1.r, p2.r, p1.phi - p2.phi)
+    assert abs(ensemble_coherent_information(stats.branches) - ensemble) <= 1e-12
+    assert abs(coherent_information(stats.rho_mixture) - mixture) <= 1e-12

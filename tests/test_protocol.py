@@ -284,6 +284,20 @@ def kraus_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def validated(monkeypatch):
+    """Records the name of every state passed to ``check_density_matrix``."""
+    names = []
+    check = linop.check_density_matrix
+
+    def recording(rho, name="state"):
+        names.append(name)
+        return check(rho, name)
+
+    monkeypatch.setattr(linop, "check_density_matrix", recording)
+    return names
+
+
 class TestOneEvaluation:
     @pytest.mark.parametrize("cfg", oracle_configs())
     def test_mixture_matches_channel_by_channel_oracle(self, cfg):
@@ -307,9 +321,22 @@ class TestOneEvaluation:
         assert cli.run(argv, stdout=io.StringIO()) == 0
         assert len(kraus_calls) == 2
 
-    def test_coherent_info_cell_builds_two_kraus_pairs(self, kraus_calls):
-        sweep._coherent_info_diff(0.2, 0.7)
-        assert len(kraus_calls) == 2
+    def test_mixture_validates_one_state(self, validated):
+        classical_mixture(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7, 1.0)))
+        assert validated == ["classical mixture"]
+
+    @pytest.mark.parametrize("r2, phi2, built", [
+        ("0.7", "1.0", ["plus branch", "minus branch", "classical mixture"]),
+        ("0.2", "0.0", ["plus branch", "classical mixture"]),
+    ])
+    def test_protocol_query_validates_each_state_once(self, validated, r2, phi2, built):
+        argv = ["protocol", "--r1", "0.2", "--r2", r2, "--phi2", phi2, "--format", "json"]
+        assert cli.run(argv, stdout=io.StringIO()) == 0
+        assert validated == built + ["state"] * len(built)
+
+    def test_coherent_info_sweep_builds_no_kraus_pairs(self, kraus_calls):
+        sweep.run_sweep(sweep.SweepSpec("coherent_info_diff", resolution=5))
+        assert kraus_calls == []
 
 
 def opposite_phase_oracle(r):
