@@ -29,6 +29,14 @@ from . import linop
 COMPLETENESS_TOL = 1e-12
 
 
+class DomainError(ValueError):
+    """A parameter outside its domain; ``field`` names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class BlackHoleGeometry:
     """Schwarzschild geometry seen by a static observer (units G = c = 1).
@@ -51,16 +59,13 @@ class BlackHoleGeometry:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not (self.k0 > 0 and math.isfinite(self.k0)):
-            raise ValueError(f"k0 must be positive and finite, got {self.k0}")
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        for field in ("mass", "k0", "hbar"):
+            value = getattr(self, field)
+            if not (value > 0 and math.isfinite(value)):
+                raise DomainError(field, f"{field} must be positive and finite, got {value}")
         if not (math.isfinite(self.radius) and self.radius > 2.0 * self.mass):
-            raise ValueError(
-                f"observer inside horizon: radius {self.radius} <= 2*mass = {2 * self.mass}"
-            )
+            raise DomainError("radius", "observer inside horizon: "
+                              f"radius {self.radius} <= 2*mass = {2 * self.mass}")
 
     @property
     def horizon_radius(self) -> float:
@@ -150,10 +155,7 @@ def _kraus_block(rho: np.ndarray, ki: KrausPair, kj: KrausPair) -> np.ndarray:
 
 def apply_channel(rho, k: KrausPair) -> np.ndarray:
     """Apply the channel ``rho -> m0 rho m0^dag + m1 rho m1^dag``."""
-    arr = linop.check_density_matrix(rho, "input state")
-    if arr.shape != (4, 4):
-        raise ValueError(f"channel acts on 4x4 states, got shape {arr.shape}")
-    return linop.check_density_matrix(_kraus_block(arr, k, k), "channel output")
+    return linop.check_density_matrix(cross_term(rho, k, k), "channel output")
 
 
 def cross_term(rho, ki: KrausPair, kj: KrausPair) -> np.ndarray:
@@ -163,10 +165,7 @@ def cross_term(rho, ki: KrausPair, kj: KrausPair) -> np.ndarray:
     with the channels swapped, and ``ki == kj`` recovers
     `apply_channel`.
     """
-    arr = linop.check_density_matrix(rho, "input state")
-    if arr.shape != (4, 4):
-        raise ValueError(f"cross term acts on 4x4 states, got shape {arr.shape}")
-    return _kraus_block(arr, ki, kj)
+    return _kraus_block(linop.check_two_qubit(rho, "input state"), ki, kj)
 
 
 def channel_output_closed_form(p: ChannelParams) -> np.ndarray:
@@ -201,9 +200,7 @@ def dilation_unitary(p: ChannelParams) -> np.ndarray:
 
 def _dilated_block(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     """Tr_partner[ U(pi) (rho x |0><0|) U(pj)^dag ] on the 8-dim A x R x partner space."""
-    arr = linop.check_density_matrix(rho, "input state")
-    if arr.shape != (4, 4):
-        raise ValueError(f"dilated channel acts on 4x4 states, got shape {arr.shape}")
+    arr = linop.check_two_qubit(rho, "input state")
     partner_vacuum = np.zeros((2, 2), dtype=complex)
     partner_vacuum[0, 0] = 1.0
     big = linop.tensor(arr, partner_vacuum)

@@ -29,7 +29,9 @@ from . import metrics, protocol
 from .channel import (
     BlackHoleGeometry,
     ChannelParams,
+    DomainError,
     channel_output_closed_form,
+    cross_term,
     kraus_pair,
     squeezing_from_geometry,
 )
@@ -207,8 +209,8 @@ def _run_geometry(cfg: dict) -> dict:
         geometry = BlackHoleGeometry(
             mass=cfg["mass"], radius=cfg["radius"], k0=cfg["k0"], hbar=cfg["hbar"]
         )
-    except ValueError as exc:
-        raise UsageError(f"--mass/--radius/--k0/--hbar: {exc}")
+    except DomainError as exc:
+        raise UsageError(f"--{exc.field}: {exc}")
     params = squeezing_from_geometry(geometry)
     return {
         "r": params.r,
@@ -221,51 +223,67 @@ def _run_geometry(cfg: dict) -> dict:
 def _run_channel(cfg: dict) -> dict:
     params = _channel_params(cfg)
     pair = kraus_pair(params)
-    output = protocol.classical_scenario(params)
+    # The report validates the output state.
+    output = cross_term(protocol.bell_state(), pair, pair)
+    report = metrics.report_for_state(output)
     closed = math.cos(params.r) ** 2 / 2.0
-    report = metrics.report_for_state(output, closed_form=closed)
+    metrics.check_closed_form("negativity", report.negativity_numeric, closed)
     return {
         "kraus_m0": _matrix_payload(pair.m0),
         "kraus_m1": _matrix_payload(pair.m1),
         "output_state": _matrix_payload(output),
         "closed_form_state": _matrix_payload(channel_output_closed_form(params)),
         "negativity": report.negativity_numeric,
-        "negativity_closed_form": report.negativity_closed_form,
+        "negativity_closed_form": closed,
         "coherent_information": report.coherent_information,
         "ppt": report.ppt,
     }
+
+
+def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float):
+    """The branch fields `protocol` and `phase` both print, and one report per branch state.
+
+    Returns ``(payload, reports)`` with ``reports`` the ``(probability,
+    MetricReport)`` pairs of the branches that occur, plus branch first.
+    Branch averages keep the order 0.0 + plus + minus.
+    """
+    reports = [(p, metrics.report_for_state(rho)) for p, rho in stats.branches if rho is not None]
+    average = sum((p * r.negativity_numeric for p, r in reports), 0.0)
+    closed = metrics.negativity_avg_closed(r1, r2, dphi)
+    metrics.check_closed_form("negativity_avg", average, closed)
+    return {
+        "p_plus": stats.p_plus,
+        "p_minus": stats.p_minus,
+        "rho_plus": _matrix_payload(stats.rho_plus),
+        "rho_minus": _matrix_payload(stats.rho_minus),
+        "negativity_avg": average,
+        "negativity_avg_closed": closed,
+    }, reports
 
 
 def _run_protocol(cfg: dict) -> dict:
     p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
     dphi = p1.phi - p2.phi
     stats = protocol.measure_control(protocol.ProtocolConfig(p1, p2))
-    # One report per state; branch averages keep the order 0.0 + plus + minus.
-    branches = [(p, metrics.report_for_state(rho)) for p, rho in stats.branches if rho is not None]
+    payload, branches = _branch_reports(stats, p1.r, p2.r, dphi)
     mixture = metrics.report_for_state(stats.rho_mixture)
-    coherent_info = {
-        "coherent_info_ensemble": sum((p * r.coherent_information for p, r in branches), 0.0),
-        "coherent_info_mixture": mixture.coherent_information,
-    }
-    closed = metrics.coherent_info_closed(p1.r, p2.r, dphi)
-    for (key, numeric), expected in zip(coherent_info.items(), closed):
-        metrics._check_closed_form(key, numeric, expected)
-    return {
-        **coherent_info,
+    payload.update({
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
         "c_scalar": stats.c_scalar,
-        "p_plus": stats.p_plus,
-        "p_minus": stats.p_minus,
-        "rho_plus": _matrix_payload(stats.rho_plus),
-        "rho_minus": _matrix_payload(stats.rho_minus),
-        "negativity_avg": sum((p * r.negativity_numeric for p, r in branches), 0.0),
+        "coherent_info_ensemble": sum((p * r.coherent_information for p, r in branches), 0.0),
+        "coherent_info_mixture": mixture.coherent_information,
+        "coherent_info_plus_branch": branches[0][1].coherent_information,
         "negativity_mixture": mixture.negativity_numeric,
         "negativity_mixture_closed": metrics.negativity_mixture_closed(p1.r, p2.r),
         "negativity_convex_avg": metrics.negativity_convex_avg(p1.r, p2.r),
-        "coherent_info_plus_branch": branches[0][1].coherent_information,
-        "negativity_avg_closed": metrics.negativity_avg_closed(p1.r, p2.r, dphi),
-    }
+    })
+    ensemble, mixture_closed = metrics.coherent_info_closed(p1.r, p2.r, dphi)
+    for key, closed in [("negativity_mixture", payload["negativity_mixture_closed"]),
+                        ("coherent_info_ensemble", ensemble),
+                        ("coherent_info_mixture", mixture_closed)]:
+        metrics.check_closed_form(key, payload[key], closed)
+    return payload
 
 
 def _run_phase(cfg: dict) -> dict:
@@ -273,17 +291,11 @@ def _run_phase(cfg: dict) -> dict:
         stats = protocol.phase_protocol(cfg["r"])
     except ValueError as exc:
         raise UsageError(f"--r: {exc}")
+    payload, branches = _branch_reports(stats, cfg["r"], cfg["r"], math.pi)
     single = protocol.classical_scenario(ChannelParams(cfg["r"]))
-    return {
-        "p_plus": stats.p_plus,
-        "p_minus": stats.p_minus,
-        "rho_plus": _matrix_payload(stats.rho_plus),
-        "rho_minus": _matrix_payload(stats.rho_minus),
-        "negativity_plus": metrics.negativity(stats.rho_plus),
-        "negativity_avg": metrics.average_branch_negativity(stats.branches),
-        "negativity_avg_closed": metrics.negativity_avg_closed(cfg["r"], cfg["r"], math.pi),
-        "negativity_single_channel": metrics.negativity(single),
-    }
+    payload["negativity_plus"] = branches[0][1].negativity_numeric
+    payload["negativity_single_channel"] = metrics.negativity(single)
+    return payload
 
 
 def _run_sweep(cfg: dict) -> None:
@@ -326,6 +338,7 @@ _HANDLERS = {
     "channel": _run_channel,
     "protocol": _run_protocol,
     "phase": _run_phase,
+    "sweep": _run_sweep,
 }
 
 
@@ -335,12 +348,11 @@ def run(argv=None, stdout=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         if args.subcommand is None:
-            raise UsageError("a subcommand is required (geometry, channel, protocol, phase, sweep)")
+            raise UsageError(f"a subcommand is required ({', '.join(_HANDLERS)})")
         effective = _merge_config(args.subcommand, args)
-        if args.subcommand == "sweep":
-            _run_sweep(effective)
-            return 0
         payload = _HANDLERS[args.subcommand](effective)
+        if payload is None:
+            return 0
         if effective["format"] == "json":
             payload["config"] = effective
             stream.write(json.dumps(payload, sort_keys=True) + "\n")

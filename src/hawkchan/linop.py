@@ -63,6 +63,14 @@ def check_density_matrix(rho, name: str = "state") -> np.ndarray:
     return arr
 
 
+def check_two_qubit(rho, name: str = "state") -> np.ndarray:
+    """`check_density_matrix`, and the state must be a 4x4 two-qubit state."""
+    arr = check_density_matrix(rho, name)
+    if arr.shape != (4, 4):
+        raise ValueError(f"{name} must be a 4x4 two-qubit state, got shape {arr.shape}")
+    return arr
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with subsystem 0 (the left factor) varying slowest."""
     return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))

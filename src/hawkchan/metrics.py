@@ -29,36 +29,23 @@ CLOSED_FORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Entanglement summary of one two-qubit state.
-
-    When a closed-form negativity is supplied it must agree with the
-    numeric value within ``CLOSED_FORM_TOL``; the constructor enforces
-    that, so a report is itself a consistency check.
-    """
+    """Entanglement summary of one two-qubit state."""
 
     negativity_numeric: float
     coherent_information: float
     ppt: bool
-    negativity_closed_form: Optional[float] = None
 
     def __post_init__(self):
         if self.negativity_numeric < -NEGATIVITY_CLIP:
             raise ValueError(f"negativity {self.negativity_numeric} below clip floor")
-        if self.negativity_closed_form is not None:
-            _check_closed_form("negativity", self.negativity_numeric, self.negativity_closed_form)
 
 
-def _check_closed_form(name: str, numeric: float, closed: float) -> None:
+def check_closed_form(name: str, numeric: float, closed: float) -> None:
+    """Raise ``ValueError`` naming ``name`` when a closed form and its numeric
+    counterpart differ by more than ``CLOSED_FORM_TOL``."""
     gap = abs(numeric - closed)
     if gap > CLOSED_FORM_TOL:
         raise ValueError(f"closed-form {name} differs from numeric by {gap:.3e}")
-
-
-def _check_two_qubit(rho, name: str) -> np.ndarray:
-    arr = linop.check_density_matrix(rho, name)
-    if arr.shape != (4, 4):
-        raise ValueError(f"{name} must be a 2x2-partite 4x4 state, got {arr.shape}")
-    return arr
 
 
 def _pt_spectrum(arr: np.ndarray) -> np.ndarray:
@@ -78,7 +65,7 @@ def negativity(rho) -> float:
     Zero exactly for separable states; 1/2 for a maximally entangled
     pair.  Values in [-1e-12, 0) from roundoff are clipped to 0.
     """
-    return _negativity(_pt_spectrum(_check_two_qubit(rho, "state")))
+    return _negativity(_pt_spectrum(linop.check_two_qubit(rho)))
 
 
 def _plus_branch_terms(r1, r2, dphi):
@@ -162,7 +149,7 @@ def coherent_information(rho) -> float:
     that produced ``rho`` from a maximally entangled input; a maximally
     entangled state gives +1 bit, a maximally mixed one -1 bit.
     """
-    return _coherent_information(_check_two_qubit(rho, "state"))
+    return _coherent_information(linop.check_two_qubit(rho))
 
 
 def _branch_average(branches, measure) -> float:
@@ -190,16 +177,15 @@ def average_branch_negativity(branches: Iterable[tuple[float, Optional[np.ndarra
 
 def ppt_separable(rho) -> bool:
     """Positive-partial-transpose test; equivalent to separability for 2x2."""
-    return bool(_pt_spectrum(_check_two_qubit(rho, "state"))[0] >= PPT_TOL)
+    return bool(_pt_spectrum(linop.check_two_qubit(rho))[0] >= PPT_TOL)
 
 
-def report_for_state(rho, closed_form: Optional[float] = None) -> MetricReport:
+def report_for_state(rho) -> MetricReport:
     """Bundle the standard measures of one state, validated once, into a `MetricReport`."""
-    arr = _check_two_qubit(rho, "state")
+    arr = linop.check_two_qubit(rho)
     pt_eigs = _pt_spectrum(arr)
     return MetricReport(
         negativity_numeric=_negativity(pt_eigs),
         coherent_information=_coherent_information(arr),
         ppt=bool(pt_eigs[0] >= PPT_TOL),
-        negativity_closed_form=closed_form,
     )

@@ -25,6 +25,7 @@ inner, ascending): identical specs produce byte-identical CSV and JSON.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -134,12 +135,11 @@ def _format(x: float) -> str:
 
 
 def _open_destination(destination: Destination):
-    if destination is None:
-        return sys.stdout, False
-    if hasattr(destination, "write"):
-        return destination, False
+    """A context manager over the output stream; it closes only a file it opened."""
+    if destination is None or hasattr(destination, "write"):
+        return contextlib.nullcontext(sys.stdout if destination is None else destination)
     try:
-        return open(destination, "w", encoding="utf-8", newline=""), True
+        return open(destination, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
 
@@ -150,8 +150,7 @@ def emit_csv(grid: SweepGrid, destination: Destination = None) -> None:
     2-D grids use the header ``r1,r2,value``; the 1-D phase curve uses
     ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.
     """
-    stream, owned = _open_destination(destination)
-    try:
+    with _open_destination(destination) as stream:
         if grid.spec.is_one_dimensional:
             stream.write("r,value\n")
             for r, v in zip(grid.axes[0], grid.values):
@@ -164,9 +163,6 @@ def emit_csv(grid: SweepGrid, destination: Destination = None) -> None:
                 stream.writelines(
                     f"{r1_text},{r2_text},{_format(v)}\n" for r2_text, v in zip(r2_texts, row)
                 )
-    finally:
-        if owned:
-            stream.close()
 
 
 def emit_json(grid: SweepGrid, destination: Destination = None) -> None:
@@ -181,10 +177,6 @@ def emit_json(grid: SweepGrid, destination: Destination = None) -> None:
         "axes": [axis.tolist() for axis in grid.axes],
         "values": grid.values.tolist(),
     }
-    stream, owned = _open_destination(destination)
-    try:
+    with _open_destination(destination) as stream:
         json.dump(document, stream, sort_keys=True, separators=(",", ":"))
         stream.write("\n")
-    finally:
-        if owned:
-            stream.close()

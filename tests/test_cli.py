@@ -24,6 +24,9 @@ def run_json(argv):
     return json.loads(buf.getvalue())
 
 
+PROTOCOL_QUERY = ["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0"]
+
+
 class TestProtocolCommand:
     def test_degenerate_branches(self):
         doc = run_json(["protocol", "--r1", "0", "--r2", "0"])
@@ -57,20 +60,36 @@ class TestProtocolCommand:
         assert spaced.getvalue() == joined.getvalue()
         assert isinstance(json.loads(spaced.getvalue())["negativity_avg_closed"], float)
 
-    @pytest.mark.parametrize("index, key", [(0, "coherent_info_ensemble"), (1, "coherent_info_mixture")])
-    def test_coherent_information_gap_is_internal_error(self, monkeypatch, capsys, index, key):
-        closed = metrics.coherent_info_closed
+    @pytest.mark.parametrize(
+        "argv, closed_form, index, key",
+        [
+            (PROTOCOL_QUERY, "coherent_info_closed", 0, "coherent_info_ensemble"),
+            (PROTOCOL_QUERY, "coherent_info_closed", 1, "coherent_info_mixture"),
+            (PROTOCOL_QUERY, "negativity_avg_closed", None, "negativity_avg"),
+            (PROTOCOL_QUERY, "negativity_mixture_closed", None, "negativity_mixture"),
+            (["phase", "--r", "0.5"], "negativity_avg_closed", None, "negativity_avg"),
+        ],
+        ids=["0-coherent_info_ensemble", "1-coherent_info_mixture",
+             "protocol-negativity_avg", "protocol-negativity_mixture", "phase-negativity_avg"],
+    )
+    def test_coherent_information_gap_is_internal_error(
+        self, monkeypatch, capsys, argv, closed_form, index, key
+    ):
+        """Every closed form a point query checks, coherent information's and the negativities'."""
+        closed = getattr(metrics, closed_form)
 
         def shifted(*args):
+            if index is None:
+                return closed(*args) + 1e-9
             values = list(closed(*args))
             values[index] += 1e-9
             return tuple(values)
 
-        monkeypatch.setattr(metrics, "coherent_info_closed", shifted)
+        monkeypatch.setattr(metrics, closed_form, shifted)
         buf = io.StringIO()
-        assert cli.run(["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0"], stdout=buf) == 1
+        assert cli.run(argv, stdout=buf) == 1
         assert buf.getvalue() == ""
-        assert f"{key} differs from numeric by 1.000e-09" in capsys.readouterr().err
+        assert f"closed-form {key} differs from numeric by 1.000e-09" in capsys.readouterr().err
 
     def test_human_format(self):
         buf = io.StringIO()
@@ -120,6 +139,33 @@ class TestGeometryCommand:
         code = cli.run(["geometry", "--mass", "1", "--radius", "1.9", "--k0", "0.1"])
         assert code == 2
         assert "observer inside horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("mass", -1.0, "mass must be positive and finite"),
+            ("radius", 1.9, "observer inside horizon"),
+            ("k0", 0.0, "k0 must be positive and finite"),
+            ("hbar", -2.0, "hbar must be positive and finite"),
+        ],
+        ids=["mass", "radius", "k0", "hbar"],
+    )
+    def test_domain_error_names_only_its_flag(
+        self, tmp_path, capsys, flag, value, message, from_config
+    ):
+        values = {"mass": 1.0, "radius": 3.0, "k0": 0.05, flag: value}
+        if from_config:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(values))
+            argv = ["geometry", "--config", str(path)]
+        else:
+            argv = ["geometry"] + [f"--{k}={v!r}" for k, v in values.items()]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: --{flag}: {message}" in err
+        others = {"--mass", "--radius", "--k0", "--hbar"} - {f"--{flag}"}
+        assert not any(other in err for other in others), err
 
 
 class TestPhaseCommand:

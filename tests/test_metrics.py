@@ -260,9 +260,9 @@ class TestPhaseAvgNegativity:
 class TestMetricReport:
     def test_consistent_report(self):
         out = classical_scenario(ChannelParams(0.4))
-        report = metrics.report_for_state(out, closed_form=math.cos(0.4) ** 2 / 2)
+        report = metrics.report_for_state(out)
         assert report.ppt is False
-        assert abs(report.negativity_numeric - report.negativity_closed_form) < 1e-10
+        metrics.check_closed_form("negativity", report.negativity_numeric, math.cos(0.4) ** 2 / 2)
 
     def test_validates_once_and_matches_public_measures(self, monkeypatch):
         cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6, 1.0))
@@ -283,5 +283,7 @@ class TestMetricReport:
         assert len(calls) == len(states)
 
     def test_rejects_inconsistent_closed_form(self):
-        with pytest.raises(ValueError, match="closed-form"):
-            metrics.report_for_state(bell_state(), closed_form=0.25)
+        report = metrics.report_for_state(bell_state())
+        message = "closed-form negativity differs from numeric by 2.500e-01"
+        with pytest.raises(ValueError, match=message):
+            metrics.check_closed_form("negativity", report.negativity_numeric, 0.25)

@@ -2,25 +2,36 @@
 
 Squeezings range over [0, pi/2 - 1e-9] and phases over [0, 2 pi), with
 the edge values r in {0, pi/4, pi/2 - 1e-9}, equal squeezings, and phase
-differences at and next to 0 and pi drawn explicitly.
+differences at and next to 0 and pi drawn explicitly.  The last property
+drives the CLI with any valid value set, as flags and as a config file.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hawkchan import linop
+from hawkchan import cli, linop
 from hawkchan.channel import ChannelParams
 from hawkchan.metrics import (
     average_branch_negativity,
     coherent_info_closed,
     coherent_information,
     ensemble_coherent_information,
+    negativity,
     negativity_avg_closed,
+    negativity_convex_avg,
+    negativity_mixture_closed,
 )
-from hawkchan.protocol import ProtocolConfig, measure_control, superposed_state
+from hawkchan.protocol import ProtocolConfig, classical_scenario, measure_control, superposed_state
+from hawkchan.sweep import METRICS
 
 R_MAX = math.pi / 2 - 1e-9
 
@@ -77,3 +88,80 @@ def test_coherent_information_matches_closed_form(cfg):
     ensemble, mixture = coherent_info_closed(p1.r, p2.r, p1.phi - p2.phi)
     assert abs(ensemble_coherent_information(stats.branches) - ensemble) <= 1e-12
     assert abs(coherent_information(stats.rho_mixture) - mixture) <= 1e-12
+
+
+@given(configs())
+def test_mixture_negativity_matches_closed_form(cfg):
+    numeric = negativity(measure_control(cfg).rho_mixture)
+    assert abs(numeric - negativity_mixture_closed(cfg.params1.r, cfg.params2.r)) <= 1e-12
+
+
+@given(configs())
+def test_convex_average_matches_closed_form(cfg):
+    single = [negativity(classical_scenario(p)) for p in (cfg.params1, cfg.params2)]
+    closed = negativity_convex_avg(cfg.params1.r, cfg.params2.r)
+    assert abs((single[0] + single[1]) / 2.0 - closed) <= 1e-12
+
+
+any_phase = st.floats(-20.0, 20.0)
+report_format = st.sampled_from(["human", "json"])
+
+
+@st.composite
+def geometry_values(draw):
+    mass = draw(st.floats(1e-3, 1e3))
+    radius = 2.0 * mass * (1.0 + draw(st.floats(1e-9, 10.0)))
+    assume(radius > 2.0 * mass)
+    return {"mass": mass, "radius": radius, "k0": draw(st.floats(1e-3, 10.0))}
+
+
+@st.composite
+def sweep_values(draw):
+    """Any valid range: ``min`` alone stays below the default ``max`` (pi/4), and back."""
+    metric = draw(st.sampled_from(METRICS))
+    lo = draw(st.floats(0.0, math.pi / 4))
+    hi = draw(st.floats(lo, R_MAX if metric == "phase_curve" else math.pi / 4))
+    values = {"metric": metric, "out": "-"}
+    for key, value in (("min", lo), ("max", hi)):
+        if draw(st.booleans()):
+            values[key] = value
+    return values
+
+
+# Required values, then optional ones that may be left to their defaults.
+VALUE_SETS = {
+    "geometry": (geometry_values(), {"hbar": st.floats(1e-3, 10.0), "format": report_format}),
+    "channel": (st.fixed_dictionaries({"r": squeezings}),
+                {"phi": any_phase, "state": st.just("bell"), "format": report_format}),
+    "protocol": (st.fixed_dictionaries({"r1": squeezings, "r2": squeezings}),
+                 {"phi1": any_phase, "phi2": any_phase, "format": report_format}),
+    "phase": (st.fixed_dictionaries({"r": squeezings}), {"format": report_format}),
+    "sweep": (sweep_values(), {"resolution": st.integers(2, 12),
+                               "format": st.sampled_from(["csv", "json"])}),
+}
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli._PARAMS))
+@given(data=st.data())
+def test_flags_and_config_file_print_the_same_bytes(subcommand, data):
+    required, optional = VALUE_SETS[subcommand]
+    values = {**data.draw(required), **data.draw(st.fixed_dictionaries({}, optional=optional))}
+    assert set(values) <= set(cli._PARAMS[subcommand])
+    argv = [subcommand]
+    for key, value in values.items():
+        argv += [f"--{key}", repr(value) if isinstance(value, float) else str(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(values, fh)
+        from_file = _run_captured([subcommand, "--config", path])
+    from_flags = _run_captured(argv)
+    assert from_flags[0] == 0, from_flags[2]
+    assert from_file == from_flags

@@ -334,6 +334,16 @@ class TestOneEvaluation:
         assert cli.run(argv, stdout=io.StringIO()) == 0
         assert validated == built + ["state"] * len(built)
 
+    @pytest.mark.parametrize("argv, pairs, checks", [
+        (["channel", "--r", "0.4", "--phi", "1.1"], 1, 2),
+        (["phase", "--r", "0.5"], 3, 7),
+        (["phase", "--r", "0"], 3, 5),
+    ], ids=["channel", "phase", "phase-r0"])
+    def test_point_query_work(self, kraus_calls, validated, argv, pairs, checks):
+        """``kraus_pair`` and ``check_density_matrix`` calls per query (protocol: above)."""
+        assert cli.run(argv + ["--format", "json"], stdout=io.StringIO()) == 0
+        assert (len(kraus_calls), len(validated)) == (pairs, checks)
+
     def test_coherent_info_sweep_builds_no_kraus_pairs(self, kraus_calls):
         sweep.run_sweep(sweep.SweepSpec("coherent_info_diff", resolution=5))
         assert kraus_calls == []
