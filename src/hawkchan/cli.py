@@ -193,7 +193,7 @@ def _matrix_payload(arr: Optional[np.ndarray]):
     """Complex matrix as nested [real, imag] pairs (JSON has no complex type)."""
     if arr is None:
         return None
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(arr)]
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 def _channel_params(cfg: dict, suffix: str = "") -> ChannelParams:

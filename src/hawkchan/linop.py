@@ -11,6 +11,7 @@ index, i.e. ``tensor(a, b)[i*db + j, k*db + l] == a[i, k] * b[j, l]``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -80,7 +81,7 @@ def _subsystem_shape(m: np.ndarray, dims: Sequence[int], name: str) -> list[int]
     dims = [int(d) for d in dims]
     if any(d <= 0 for d in dims):
         raise ValueError(f"{name}: subsystem dims must be positive, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if m.shape != (total, total):
         raise ValueError(
             f"{name}: dims {dims} imply shape ({total}, {total}), got {m.shape}"
@@ -117,15 +118,11 @@ def partial_trace(rho, dims: Sequence[int], keep) -> np.ndarray:
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"partial_trace: keep {keep} out of range for {n} subsystems")
 
-    resh = arr.reshape(dims + dims)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("a") + n + i) for i in range(n)]
-    for i in range(n):
+    reduced = arr.reshape(dims + dims)
+    for i in reversed(range(n)):  # highest first, so lower axes keep their places
         if i not in keep:
-            col[i] = row[i]  # repeated index contracts the traced subsystem
-    out = [row[i] for i in keep] + [col[i] for i in keep]
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), resh)
-    d_keep = int(np.prod([dims[i] for i in keep]))
+            reduced = np.trace(reduced, axis1=i, axis2=i + reduced.ndim // 2)
+    d_keep = math.prod(dims[i] for i in keep)
     return reduced.reshape(d_keep, d_keep)
 
 

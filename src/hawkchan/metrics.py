@@ -19,8 +19,6 @@ from . import linop
 
 # Numeric negativities this far below zero are roundoff and clip to 0.
 NEGATIVITY_CLIP = 1e-12
-# Eigenvalues in [ENTROPY_CLIP, 0) are treated as exact zeros.
-ENTROPY_CLIP = -1e-10
 # A state is PPT when its partial transpose has no eigenvalue below this.
 PPT_TOL = -1e-10
 # Allowed gap between a closed form and its numeric counterpart.
@@ -128,7 +126,6 @@ def coherent_info_closed(r1, r2, dphi=0.0):
 
 def _entropy(arr: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(arr)
-    eigs = np.where((eigs < 0.0) & (eigs >= ENTROPY_CLIP), 0.0, eigs)
     positive = eigs[eigs > 0.0]
     return float(-(positive * np.log2(positive)).sum())
 

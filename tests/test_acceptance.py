@@ -58,10 +58,6 @@ def random_params(rng):
     return ChannelParams(r=rng.uniform(0.0, math.pi / 2 - 1e-9), phi=rng.uniform(0.0, 2 * math.pi))
 
 
-def branch_list(stats):
-    return [(stats.p_plus, stats.rho_plus), (stats.p_minus, stats.rho_minus)]
-
-
 def test_criterion_01_single_channel_output():
     worst_matrix = 0.0
     worst_neg = 0.0
@@ -138,7 +134,7 @@ def test_criterion_04_closed_form_negativities():
         for r2 in rs:
             cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
             stats = measure_control(cfg)
-            numeric_avg = metrics.average_branch_negativity(branch_list(stats))
+            numeric_avg = metrics.average_branch_negativity(stats.branches)
             numeric_mix = metrics.negativity(classical_mixture(cfg))
             numeric_convex = 0.5 * metrics.negativity(classical_scenario(cfg.params1)) + (
                 0.5 * metrics.negativity(classical_scenario(cfg.params2))
@@ -152,7 +148,7 @@ def test_criterion_04_closed_form_negativities():
     phase_rs = np.linspace(0.0, math.pi / 2, 102)[:-1]
     for r in phase_rs:
         stats = measure_control(ProtocolConfig(ChannelParams(r, 0.0), ChannelParams(r, math.pi)))
-        numeric = metrics.average_branch_negativity(branch_list(stats))
+        numeric = metrics.average_branch_negativity(stats.branches)
         worst = max(worst, abs(numeric - metrics.negativity_avg_closed(r, r, math.pi)))
     check(4, "closed-form-negativities", worst <= 1e-10, f"worst gap {worst:.2e} (tol 1e-10)")
 
@@ -225,7 +221,7 @@ def test_criterion_07_coherent_information_grid():
         for j, r2 in enumerate(rs):
             cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
             stats = measure_control(cfg)
-            ensemble = metrics.ensemble_coherent_information(branch_list(stats))
+            ensemble = metrics.ensemble_coherent_information(stats.branches)
             mixture = metrics.coherent_information(classical_mixture(cfg))
             diff = ensemble - mixture
             worst_floor = min(worst_floor, diff)

@@ -110,6 +110,18 @@ class TestChannelCommand:
         assert abs(m1[1, 0] - np.exp(-1.1j) * math.sin(0.4)) < 1e-15
         assert doc["ppt"] is False
 
+    def test_matrix_payload_keeps_signed_zeros(self):
+        # At r = 0, M1[1, 0] = exp(-i phi) sin r is zero; at phi = 3 its imaginary part is -0.0.
+        doc = run_json(["channel", "--r", "0", "--phi", "3.0"])
+        re, im = doc["kraus_m1"][1][0]
+        assert (re, im) == (0.0, 0.0)
+        assert math.copysign(1.0, re) == 1.0 and math.copysign(1.0, im) == -1.0
+        buf = io.StringIO()
+        assert cli.run(["channel", "--r", "0", "--phi", "3.0"], stdout=buf) == 0
+        lines = buf.getvalue().splitlines()
+        row = lines[lines.index("kraus_m1:") + 2]
+        assert row == "  [0.0-0.0j, 0.0+0.0j, 0.0+0.0j, 0.0+0.0j]"
+
     def test_global_flag_position(self):
         before = io.StringIO()
         after = io.StringIO()

@@ -44,9 +44,21 @@ class TestTensor:
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_rejects_non_finite(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="non-finite"):
-            linop.tensor(bad, np.eye(2))
+        """NaN and +-inf, in the real or the imaginary part, through each entry point."""
+        entries = [
+            lambda m: linop.tensor(m, np.eye(2)),
+            lambda m: linop.partial_trace(m, (2, 2), keep=0),
+            lambda m: linop.partial_transpose(m, (2, 2)),
+            linop.check_density_matrix,
+        ]
+        for entry in entries:
+            for value in (np.nan, np.inf, -np.inf):
+                # complex(0, inf) keeps the real part 0; 1j * inf would make it nan.
+                for z in (complex(value, 0.0), complex(0.0, value)):
+                    bad = np.eye(4, dtype=complex) / 4
+                    bad[0, 1] = z
+                    with pytest.raises(ValueError, match="non-finite"):
+                        entry(bad)
 
 
 class TestPartialTrace:

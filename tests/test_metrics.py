@@ -22,10 +22,6 @@ from helpers import convex_gap_oracle, random_density, random_unitary
 RNG = np.random.default_rng(20240814)
 
 
-def branch_list(stats):
-    return [(stats.p_plus, stats.rho_plus), (stats.p_minus, stats.rho_minus)]
-
-
 class TestNegativity:
     def test_bell_is_half(self):
         assert abs(metrics.negativity(bell_state()) - 0.5) < 1e-12
@@ -64,7 +60,7 @@ class TestClosedFormNegativities:
 
     def test_avg_matches_numeric_protocol(self):
         stats = measure_control(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7)))
-        numeric = metrics.average_branch_negativity(branch_list(stats))
+        numeric = metrics.average_branch_negativity(stats.branches)
         assert abs(numeric - metrics.negativity_avg_closed(0.2, 0.7)) < 1e-10
 
     def test_avg_matches_numeric_protocol_for_any_phases(self):
@@ -72,7 +68,7 @@ class TestClosedFormNegativities:
             p1 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
             p2 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
             numeric = metrics.average_branch_negativity(
-                branch_list(measure_control(ProtocolConfig(p1, p2)))
+                measure_control(ProtocolConfig(p1, p2)).branches
             )
             closed = metrics.negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)
             assert abs(numeric - closed) < 1e-10
@@ -180,7 +176,7 @@ class TestCoherentInformation:
     def test_superposition_beats_mixture(self):
         cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6))
         stats = measure_control(cfg)
-        ensemble = metrics.ensemble_coherent_information(branch_list(stats))
+        ensemble = metrics.ensemble_coherent_information(stats.branches)
         mixture = metrics.coherent_information(classical_mixture(cfg))
         assert ensemble - mixture > 0.0
 

@@ -330,6 +330,8 @@ class TestOneEvaluation:
         ("0.2", "0.0", ["plus branch", "classical mixture"]),
     ])
     def test_protocol_query_validates_each_state_once(self, validated, r2, phi2, built):
+        """Each protocol state is checked once at build and once at report: the build
+        check names the state ("plus branch", ...), the report check names it "state"."""
         argv = ["protocol", "--r1", "0.2", "--r2", r2, "--phi2", phi2, "--format", "json"]
         assert cli.run(argv, stdout=io.StringIO()) == 0
         assert validated == built + ["state"] * len(built)

@@ -30,7 +30,14 @@ def _non_hermitian():
     return rho
 
 
+def _imaginary_nan():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = complex(0.0, np.nan)
+    return rho
+
+
 BAD_STATES = {
+    "imaginary-nan": (_imaginary_nan(), "non-finite"),
     "non-hermitian": (_non_hermitian(), "not Hermitian"),
     "trace-two": (np.eye(4) / 2, "trace"),
     "negative-eigenvalue": (np.diag([0.6, 0.3, 0.2, -0.1]), "eigenvalue"),

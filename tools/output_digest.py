@@ -1,0 +1,107 @@
+"""Digest every output of one checkout, so that two checkouts can be compared byte for byte.
+
+Usage::
+
+    python tools/output_digest.py CHECKOUT [--blocks 12] [--resolution N]
+
+``CHECKOUT`` is a source tree with ``src/hawkchan``; its ``hawkchan.cli.run``
+runs, in this process, the same ops the benchmark in ``perfbench/workloads.py``
+sends (that module is imported, not changed):
+
+* the point-query blocks ``0 .. blocks-1`` of seed 7, each op once with
+  ``--format json`` and once with ``--format human``;
+* the sweep files of the ``grid-closed`` and ``grid-numeric`` passes of
+  seed 7 (both percentage sweeps at 401 as CSV and JSON, ``phase_curve``
+  at 401, ``coherent_info_diff`` at 51), at ``--resolution`` when given.
+
+It prints one line ``GROUP SHA256`` per point-query format and per sweep
+file, over each op's argv, exit code, stdout and stderr, plus the file
+bytes for a sweep.  Two checkouts give byte-identical outputs when the
+printed lines are equal::
+
+    diff <(python tools/output_digest.py OLD) <(python tools/output_digest.py NEW)
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+SEED = 7
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import WORKLOADS, sweep_op  # noqa: E402
+
+
+def _load_cli(checkout: str):
+    """``hawkchan.cli`` imported from ``checkout/src``, and nowhere else."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    sys.path.insert(0, src)
+    from hawkchan import cli
+
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        raise SystemExit(f"hawkchan imported from {cli.__file__}, not from {src}")
+    return cli
+
+
+def _run(cli, argv: list, shown=None) -> bytes:
+    """One ``cli.run(argv)`` call framed as ``shown``, exit code, stdout and stderr.
+
+    ``shown`` (default ``argv``) leaves out a temporary output path, which differs per run.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(argv, stdout=out)
+    parts = ["\0".join(shown or argv), str(code), out.getvalue(), err.getvalue()]
+    return b"".join(f"{len(p)}:{p}".encode() for p in parts)
+
+
+def point_query_digests(cli, blocks: int) -> dict:
+    digests = {"point-queries.json": hashlib.sha256(), "point-queries.human": hashlib.sha256()}
+    for index in range(blocks):
+        for op in WORKLOADS["point-queries"].pass_ops(SEED, index):
+            assert op.argv[-2:] == ["--format", "json"], op.argv
+            digests["point-queries.json"].update(_run(cli, op.argv))
+            digests["point-queries.human"].update(_run(cli, op.argv[:-1] + ["human"]))
+    return {group: d.hexdigest() for group, d in digests.items()}
+
+
+def sweep_digests(cli, resolution=None) -> dict:
+    ops = WORKLOADS["grid-closed"].pass_ops(SEED, 0) + WORKLOADS["grid-numeric"].pass_ops(SEED, 0)
+    if resolution is not None:
+        ops = [sweep_op(op.params["metric"], op.params["lo"], op.params["hi"], resolution,
+                        op.params["format"]) for op in ops]
+    digests = {}
+    with tempfile.TemporaryDirectory(prefix="output-digest-") as work:
+        for op in ops:
+            digest = hashlib.sha256(_run(cli, op.argv_for(work), op.argv + ["--out", op.out]))
+            path = os.path.join(work, op.out)
+            if os.path.exists(path):  # a failed sweep may write nothing
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+            digests[f"sweep.{op.out}"] = digest.hexdigest()
+    return digests
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", help="source tree whose src/hawkchan is run")
+    parser.add_argument("--blocks", type=int, default=12, help="point-query blocks 0..N-1")
+    parser.add_argument("--resolution", type=int, default=None,
+                        help="run every sweep at this resolution (default: as benchmarked)")
+    args = parser.parse_args(argv)
+    cli = _load_cli(args.checkout)
+    digests = {**point_query_digests(cli, args.blocks), **sweep_digests(cli, args.resolution)}
+    for group, hexdigest in digests.items():
+        print(group, hexdigest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
