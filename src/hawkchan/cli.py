@@ -298,7 +298,7 @@ def _run_phase(cfg: dict) -> dict:
     return payload
 
 
-def _run_sweep(cfg: dict) -> None:
+def _run_sweep(cfg: dict, stream) -> None:
     try:
         spec = SweepSpec(
             metric=cfg["metric"],
@@ -309,7 +309,7 @@ def _run_sweep(cfg: dict) -> None:
     except ValueError as exc:
         raise UsageError(f"--min/--max: {exc}")
     grid = run_sweep(spec)
-    destination = None if cfg["out"] == "-" else cfg["out"]
+    destination = stream if cfg["out"] == "-" else cfg["out"]
     try:
         if cfg["format"] == "csv":
             emit_csv(grid, destination)
@@ -338,7 +338,6 @@ _HANDLERS = {
     "channel": _run_channel,
     "protocol": _run_protocol,
     "phase": _run_phase,
-    "sweep": _run_sweep,
 }
 
 
@@ -348,11 +347,12 @@ def run(argv=None, stdout=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         if args.subcommand is None:
-            raise UsageError(f"a subcommand is required ({', '.join(_HANDLERS)})")
+            raise UsageError(f"a subcommand is required ({', '.join(_PARAMS)})")
         effective = _merge_config(args.subcommand, args)
-        payload = _HANDLERS[args.subcommand](effective)
-        if payload is None:
+        if args.subcommand == "sweep":  # the one command that writes its own output
+            _run_sweep(effective, stream)
             return 0
+        payload = _HANDLERS[args.subcommand](effective)
         if effective["format"] == "json":
             payload["config"] = effective
             stream.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -21,6 +21,9 @@ positive; both baselines are at least 1/4 on [0, pi/4]^2.  Grids are
 evaluated one r1 row at a time, so memory beyond the value array stays
 at one row, and emitted in a deterministic row order (r1 outer, r2
 inner, ascending): identical specs produce byte-identical CSV and JSON.
+The emitters also hold one row at a time: a CSV row is one %-template
+over the preformatted axis texts, and a JSON row is one call of the C
+JSON encoder inside a hand-written ``{axes, spec, values}`` frame.
 """
 
 from __future__ import annotations
@@ -129,9 +132,9 @@ def run_sweep(spec: SweepSpec) -> SweepGrid:
     return SweepGrid(spec, axes, values)
 
 
-def _format(x: float) -> str:
-    """12 significant digits, enough for 1e-11 round-trip on these scales."""
-    return format(float(x), ".12g")
+# 12 significant digits, enough for 1e-11 round-trip on these scales.
+_CELL = "%.12g"
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _open_destination(destination: Destination):
@@ -148,35 +151,38 @@ def emit_csv(grid: SweepGrid, destination: Destination = None) -> None:
     """Write the grid as CSV to a path, a text stream, or stdout.
 
     2-D grids use the header ``r1,r2,value``; the 1-D phase curve uses
-    ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.
+    ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.  The
+    axis texts are formatted once; each r1 row (the whole curve in 1-D)
+    is one %-template filled with that row's values.
     """
+    if grid.spec.is_one_dimensional:
+        header, prefixes, cell = "r,value\n", [""], "{}," + _CELL + "\n"
+    else:
+        header, cell = "r1,r2,value\n", ",{}," + _CELL + "\n"
+        prefixes = [_CELL % r1 for r1 in grid.axes[0].tolist()]
+    cells = [cell.format(_CELL % r) for r in grid.axes[-1].tolist()]
     with _open_destination(destination) as stream:
-        if grid.spec.is_one_dimensional:
-            stream.write("r,value\n")
-            for r, v in zip(grid.axes[0], grid.values):
-                stream.write(f"{_format(r)},{_format(v)}\n")
-        else:
-            stream.write("r1,r2,value\n")
-            r2_texts = [_format(r2) for r2 in grid.axes[1]]
-            for r1, row in zip(grid.axes[0], grid.values):
-                r1_text = _format(r1)
-                stream.writelines(
-                    f"{r1_text},{r2_text},{_format(v)}\n" for r2_text, v in zip(r2_texts, row)
-                )
+        stream.write(header)
+        for prefix, row in zip(prefixes, grid.values.reshape(len(prefixes), -1)):
+            stream.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
 
 
 def emit_json(grid: SweepGrid, destination: Destination = None) -> None:
-    """Write the grid as a JSON object with keys {spec, axes, values}."""
-    document = {
-        "spec": {
-            "metric": grid.spec.metric,
-            "r1_range": list(grid.spec.r1_range),
-            "r2_range": list(grid.spec.r2_range),
-            "resolution": grid.spec.resolution,
-        },
-        "axes": [axis.tolist() for axis in grid.axes],
-        "values": grid.values.tolist(),
+    """Write the grid as a JSON object with keys {spec, axes, values}.
+
+    The bytes are ``json.dumps(document, sort_keys=True,
+    separators=(",", ":"))`` plus a newline, written one row of
+    ``values`` (one value in 1-D) at a time.
+    """
+    spec = {
+        "metric": grid.spec.metric,
+        "r1_range": list(grid.spec.r1_range),
+        "r2_range": list(grid.spec.r2_range),
+        "resolution": grid.spec.resolution,
     }
     with _open_destination(destination) as stream:
-        json.dump(document, stream, sort_keys=True, separators=(",", ":"))
-        stream.write("\n")
+        axes = _ENCODE([axis.tolist() for axis in grid.axes])
+        stream.write(f'{{"axes":{axes},"spec":{_ENCODE(spec)},"values":[')
+        for i, row in enumerate(grid.values):
+            stream.write(("," if i else "") + _ENCODE(row.tolist()))
+        stream.write("]}\n")

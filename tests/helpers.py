@@ -2,12 +2,17 @@
 
 The oracles deliberately avoid the code paths they check: the Kronecker
 oracle is a nested loop, the partial-trace oracle a direct index sum,
-the eigenvalue oracle goes through the characteristic polynomial, the
-exponential oracle through scaled Taylor summation, and the geometry
-and convex-gap oracles through arbitrary-precision arithmetic.
+the exponential oracle scaled Taylor summation, the geometry and
+convex-gap oracles arbitrary-precision arithmetic, and the reference
+sweep emitters format one cell at a time and encode the whole document
+with ``json.dump``.
 """
 
+import contextlib
+import io
+import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -122,3 +127,68 @@ def convex_gap_oracle(r1, r2):
         avg = (-(u**2) + mpmath.sqrt(u**4 + 16 * v**2)) / 16
         g = 2 * v**2 - u**2 * q - 2 * q**2
         return float(avg - q / 4), float(g)
+
+
+# Reference sweep emitters: the cell-by-cell CSV writer and the whole-document
+# ``json.dump`` writer that the row-template emitters in ``hawkchan.sweep`` replaced.
+# Their bytes are the contract the production emitters are checked against.
+
+
+def _format(x: float) -> str:
+    """12 significant digits, enough for 1e-11 round-trip on these scales."""
+    return format(float(x), ".12g")
+
+
+def _open_destination(destination):
+    """A context manager over the output stream; it closes only a file it opened."""
+    if destination is None or hasattr(destination, "write"):
+        return contextlib.nullcontext(sys.stdout if destination is None else destination)
+    try:
+        return open(destination, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
+
+
+def reference_emit_csv(grid, destination=None) -> None:
+    """Write the grid as CSV to a path, a text stream, or stdout.
+
+    2-D grids use the header ``r1,r2,value``; the 1-D phase curve uses
+    ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.
+    """
+    with _open_destination(destination) as stream:
+        if grid.spec.is_one_dimensional:
+            stream.write("r,value\n")
+            for r, v in zip(grid.axes[0], grid.values):
+                stream.write(f"{_format(r)},{_format(v)}\n")
+        else:
+            stream.write("r1,r2,value\n")
+            r2_texts = [_format(r2) for r2 in grid.axes[1]]
+            for r1, row in zip(grid.axes[0], grid.values):
+                r1_text = _format(r1)
+                stream.writelines(
+                    f"{r1_text},{r2_text},{_format(v)}\n" for r2_text, v in zip(r2_texts, row)
+                )
+
+
+def reference_emit_json(grid, destination=None) -> None:
+    """Write the grid as a JSON object with keys {spec, axes, values}."""
+    document = {
+        "spec": {
+            "metric": grid.spec.metric,
+            "r1_range": list(grid.spec.r1_range),
+            "r2_range": list(grid.spec.r2_range),
+            "resolution": grid.spec.resolution,
+        },
+        "axes": [axis.tolist() for axis in grid.axes],
+        "values": grid.values.tolist(),
+    }
+    with _open_destination(destination) as stream:
+        json.dump(document, stream, sort_keys=True, separators=(",", ":"))
+        stream.write("\n")
+
+
+def emitted(emit, grid) -> str:
+    """The text that the emitter ``emit`` writes for ``grid``."""
+    buf = io.StringIO()
+    emit(grid, buf)
+    return buf.getvalue()

@@ -329,6 +329,14 @@ class TestSweepCommand:
         assert code == 0
         assert capsys.readouterr().out.startswith("r1,r2,value\n")
 
+    def test_stdout_dash_writes_to_the_given_stream(self, capsys):
+        out = io.StringIO()
+        argv = ["sweep", "--metric", "phase_curve", "--resolution", "2", "--max", "1.0", "--out", "-"]
+        assert cli.run(argv, stdout=out) == 0
+        assert out.getvalue().startswith("r,value\n")
+        assert len(out.getvalue().splitlines()) == 3
+        assert capsys.readouterr().out == ""
+
     def test_invalid_metric(self, capsys):
         assert cli.run(["sweep", "--metric", "nope", "--out", "-"]) == 2
         assert "--metric" in capsys.readouterr().err

@@ -17,6 +17,8 @@ GROUPS = [
     "sweep.neg_pct_diff_convex.json",
     "sweep.phase_curve.csv",
     "sweep.coherent_info_diff.csv",
+    "sweep-stdout.neg_pct_diff_mixture.csv",
+    "sweep-stdout.neg_pct_diff_mixture.json",
 ]
 
 

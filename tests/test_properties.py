@@ -2,8 +2,10 @@
 
 Squeezings range over [0, pi/2 - 1e-9] and phases over [0, 2 pi), with
 the edge values r in {0, pi/4, pi/2 - 1e-9}, equal squeezings, and phase
-differences at and next to 0 and pi drawn explicitly.  The last property
-drives the CLI with any valid value set, as flags and as a config file.
+differences at and next to 0 and pi drawn explicitly.  A sweep property
+runs random small specs twice and checks the emitted bytes against the
+reference emitters.  The last property drives the CLI with any valid
+value set, as flags and as a config file.
 """
 
 import contextlib
@@ -31,7 +33,9 @@ from hawkchan.metrics import (
     negativity_mixture_closed,
 )
 from hawkchan.protocol import ProtocolConfig, classical_scenario, measure_control, superposed_state
-from hawkchan.sweep import METRICS
+from hawkchan.sweep import METRICS, SweepSpec, emit_csv, emit_json, run_sweep
+
+from helpers import emitted, reference_emit_csv, reference_emit_json
 
 R_MAX = math.pi / 2 - 1e-9
 
@@ -101,6 +105,24 @@ def test_convex_average_matches_closed_form(cfg):
     single = [negativity(classical_scenario(p)) for p in (cfg.params1, cfg.params2)]
     closed = negativity_convex_avg(cfg.params1.r, cfg.params2.r)
     assert abs((single[0] + single[1]) / 2.0 - closed) <= 1e-12
+
+
+@st.composite
+def small_specs(draw):
+    """Any metric on a sub-range of its domain, at resolution 2 to 9."""
+    metric = draw(st.sampled_from(METRICS))
+    ranges = []
+    for r_max in (R_MAX if metric == "phase_curve" else math.pi / 4, math.pi / 4):
+        lo = draw(st.floats(0.0, r_max))
+        ranges.append((lo, draw(st.floats(lo, r_max))))
+    return SweepSpec(metric, *ranges, resolution=draw(st.integers(2, 9)))
+
+
+@given(small_specs())
+def test_sweeps_are_byte_deterministic_and_match_the_reference_emitters(spec):
+    for emit, reference in ((emit_csv, reference_emit_csv), (emit_json, reference_emit_json)):
+        first, second = emitted(emit, run_sweep(spec)), emitted(emit, run_sweep(spec))
+        assert first == second == emitted(reference, run_sweep(spec))
 
 
 any_phase = st.floats(-20.0, 20.0)

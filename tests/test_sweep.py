@@ -3,12 +3,18 @@
 import io
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hawkchan import metrics, sweep
-from hawkchan.sweep import SweepSpec, emit_csv, emit_json, run_sweep
+from hawkchan import cli, metrics, sweep
+from hawkchan.sweep import SweepGrid, SweepSpec, emit_csv, emit_json, run_sweep
+
+from helpers import emitted, reference_emit_csv, reference_emit_json
+
+EMITTERS = {"csv": (emit_csv, reference_emit_csv), "json": (emit_json, reference_emit_json)}
 
 
 class TestSweepSpec:
@@ -177,3 +183,68 @@ class TestEmitJson:
             emit_json(run_sweep(spec), buf)
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
+
+
+# Zeros of both signs, subnormals, DBL_MAX, and values on either side of the
+# points where ".12g" switches between fixed and exponent form.
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-5, -1e-5, 1e-4, 9.999999999995e-5,
+    9.999999999999e-5, 999999999999.0, 999999999999.5, 1e12, 1e16,
+    sys.float_info.max, -sys.float_info.max, math.inf,
+]
+
+
+class TestEmitterOracle:
+    """Both emitters write the reference emitters' bytes to every destination."""
+
+    @pytest.mark.parametrize("fmt", sorted(EMITTERS))
+    @pytest.mark.parametrize("resolution", [2, 3, 41])
+    @pytest.mark.parametrize("metric", sweep.METRICS)
+    def test_every_metric_and_destination(self, metric, resolution, fmt, tmp_path):
+        emit, reference = EMITTERS[fmt]
+        grid = run_sweep(SweepSpec(metric, resolution=resolution))
+        expected = emitted(reference, grid)
+        assert emitted(emit, grid) == expected
+        emit(grid, str(tmp_path / "grid"))
+        reference(grid, str(tmp_path / "reference"))
+        assert (tmp_path / "grid").read_bytes() == (tmp_path / "reference").read_bytes()
+        out = io.StringIO()
+        argv = ["sweep", "--metric", metric, "--resolution", str(resolution),
+                "--format", fmt, "--out", "-"]
+        assert cli.run(argv, stdout=out) == 0
+        assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("fmt", sorted(EMITTERS))
+    def test_edge_values_2d(self, fmt):
+        emit, reference = EMITTERS[fmt]
+        edges = np.array(EDGE_VALUES)
+        grid = SweepGrid(SweepSpec("neg_pct_diff_mixture", resolution=4),
+                         [edges[:4], edges[4:8]], edges.reshape(4, 4)[::-1])
+        assert emitted(emit, grid) == emitted(reference, grid)
+
+    @pytest.mark.parametrize("fmt", sorted(EMITTERS))
+    def test_edge_values_1d(self, fmt):
+        emit, reference = EMITTERS[fmt]
+        edges = np.array(EDGE_VALUES)
+        grid = SweepGrid(SweepSpec("phase_curve", resolution=len(edges)), [edges], edges[::-1])
+        assert emitted(emit, grid) == emitted(reference, grid)
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that keeps nothing, so only the emitter's own allocations count."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("emit", [emit_csv, emit_json])
+def test_emitter_holds_one_row_at_a_time(emit):
+    grid = run_sweep(SweepSpec("neg_pct_diff_mixture", resolution=401))
+    tracemalloc.start()
+    try:
+        emit(grid, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The whole grid as Python floats (values.tolist()) is about 5 MB.
+    assert peak < 1_000_000

@@ -12,12 +12,17 @@ sends (that module is imported, not changed):
   ``--format json`` and once with ``--format human``;
 * the sweep files of the ``grid-closed`` and ``grid-numeric`` passes of
   seed 7 (both percentage sweeps at 401 as CSV and JSON, ``phase_curve``
-  at 401, ``coherent_info_diff`` at 51), at ``--resolution`` when given.
+  at 401, ``coherent_info_diff`` at 51), at ``--resolution`` when given;
+* the first CSV and the first JSON ``grid-closed`` sweep again with
+  ``--out -``, written to stdout.
 
-It prints one line ``GROUP SHA256`` per point-query format and per sweep
-file, over each op's argv, exit code, stdout and stderr, plus the file
-bytes for a sweep.  Two checkouts give byte-identical outputs when the
-printed lines are equal::
+It prints one line ``GROUP SHA256`` per point-query format, per sweep
+file and per stdout sweep, over each op's argv, exit code, stdout and
+stderr, plus the file bytes for a sweep file.  Each call's stdout is
+captured both as the ``stdout=`` stream of ``cli.run`` and as the
+redirected ``sys.stdout``, so a checkout that writes ``--out -`` to
+either one gives the same digest.  Two checkouts give byte-identical
+outputs when the printed lines are equal::
 
     diff <(python tools/output_digest.py OLD) <(python tools/output_digest.py NEW)
 """
@@ -56,7 +61,7 @@ def _run(cli, argv: list, shown=None) -> bytes:
     ``shown`` (default ``argv``) leaves out a temporary output path, which differs per run.
     """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv, stdout=out)
     parts = ["\0".join(shown or argv), str(code), out.getvalue(), err.getvalue()]
     return b"".join(f"{len(p)}:{p}".encode() for p in parts)
@@ -77,6 +82,7 @@ def sweep_digests(cli, resolution=None) -> dict:
     if resolution is not None:
         ops = [sweep_op(op.params["metric"], op.params["lo"], op.params["hi"], resolution,
                         op.params["format"]) for op in ops]
+    to_stdout = [next(op for op in ops if op.params["format"] == fmt) for fmt in ("csv", "json")]
     digests = {}
     with tempfile.TemporaryDirectory(prefix="output-digest-") as work:
         for op in ops:
@@ -86,6 +92,9 @@ def sweep_digests(cli, resolution=None) -> dict:
                 with open(path, "rb") as fh:
                     digest.update(fh.read())
             digests[f"sweep.{op.out}"] = digest.hexdigest()
+    for op in to_stdout:
+        digest = hashlib.sha256(_run(cli, op.argv + ["--out", "-"]))
+        digests[f"sweep-stdout.{op.out}"] = digest.hexdigest()
     return digests
 
 
