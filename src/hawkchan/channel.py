@@ -148,9 +148,15 @@ def kraus_pair(p: ChannelParams) -> KrausPair:
     return pair
 
 
-def _kraus_block(rho: np.ndarray, ki: KrausPair, kj: KrausPair) -> np.ndarray:
-    """``sum_n M_in rho M_jn^dag`` on a 4x4 state the caller has validated or built."""
-    return ki.m0 @ rho @ kj.m0.conj().T + ki.m1 @ rho @ kj.m1.conj().T
+def _kraus_block(rho: np.ndarray, left, right) -> np.ndarray:
+    """``sum_n L_n rho R_n^dag`` on a 4x4 state the caller has validated or built.
+
+    ``left`` and ``right`` are Kraus arrays of shape ``(..., 2, 4, 4)`` (a
+    `KrausPair` is the ``(2, 4, 4)`` case) whose leading axes broadcast;
+    the blocks of every pair come out of one stacked matmul.
+    """
+    terms = np.asarray(left) @ rho @ np.asarray(right).conj().swapaxes(-1, -2)
+    return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
 def apply_channel(rho, k: KrausPair) -> np.ndarray:
@@ -165,7 +171,7 @@ def cross_term(rho, ki: KrausPair, kj: KrausPair) -> np.ndarray:
     with the channels swapped, and ``ki == kj`` recovers
     `apply_channel`.
     """
-    return _kraus_block(linop.check_two_qubit(rho, "input state"), ki, kj)
+    return _kraus_block(linop.check_two_qubit(rho, "input state")[0], ki, kj)
 
 
 def channel_output_closed_form(p: ChannelParams) -> np.ndarray:
@@ -200,7 +206,7 @@ def dilation_unitary(p: ChannelParams) -> np.ndarray:
 
 def _dilated_block(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     """Tr_partner[ U(pi) (rho x |0><0|) U(pj)^dag ] on the 8-dim A x R x partner space."""
-    arr = linop.check_two_qubit(rho, "input state")
+    arr, _ = linop.check_two_qubit(rho, "input state")
     partner_vacuum = np.zeros((2, 2), dtype=complex)
     partner_vacuum[0, 0] = 1.0
     big = linop.tensor(arr, partner_vacuum)

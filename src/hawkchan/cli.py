@@ -30,8 +30,8 @@ from .channel import (
     BlackHoleGeometry,
     ChannelParams,
     DomainError,
+    _kraus_block,
     channel_output_closed_form,
-    cross_term,
     kraus_pair,
     squeezing_from_geometry,
 )
@@ -223,8 +223,8 @@ def _run_geometry(cfg: dict) -> dict:
 def _run_channel(cfg: dict) -> dict:
     params = _channel_params(cfg)
     pair = kraus_pair(params)
-    # The report validates the output state.
-    output = cross_term(protocol.bell_state(), pair, pair)
+    # The library's Bell state needs no input check; the report validates the output state.
+    output = _kraus_block(protocol.bell_state(), pair, pair)
     report = metrics.report_for_state(output)
     closed = math.cos(params.r) ** 2 / 2.0
     metrics.check_closed_form("negativity", report.negativity_numeric, closed)
@@ -240,15 +240,22 @@ def _run_channel(cfg: dict) -> dict:
     }
 
 
-def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float):
-    """The branch fields `protocol` and `phase` both print, and one report per branch state.
+def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float,
+                    state: np.ndarray, name: str):
+    """The branch fields `protocol` and `phase` both print, and one stacked
+    report over the branch states that occur and ``state`` (named ``name``).
 
-    Returns ``(payload, reports)`` with ``reports`` the ``(probability,
-    MetricReport)`` pairs of the branches that occur, plus branch first.
-    Branch averages keep the order 0.0 + plus + minus.
+    Returns ``(payload, branches, report)`` with ``branches`` the
+    ``(probability, MetricReport)`` pairs of the branches that occur, plus
+    branch first, and ``report`` that of ``state``.  Branch averages keep
+    the order 0.0 + plus + minus.
     """
-    reports = [(p, metrics.report_for_state(rho)) for p, rho in stats.branches if rho is not None]
-    average = sum((p * r.negativity_numeric for p, r in reports), 0.0)
+    present = [(p, rho) for p, rho in stats.branches if rho is not None]
+    names = ["plus branch", "minus branch"][:len(present)] + [name]
+    *reports, report = metrics.report_for_states(
+        np.array([rho for _, rho in present] + [state]), names)
+    branches = [(p, r) for (p, _), r in zip(present, reports)]
+    average = sum((p * r.negativity_numeric for p, r in branches), 0.0)
     closed = metrics.negativity_avg_closed(r1, r2, dphi)
     metrics.check_closed_form("negativity_avg", average, closed)
     return {
@@ -258,15 +265,15 @@ def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi
         "rho_minus": _matrix_payload(stats.rho_minus),
         "negativity_avg": average,
         "negativity_avg_closed": closed,
-    }, reports
+    }, branches, report
 
 
 def _run_protocol(cfg: dict) -> dict:
     p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
     dphi = p1.phi - p2.phi
     stats = protocol.measure_control(protocol.ProtocolConfig(p1, p2))
-    payload, branches = _branch_reports(stats, p1.r, p2.r, dphi)
-    mixture = metrics.report_for_state(stats.rho_mixture)
+    payload, branches, mixture = _branch_reports(
+        stats, p1.r, p2.r, dphi, stats.rho_mixture, "classical mixture")
     payload.update({
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
@@ -291,10 +298,11 @@ def _run_phase(cfg: dict) -> dict:
         stats = protocol.phase_protocol(cfg["r"])
     except ValueError as exc:
         raise UsageError(f"--r: {exc}")
-    payload, branches = _branch_reports(stats, cfg["r"], cfg["r"], math.pi)
-    single = protocol.classical_scenario(ChannelParams(cfg["r"]))
+    # blocks[0, 0] is the output of params1 = (r, 0), the single channel.
+    payload, branches, single = _branch_reports(
+        stats, cfg["r"], cfg["r"], math.pi, stats.blocks[0, 0], "channel output")
     payload["negativity_plus"] = branches[0][1].negativity_numeric
-    payload["negativity_single_channel"] = metrics.negativity(single)
+    payload["negativity_single_channel"] = single.negativity_numeric
     return payload
 
 

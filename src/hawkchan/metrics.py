@@ -3,9 +3,11 @@
 Numeric negativity and coherent information sit next to the closed
 forms for the protocol scenarios, so every closed form can be checked
 against the fully numeric pipeline.  All entropies are in bits.  Each
-public function validates the state it is handed once, then takes the
-spectra it needs with ``numpy.linalg.eigvalsh``.  The closed forms take
-floats or arrays that broadcast together.
+public function validates the state it is handed once, reuses the
+validation spectrum as the state's own, then takes the other spectra it
+needs with ``numpy.linalg.eigvalsh``; `report_for_states` does each of
+those stages in one call for a whole stack of states.  The closed forms
+take floats or arrays that broadcast together.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def negativity(rho) -> float:
     Zero exactly for separable states; 1/2 for a maximally entangled
     pair.  Values in [-1e-12, 0) from roundoff are clipped to 0.
     """
-    return _negativity(_pt_spectrum(linop.check_two_qubit(rho)))
+    return _negativity(_pt_spectrum(linop.check_two_qubit(rho)[0]))
 
 
 def _plus_branch_terms(r1, r2, dphi):
@@ -124,19 +126,18 @@ def coherent_info_closed(r1, r2, dphi=0.0):
     return ensemble, rob - _weight_entropy(big, (c1 - c2) ** 2 / 16.0 / big, s_sq / 4.0)
 
 
-def _entropy(arr: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(arr)
+def _entropy(eigs: np.ndarray) -> float:
     positive = eigs[eigs > 0.0]
     return float(-(positive * np.log2(positive)).sum())
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(l * log2 l) of a state's spectrum, in bits."""
-    return _entropy(linop.check_density_matrix(rho, "state"))
+    return _entropy(linop.check_density_matrix(rho, "state", spectrum=True)[1])
 
 
-def _coherent_information(arr: np.ndarray) -> float:
-    return _entropy(linop.partial_trace(arr, (2, 2), keep=1)) - _entropy(arr)
+def _rob_spectrum(arr: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(linop.partial_trace(arr, (2, 2), keep=1))
 
 
 def coherent_information(rho) -> float:
@@ -146,7 +147,8 @@ def coherent_information(rho) -> float:
     that produced ``rho`` from a maximally entangled input; a maximally
     entangled state gives +1 bit, a maximally mixed one -1 bit.
     """
-    return _coherent_information(linop.check_two_qubit(rho))
+    arr, eigs = linop.check_two_qubit(rho)
+    return _entropy(_rob_spectrum(arr)) - _entropy(eigs)
 
 
 def _branch_average(branches, measure) -> float:
@@ -174,15 +176,33 @@ def average_branch_negativity(branches: Iterable[tuple[float, Optional[np.ndarra
 
 def ppt_separable(rho) -> bool:
     """Positive-partial-transpose test; equivalent to separability for 2x2."""
-    return bool(_pt_spectrum(linop.check_two_qubit(rho))[0] >= PPT_TOL)
+    return bool(_pt_spectrum(linop.check_two_qubit(rho)[0])[0] >= PPT_TOL)
+
+
+def _reports(arr: np.ndarray, eigs: np.ndarray) -> list[MetricReport]:
+    """The reports of a validated ``(k, 4, 4)`` stack whose spectra are ``eigs``."""
+    return [
+        MetricReport(
+            negativity_numeric=_negativity(pt),
+            coherent_information=_entropy(rob) - _entropy(ab),
+            ppt=bool(pt[0] >= PPT_TOL),
+        )
+        for ab, pt, rob in zip(eigs, _pt_spectrum(arr), _rob_spectrum(arr))
+    ]
+
+
+def report_for_states(states, names) -> list[MetricReport]:
+    """One `MetricReport` per state of a ``(k, 4, 4)`` stack named ``names``.
+
+    The stack is validated in one call, whose spectra serve as S(AB); the
+    partial transposes and Rob's reduced states take one ``eigvalsh`` each.
+    Every report equals `negativity`, `coherent_information` and
+    `ppt_separable` of its state.
+    """
+    return _reports(*linop.check_two_qubit(states, names))
 
 
 def report_for_state(rho) -> MetricReport:
-    """Bundle the standard measures of one state, validated once, into a `MetricReport`."""
-    arr = linop.check_two_qubit(rho)
-    pt_eigs = _pt_spectrum(arr)
-    return MetricReport(
-        negativity_numeric=_negativity(pt_eigs),
-        coherent_information=_coherent_information(arr),
-        ppt=bool(pt_eigs[0] >= PPT_TOL),
-    )
+    """`report_for_states` of one state: the stack of one."""
+    arr, eigs = linop.check_two_qubit(rho)
+    return _reports(arr[np.newaxis], eigs[np.newaxis])[0]

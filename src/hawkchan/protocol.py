@@ -15,8 +15,9 @@ entangled state:
 squeezing and opposite phases, where the closed forms are simplest.
 
 One `measure_control` call builds the branches and the mixture from one
-set of interference blocks.  States are validated where they leave this
-module; the Bell state and the Kraus blocks are trusted in between.
+set of interference blocks, taken in one stacked matmul, and validates
+them in one call.  States are validated where they leave this module;
+the Bell state and the Kraus blocks are trusted in between.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ class BranchStatistics:
     ``rho_minus`` is ``None`` when the minus branch cannot occur
     (identical channels, C = 0).  ``rho_mixture`` is the classical
     mixture, the same state with the measurement record discarded:
-    ``p_plus rho_plus + p_minus rho_minus``.
+    ``p_plus rho_plus + p_minus rho_minus``.  ``blocks`` is the
+    interference block array the states come from (see
+    `superposed_state`); ``blocks[i, i]`` is channel i's output on the
+    Bell state, not yet validated.
     """
 
     a_scalar: float
@@ -69,6 +73,7 @@ class BranchStatistics:
     rho_plus: np.ndarray
     rho_minus: Optional[np.ndarray]
     rho_mixture: np.ndarray
+    blocks: np.ndarray
 
     @property
     def branches(self) -> list[tuple[float, Optional[np.ndarray]]]:
@@ -93,12 +98,12 @@ def _interference_blocks(cfg: ProtocolConfig) -> np.ndarray:
     """The blocks ``xi[i, j]`` of |i><j| on the control, a (2, 2, 4, 4) array.
 
     ``xi[i, j] = sum_n M_in bell M_jn^dag`` for the channels of
-    ``params1`` (i = 0) and ``params2`` (i = 1).  Every state this module
+    ``params1`` (i = 0) and ``params2`` (i = 1), from one `_kraus_block`
+    over the ``(channel, n, 4, 4)`` Kraus array.  Every state this module
     hands out is derived from one such array.
     """
-    rho = bell_state()
-    ks = (kraus_pair(cfg.params1), kraus_pair(cfg.params2))
-    return np.array([[_kraus_block(rho, ki, kj) for kj in ks] for ki in ks])
+    ks = np.array([kraus_pair(cfg.params1), kraus_pair(cfg.params2)])
+    return _kraus_block(bell_state(), ks[:, None], ks[None, :])
 
 
 def branch_scalars(cfg: ProtocolConfig) -> tuple[float, float, float]:
@@ -146,32 +151,34 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
     probability as small as C/4 would amplify roundoff past the state
     invariants, while the closed form is non-negative diagonal by
     construction for every C.  The classical mixture is the control's
-    diagonal, from the same blocks.
+    diagonal, from the same blocks.  The plus branch, the minus branch
+    (when it occurs) and the mixture are validated in one call.
     """
     a, b, c = branch_scalars(cfg)
     xi = _interference_blocks(cfg)
     plus_un = 0.25 * (xi[0, 0] + xi[1, 1] + xi[0, 1] + xi[1, 0])
     p_plus = float(plus_un.trace().real)
-    p_minus = c / 4.0
-    rho_plus = linop.check_density_matrix(plus_un / p_plus, "plus branch")
-    if c < ABSENT_BRANCH_TOL:
-        rho_minus = None
-    else:
+    states, names = [plus_un / p_plus], ["plus branch"]
+    if c >= ABSENT_BRANCH_TOL:
         vac = (math.cos(cfg.params1.r) - math.cos(cfg.params2.r)) ** 2
         excited = (math.sin(cfg.params1.r) - math.sin(cfg.params2.r)) ** 2 + 4.0 * b
-        rho_minus = np.diag([vac, excited, 0.0, 0.0]).astype(complex) / (vac + excited)
-        rho_minus = linop.check_density_matrix(rho_minus, "minus branch")
-    return BranchStatistics(a, b, c, p_plus, p_minus, rho_plus, rho_minus, _mixture(xi))
+        states.append(np.diag([vac, excited, 0.0, 0.0]).astype(complex) / (vac + excited))
+        names.append("minus branch")
+    states.append(_mixture(xi))
+    names.append("classical mixture")
+    states = linop.check_density_matrix(np.array(states), names)
+    rho_minus = states[1] if len(states) == 3 else None
+    return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], rho_minus, states[-1], xi)
 
 
 def _mixture(xi: np.ndarray) -> np.ndarray:
     """The control's diagonal: the two channel outputs, equally weighted."""
-    return linop.check_density_matrix(0.5 * (xi[0, 0] + xi[1, 1]), "classical mixture")
+    return 0.5 * (xi[0, 0] + xi[1, 1])
 
 
 def classical_mixture(cfg: ProtocolConfig) -> np.ndarray:
     """Equal incoherent mixture of the two channel outputs."""
-    return _mixture(_interference_blocks(cfg))
+    return linop.check_density_matrix(_mixture(_interference_blocks(cfg)), "classical mixture")
 
 
 def phase_protocol(r: float) -> BranchStatistics:

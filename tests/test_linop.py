@@ -190,3 +190,83 @@ class TestDensityMatrixChecks:
     def test_tolerates_roundoff_negativity(self):
         rho = np.diag([1.0 + 5e-11, -5e-11])
         linop.check_density_matrix(rho)
+
+
+def _bad_states():
+    """One 4x4 state per violated invariant, in the order the checks run."""
+    non_finite = np.eye(4, dtype=complex) / 4
+    non_finite[0, 1] = complex(0.0, np.nan)
+    non_hermitian = np.eye(4, dtype=complex) / 4
+    non_hermitian[0, 1] = 0.1
+    return {
+        "non-finite": non_finite,
+        "non-hermitian": non_hermitian,
+        "trace": np.eye(4, dtype=complex) / 2,
+        "eigenvalue": np.diag([0.6, 0.3, 0.2, -0.1]).astype(complex),
+    }
+
+
+NAMES = ("first", "middle", "last")
+
+
+class TestStackedDensityMatrixChecks:
+    @pytest.mark.parametrize("kind", sorted(_bad_states()))
+    def test_failing_middle_state_raises_its_single_state_message(self, kind):
+        bad = _bad_states()[kind]
+        with pytest.raises(ValueError) as single:
+            linop.check_density_matrix(bad, "middle")
+        stack = np.array([bell_state(), bad, random_density(RNG, 4)])
+        with pytest.raises(ValueError) as stacked:
+            linop.check_density_matrix(stack, NAMES)
+        assert str(stacked.value) == str(single.value)
+        assert str(stacked.value).startswith("middle ")
+
+    def test_first_failing_state_wins(self):
+        """A state's later invariant fails before a later state's earlier one."""
+        bad = _bad_states()
+        stack = np.array([bell_state(), bad["eigenvalue"], bad["non-hermitian"]])
+        with pytest.raises(ValueError, match="^middle has eigenvalue"):
+            linop.check_density_matrix(stack, NAMES)
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            linop.check_density_matrix(np.ones(4) / 4)
+        with pytest.raises(ValueError, match="must be square"):
+            linop.check_density_matrix(np.ones((2, 3)) / 2)
+        with pytest.raises(ValueError, match="must be a stack of 3 matrices"):
+            linop.check_density_matrix(np.array([bell_state()] * 2), NAMES)
+        with pytest.raises(ValueError, match="must be a stack of 3 matrices"):
+            linop.check_density_matrix(bell_state(), NAMES)
+        with pytest.raises(ValueError, match="must be square"):
+            linop.check_density_matrix(np.ones((3, 2, 3)) / 2, NAMES)
+
+    def test_returns_the_same_array_and_its_spectrum(self):
+        rho = random_density(RNG, 4)
+        stack = np.array([rho, bell_state(), np.eye(4, dtype=complex) / 4])
+        assert linop.check_density_matrix(stack, NAMES) is stack
+        arr, eigs = linop.check_density_matrix(stack, NAMES, spectrum=True)
+        assert arr is stack and np.array_equal(eigs, np.linalg.eigvalsh(stack))
+        arr, eigs = linop.check_density_matrix(rho, "state", spectrum=True)
+        assert arr is rho and np.array_equal(eigs, np.linalg.eigvalsh(rho))
+
+    def test_two_qubit_check_takes_a_stack(self):
+        stack = np.array([bell_state(), np.eye(4, dtype=complex) / 4])
+        arr, eigs = linop.check_two_qubit(stack, NAMES[:2])
+        assert arr is stack and eigs.shape == (2, 4)
+        with pytest.raises(ValueError, match="first, middle must be a 4x4 two-qubit state"):
+            linop.check_two_qubit(np.array([np.eye(2) / 2] * 2), NAMES[:2])
+
+    def test_partial_trace_and_transpose_act_on_each_matrix_of_a_stack(self):
+        stack = np.array([random_density(RNG, 4) for _ in range(3)])
+        traced = linop.partial_trace(stack, (2, 2), keep=1)
+        transposed = linop.partial_transpose(stack, (2, 2))
+        for i, rho in enumerate(stack):
+            assert np.array_equal(traced[i], linop.partial_trace(rho, (2, 2), keep=1))
+            assert np.array_equal(transposed[i], linop.partial_transpose(rho, (2, 2)))
+
+    def test_tensor_and_exponential_take_one_matrix(self):
+        stack = np.zeros((2, 2, 2))
+        with pytest.raises(ValueError, match="two 2-D matrices"):
+            linop.tensor(stack, np.eye(2))
+        with pytest.raises(ValueError, match="must be square"):
+            linop.matrix_exponential(stack)

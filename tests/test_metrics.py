@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hawkchan import linop, metrics
 from hawkchan.channel import ChannelParams
@@ -278,8 +280,68 @@ class TestMetricReport:
         assert [metrics.report_for_state(rho) for rho in states] == expected
         assert len(calls) == len(states)
 
+    def test_report_for_states_validates_the_stack_once(self, monkeypatch):
+        cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6, 1.0))
+        stats = measure_control(cfg)
+        stack = np.array([stats.rho_plus, stats.rho_minus, stats.rho_mixture])
+        calls = []
+        check = linop.check_density_matrix
+        monkeypatch.setattr(
+            linop, "check_density_matrix", lambda rho, *a, **kw: calls.append(a) or check(rho, *a, **kw)
+        )
+        reports = metrics.report_for_states(stack, ["plus", "minus", "mixture"])
+        assert calls == [(["plus", "minus", "mixture"],)]
+        assert reports == [metrics.report_for_state(rho) for rho in stack]
+
+    def test_report_for_states_names_the_failing_state(self):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[0, 1] = 0.1
+        with pytest.raises(ValueError, match="^second is not Hermitian"):
+            metrics.report_for_states(np.array([bell_state(), bad]), ["first", "second"])
+        with pytest.raises(ValueError, match="first, second must be a 4x4 two-qubit state"):
+            metrics.report_for_states(np.array([np.eye(2) / 2] * 2), ["first", "second"])
+
     def test_rejects_inconsistent_closed_form(self):
         report = metrics.report_for_state(bell_state())
         message = "closed-form negativity differs from numeric by 2.500e-01"
         with pytest.raises(ValueError, match=message):
             metrics.check_closed_form("negativity", report.negativity_numeric, 0.25)
+
+
+@st.composite
+def two_qubit_states(draw):
+    """A random full-rank state, the Bell state, or a protocol state (these have zero eigenvalues)."""
+    kind = draw(st.sampled_from(["random", "bell", "plus", "minus", "mixture"]))
+    if kind == "random":
+        return random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 4)
+    if kind == "bell":
+        return bell_state()
+    r, phi = st.floats(0.0, math.pi / 2 - 1e-9), st.floats(0.0, 2 * math.pi, exclude_max=True)
+    stats = measure_control(ProtocolConfig(ChannelParams(draw(r), draw(phi)),
+                                           ChannelParams(draw(r), draw(phi))))
+    if kind == "minus" and stats.rho_minus is not None:
+        return stats.rho_minus
+    return stats.rho_mixture if kind == "mixture" else stats.rho_plus
+
+
+@given(st.lists(two_qubit_states(), min_size=1, max_size=4))
+def test_stacked_report_equals_public_measures(states):
+    """Bit for bit: the stacked report of each state is its public measures."""
+    reports = metrics.report_for_states(np.array(states), [f"state {i}" for i in range(len(states))])
+    assert reports == [
+        metrics.MetricReport(
+            metrics.negativity(rho), metrics.coherent_information(rho), metrics.ppt_separable(rho)
+        )
+        for rho in states
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_stacked_eigvalsh_is_per_matrix_eigvalsh(dim):
+    """The stacked pipeline's outputs equal the per-state ones only because a
+    stacked ``eigvalsh`` equals one call per matrix bit for bit on this numpy."""
+    rng = np.random.default_rng(20261018)
+    g = rng.standard_normal((500, dim, dim)) + 1j * rng.standard_normal((500, dim, dim))
+    stack = g + g.conj().swapaxes(1, 2)
+    stacked = np.linalg.eigvalsh(stack)
+    assert all(np.array_equal(stacked[i], np.linalg.eigvalsh(h)) for i, h in enumerate(stack))

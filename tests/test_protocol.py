@@ -286,16 +286,30 @@ def kraus_calls(monkeypatch):
 
 @pytest.fixture
 def validated(monkeypatch):
-    """Records the name of every state passed to ``check_density_matrix``."""
-    names = []
+    """Records each ``check_density_matrix`` call as the list of the names it checks."""
+    calls = []
     check = linop.check_density_matrix
 
-    def recording(rho, name="state"):
-        names.append(name)
-        return check(rho, name)
+    def recording(rho, name="state", **kwargs):
+        calls.append([name] if isinstance(name, str) else list(name))
+        return check(rho, name, **kwargs)
 
     monkeypatch.setattr(linop, "check_density_matrix", recording)
-    return names
+    return calls
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Records the stack shape of every ``numpy.linalg.eigvalsh`` call (``()`` for one matrix)."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a)[:-2])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
 
 
 class TestOneEvaluation:
@@ -323,28 +337,50 @@ class TestOneEvaluation:
 
     def test_mixture_validates_one_state(self, validated):
         classical_mixture(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7, 1.0)))
-        assert validated == ["classical mixture"]
+        assert validated == [["classical mixture"]]
 
     @pytest.mark.parametrize("r2, phi2, built", [
         ("0.7", "1.0", ["plus branch", "minus branch", "classical mixture"]),
         ("0.2", "0.0", ["plus branch", "classical mixture"]),
     ])
-    def test_protocol_query_validates_each_state_once(self, validated, r2, phi2, built):
-        """Each protocol state is checked once at build and once at report: the build
-        check names the state ("plus branch", ...), the report check names it "state"."""
+    def test_protocol_query_validates_each_state_once(self, validated, eigvalsh_calls,
+                                                      r2, phi2, built):
+        """Each protocol state is checked once at build and once at report, and
+        each check is one stacked call over all of them.  Four ``eigvalsh``
+        calls in all: the build check, and the report's check (whose spectra
+        serve as S(AB)), partial transposes and reduced states."""
         argv = ["protocol", "--r1", "0.2", "--r2", r2, "--phi2", phi2, "--format", "json"]
         assert cli.run(argv, stdout=io.StringIO()) == 0
-        assert validated == built + ["state"] * len(built)
+        assert validated == [built, built]
+        assert eigvalsh_calls == [(len(built),)] * 4
 
-    @pytest.mark.parametrize("argv, pairs, checks", [
-        (["channel", "--r", "0.4", "--phi", "1.1"], 1, 2),
-        (["phase", "--r", "0.5"], 3, 7),
-        (["phase", "--r", "0"], 3, 5),
+    @pytest.mark.parametrize("argv, pairs, checks, eigvalsh", [
+        (["channel", "--r", "0.4", "--phi", "1.1"], 1,
+         [["state"]], [(1,)] * 3),
+        (["phase", "--r", "0.5"], 2,
+         [["plus branch", "minus branch", "classical mixture"],
+          ["plus branch", "minus branch", "channel output"]], [(3,)] * 4),
+        (["phase", "--r", "0"], 2,
+         [["plus branch", "classical mixture"], ["plus branch", "channel output"]], [(2,)] * 4),
     ], ids=["channel", "phase", "phase-r0"])
-    def test_point_query_work(self, kraus_calls, validated, argv, pairs, checks):
-        """``kraus_pair`` and ``check_density_matrix`` calls per query (protocol: above)."""
+    def test_point_query_work(self, kraus_calls, validated, eigvalsh_calls,
+                              argv, pairs, checks, eigvalsh):
+        """``kraus_pair``, ``check_density_matrix`` and ``eigvalsh`` calls per query
+        (protocol: above).  The Bell state a ``channel`` query starts from is not
+        re-checked; ``phase`` takes its single-channel state from the blocks."""
         assert cli.run(argv + ["--format", "json"], stdout=io.StringIO()) == 0
-        assert (len(kraus_calls), len(validated)) == (pairs, checks)
+        assert (len(kraus_calls), validated, eigvalsh_calls) == (pairs, checks, eigvalsh)
+
+    def test_blocks_match_per_block_oracle(self):
+        """The stacked matmul gives each block bit for bit as m0 rho m0^dag + m1 rho m1^dag."""
+        rho = bell_state()
+        for cfg in oracle_configs():
+            xi = measure_control(cfg).blocks
+            pairs = (kraus_pair(cfg.params1), kraus_pair(cfg.params2))
+            for i, ki in enumerate(pairs):
+                for j, kj in enumerate(pairs):
+                    expected = ki.m0 @ rho @ kj.m0.conj().T + ki.m1 @ rho @ kj.m1.conj().T
+                    assert np.array_equal(xi[i, j], expected)
 
     def test_coherent_info_sweep_builds_no_kraus_pairs(self, kraus_calls):
         sweep.run_sweep(sweep.SweepSpec("coherent_info_diff", resolution=5))
