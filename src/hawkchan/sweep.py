@@ -18,9 +18,11 @@ Every metric is a closed form from `metrics`; the numeric pipeline is
 their oracle in the tests.  Percentage differences use
 100 * (quantum - classical) / classical, so quantum advantage is
 positive; both baselines are at least 1/4 on [0, pi/4]^2.  Grids are
-evaluated one r1 row at a time, so memory beyond the value array stays
-at one row, and emitted in a deterministic row order (r1 outer, r2
-inner, ascending): identical specs produce byte-identical CSV and JSON.
+evaluated a block of at most 4096 cells (or one r1 row) per closed-form
+call, so memory beyond the value array stays at one block; each cell is
+an elementwise expression of its own (r1, r2), so a grid with equal axes
+is bitwise symmetric.  Rows are emitted in a deterministic order (r1
+outer, r2 inner, ascending): identical specs give byte-identical files.
 The emitters also hold one row at a time: a CSV row is one %-template
 over the preformatted axis texts, and a JSON row is one call of the C
 JSON encoder inside a hand-written ``{axes, spec, values}`` frame.
@@ -51,6 +53,7 @@ MAX_R_2D = math.pi / 4
 MAX_R_1D = math.pi / 2
 # The value array alone takes resolution^2 * 8 bytes: 32 MB at the cap.
 MAX_RESOLUTION = 2001
+_BLOCK_CELLS = 4096  # cells per closed-form call: each float64 temporary is 32 KB
 
 Destination = Union[str, "IO[str]", None]
 
@@ -99,8 +102,8 @@ class SweepGrid:
     values: np.ndarray
 
 
-def _row(metric: str, r1: float, r2s: np.ndarray) -> np.ndarray:
-    """The 2-D ``metric`` at ``(r1, r2)`` for every r2 in ``r2s``."""
+def _row(metric: str, r1: np.ndarray, r2s: np.ndarray) -> np.ndarray:
+    """The 2-D ``metric`` at ``(r1, r2)`` for every r1 in the column ``r1`` and r2 in ``r2s``."""
     if metric == "coherent_info_diff":
         ensemble, mixture = metrics.coherent_info_closed(r1, r2s)
         return ensemble - mixture
@@ -111,6 +114,12 @@ def _row(metric: str, r1: float, r2s: np.ndarray) -> np.ndarray:
     return 100.0 * (metrics.negativity_avg_closed(r1, r2s) - baseline) / baseline
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sweep produced non-finite values")
+    return values
+
+
 def run_sweep(spec: SweepSpec) -> SweepGrid:
     """Evaluate the metric on the grid described by ``spec``.
 
@@ -119,17 +128,13 @@ def run_sweep(spec: SweepSpec) -> SweepGrid:
     """
     r1s = np.linspace(spec.r1_range[0], spec.r1_range[1], spec.resolution)
     if spec.is_one_dimensional:
-        axes = [r1s]
-        values = metrics.negativity_avg_closed(r1s, r1s, math.pi)
-    else:
-        r2s = np.linspace(spec.r2_range[0], spec.r2_range[1], spec.resolution)
-        axes = [r1s, r2s]
-        values = np.empty((spec.resolution, spec.resolution))
-        for i, r1 in enumerate(r1s):
-            values[i] = _row(spec.metric, r1, r2s)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("sweep produced non-finite values")
-    return SweepGrid(spec, axes, values)
+        return SweepGrid(spec, [r1s], _finite(metrics.negativity_avg_closed(r1s, r1s, math.pi)))
+    r2s = np.linspace(spec.r2_range[0], spec.r2_range[1], spec.resolution)
+    values = np.empty((spec.resolution, spec.resolution))
+    rows = max(1, _BLOCK_CELLS // spec.resolution)
+    for i in range(0, spec.resolution, rows):
+        values[i:i + rows] = _finite(_row(spec.metric, r1s[i:i + rows, np.newaxis], r2s))
+    return SweepGrid(spec, [r1s, r2s], values)
 
 
 # 12 significant digits, enough for 1e-11 round-trip on these scales.

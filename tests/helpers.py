@@ -3,9 +3,10 @@
 The oracles deliberately avoid the code paths they check: the Kronecker
 oracle is a nested loop, the partial-trace oracle a direct index sum,
 the exponential oracle scaled Taylor summation, the geometry and
-convex-gap oracles arbitrary-precision arithmetic, and the reference
-sweep emitters format one cell at a time and encode the whole document
-with ``json.dump``.
+convex-gap oracles arbitrary-precision arithmetic, the reference
+sweeps evaluate the whole grid in one call or one r1 row per call, and
+the reference sweep emitters format one cell at a time and encode the
+whole document with ``json.dump``.
 """
 
 import contextlib
@@ -16,6 +17,8 @@ import sys
 
 import mpmath
 import numpy as np
+
+from hawkchan import metrics
 
 
 def random_density(rng, dim):
@@ -127,6 +130,39 @@ def convex_gap_oracle(r1, r2):
         avg = (-(u**2) + mpmath.sqrt(u**4 + 16 * v**2)) / 16
         g = 2 * v**2 - u**2 * q - 2 * q**2
         return float(avg - q / 4), float(g)
+
+
+# Reference 2-D sweeps: the same public closed forms as ``hawkchan.sweep``, over
+# the whole ``r1s[:, None] x r2s`` grid in one call, and one call per r1 row with
+# r1 a numpy scalar (the route that the blocked sweep replaced).
+
+
+def _closed_form_cells(metric, r1, r2):
+    if metric == "coherent_info_diff":
+        ensemble, mixture = metrics.coherent_info_closed(r1, r2)
+        return ensemble - mixture
+    if metric == "neg_pct_diff_mixture":
+        baseline = metrics.negativity_mixture_closed(r1, r2)
+    else:
+        baseline = metrics.negativity_convex_avg(r1, r2)
+    return 100.0 * (metrics.negativity_avg_closed(r1, r2) - baseline) / baseline
+
+
+def _axes(spec):
+    return (np.linspace(spec.r1_range[0], spec.r1_range[1], spec.resolution),
+            np.linspace(spec.r2_range[0], spec.r2_range[1], spec.resolution))
+
+
+def reference_grid_sweep(spec):
+    """The values of a 2-D sweep from one closed-form call over the whole grid."""
+    r1s, r2s = _axes(spec)
+    return _closed_form_cells(spec.metric, r1s[:, np.newaxis], r2s)
+
+
+def reference_row_sweep(spec):
+    """The values of a 2-D sweep from one closed-form call per r1 row."""
+    r1s, r2s = _axes(spec)
+    return np.array([_closed_form_cells(spec.metric, r1, r2s) for r1 in r1s])
 
 
 # Reference sweep emitters: the cell-by-cell CSV writer and the whole-document

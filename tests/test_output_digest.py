@@ -22,8 +22,8 @@ GROUPS = [
 ]
 
 
-def digest_lines():
-    argv = [sys.executable, TOOL, ROOT, "--blocks", "1", "--resolution", "2"]
+def digest_lines(*extra):
+    argv = [sys.executable, TOOL, ROOT, "--blocks", "1", "--resolution", "2", *extra]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
@@ -34,3 +34,11 @@ def test_one_digest_per_group_and_the_same_on_a_second_run():
     assert [line.split()[0] for line in lines] == GROUPS
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     assert digest_lines() == lines
+
+
+def test_a_second_seed_gives_other_sweep_digests():
+    default, seed_7, seed_1 = digest_lines(), digest_lines("--seed", "7"), digest_lines("--seed", "1")
+    assert seed_7 == default
+    sweeps = [(a, b) for a, b in zip(seed_7, seed_1) if a.startswith("sweep")]
+    assert len(sweeps) == len(GROUPS) - 2
+    assert all(a.split()[0] == b.split()[0] and a != b for a, b in sweeps)

@@ -2,10 +2,12 @@
 
 Squeezings range over [0, pi/2 - 1e-9] and phases over [0, 2 pi), with
 the edge values r in {0, pi/4, pi/2 - 1e-9}, equal squeezings, and phase
-differences at and next to 0 and pi drawn explicitly.  A sweep property
-runs random small specs twice and checks the emitted bytes against the
-reference emitters.  The last property drives the CLI with any valid
-value set, as flags and as a config file.
+differences at and next to 0 and pi drawn explicitly.  The Kraus route
+is checked against the unitary-dilation oracle on random input states.
+Sweep properties check that a grid with equal axes is bitwise symmetric
+and run random small specs twice against the reference emitters.  The
+last property drives the CLI with any valid value set, as flags and as
+a config file.
 """
 
 import contextlib
@@ -21,7 +23,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hawkchan import cli, linop
-from hawkchan.channel import ChannelParams
+from hawkchan.channel import (
+    ChannelParams,
+    apply_channel,
+    apply_channel_dilated,
+    cross_term,
+    cross_term_dilated,
+    kraus_pair,
+)
 from hawkchan.metrics import (
     average_branch_negativity,
     coherent_info_closed,
@@ -33,9 +42,9 @@ from hawkchan.metrics import (
     negativity_mixture_closed,
 )
 from hawkchan.protocol import ProtocolConfig, classical_scenario, measure_control, superposed_state
-from hawkchan.sweep import METRICS, SweepSpec, emit_csv, emit_json, run_sweep
+from hawkchan.sweep import METRICS, TWO_D_METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
-from helpers import emitted, reference_emit_csv, reference_emit_json
+from helpers import emitted, random_density, reference_emit_csv, reference_emit_json
 
 R_MAX = math.pi / 2 - 1e-9
 
@@ -105,6 +114,25 @@ def test_convex_average_matches_closed_form(cfg):
     single = [negativity(classical_scenario(p)) for p in (cfg.params1, cfg.params2)]
     closed = negativity_convex_avg(cfg.params1.r, cfg.params2.r)
     assert abs((single[0] + single[1]) / 2.0 - closed) <= 1e-12
+
+
+@given(configs(), st.integers(0, 2**32 - 1))
+def test_kraus_route_matches_the_dilation_oracle(cfg, seed):
+    rho = random_density(np.random.default_rng(seed), 4)
+    p1, p2 = cfg.params1, cfg.params2
+    k1, k2 = kraus_pair(p1), kraus_pair(p2)
+    assert np.abs(apply_channel(rho, k1) - apply_channel_dilated(rho, p1)).max() <= 1e-10
+    assert np.abs(apply_channel(rho, k2) - apply_channel_dilated(rho, p2)).max() <= 1e-10
+    assert np.abs(cross_term(rho, k1, k2) - cross_term_dilated(rho, p1, p2)).max() <= 1e-10
+    assert np.abs(cross_term(rho, k2, k1) - cross_term_dilated(rho, p2, p1)).max() <= 1e-10
+
+
+@given(st.sampled_from(TWO_D_METRICS), st.floats(0.0, math.pi / 4), st.floats(0.0, math.pi / 4),
+       st.integers(2, 401))
+def test_square_sweeps_are_bitwise_symmetric(metric, a, b, resolution):
+    r_range = (min(a, b), max(a, b))
+    values = run_sweep(SweepSpec(metric, r_range, r_range, resolution)).values
+    assert np.array_equal(values, values.T)
 
 
 @st.composite

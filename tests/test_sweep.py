@@ -12,7 +12,13 @@ import pytest
 from hawkchan import cli, metrics, sweep
 from hawkchan.sweep import SweepGrid, SweepSpec, emit_csv, emit_json, run_sweep
 
-from helpers import emitted, reference_emit_csv, reference_emit_json
+from helpers import (
+    emitted,
+    reference_emit_csv,
+    reference_emit_json,
+    reference_grid_sweep,
+    reference_row_sweep,
+)
 
 EMITTERS = {"csv": (emit_csv, reference_emit_csv), "json": (emit_json, reference_emit_json)}
 
@@ -65,11 +71,39 @@ class TestRunSweep:
     def test_grid_symmetry(self):
         for metric in ("neg_pct_diff_mixture", "neg_pct_diff_convex"):
             grid = run_sweep(SweepSpec(metric, resolution=15))
-            assert np.abs(grid.values - grid.values.T).max() < 1e-12
+            assert np.array_equal(grid.values, grid.values.T)
 
     def test_coherent_grid_symmetry(self):
         grid = run_sweep(SweepSpec("coherent_info_diff", resolution=7))
-        assert np.abs(grid.values - grid.values.T).max() < 1e-12
+        assert np.array_equal(grid.values, grid.values.T)
+
+    # 51: one block; 401: 41 blocks, the last a single row; 409: a ragged last block.
+    @pytest.mark.parametrize("resolution", [51, 401, 409])
+    @pytest.mark.parametrize("metric", sweep.TWO_D_METRICS)
+    def test_blocks_equal_one_call_over_the_whole_grid(self, metric, resolution):
+        spec = SweepSpec(metric, resolution=resolution)
+        values = run_sweep(spec).values
+        assert np.array_equal(values, reference_grid_sweep(spec))
+        # The row route takes r1 as a numpy scalar, whose ``** 2`` is libm pow.
+        assert np.abs(values - reference_row_sweep(spec)).max() <= 1e-13
+
+    def test_non_finite_cell_in_the_last_block_raises(self, monkeypatch):
+        row = sweep._row
+
+        def poisoned(metric, r1, r2s):
+            values = row(metric, r1, r2s)
+            if r1[-1, 0] == sweep.MAX_R_2D:
+                values[-1, -1] = np.nan
+            return values
+
+        monkeypatch.setattr(sweep, "_row", poisoned)
+        with pytest.raises(ValueError, match="sweep produced non-finite values"):
+            run_sweep(SweepSpec("coherent_info_diff", resolution=409))
+
+    def test_non_finite_phase_curve_raises(self, monkeypatch):
+        monkeypatch.setattr(metrics, "negativity_avg_closed", lambda r1, r2, dphi: np.full(r1.shape, np.inf))
+        with pytest.raises(ValueError, match="sweep produced non-finite values"):
+            run_sweep(SweepSpec("phase_curve", resolution=11))
 
     def test_convex_diff_vanishes_on_diagonal(self):
         grid = run_sweep(SweepSpec("neg_pct_diff_convex", resolution=15))
@@ -248,3 +282,15 @@ def test_emitter_holds_one_row_at_a_time(emit):
         tracemalloc.stop()
     # The whole grid as Python floats (values.tolist()) is about 5 MB.
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("resolution", [401, sweep.MAX_RESOLUTION])
+def test_sweep_holds_one_block_at_a_time(resolution):
+    tracemalloc.start()
+    try:
+        grid = run_sweep(SweepSpec("coherent_info_diff", resolution=resolution))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One call over the whole 2001^2 grid would hold about 20 grid-sized temporaries.
+    assert peak - grid.values.nbytes <= 1_000_000
