@@ -63,6 +63,8 @@ class BlackHoleGeometry:
             value = getattr(self, field)
             if not (value > 0 and math.isfinite(value)):
                 raise DomainError(field, f"{field} must be positive and finite, got {value}")
+        if not math.isfinite(self.surface_gravity):
+            raise DomainError("mass", f"surface gravity 1/(4*mass) overflows for mass {self.mass}")
         if not (math.isfinite(self.radius) and self.radius > 2.0 * self.mass):
             raise DomainError("radius", "observer inside horizon: "
                               f"radius {self.radius} <= 2*mass = {2 * self.mass}")

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import metrics, protocol
+from . import linop, metrics, protocol
 from .channel import (
     BlackHoleGeometry,
     ChannelParams,
@@ -139,7 +139,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"--config: cannot read {path!r}: {exc}")
     try:
         data = json.loads(text)
@@ -241,19 +241,18 @@ def _run_channel(cfg: dict) -> dict:
 
 
 def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float,
-                    state: np.ndarray, name: str):
+                    state: np.ndarray, spectrum: np.ndarray):
     """The branch fields `protocol` and `phase` both print, and one stacked
-    report over the branch states that occur and ``state`` (named ``name``).
-
-    Returns ``(payload, branches, report)`` with ``branches`` the
+    report over the branch states that occur and the checked ``state``, from
+    their checks' spectra (``stats.spectra``, ``spectrum``).  Returns
+    ``(payload, branches, report)`` with ``branches`` the
     ``(probability, MetricReport)`` pairs of the branches that occur, plus
     branch first, and ``report`` that of ``state``.  Branch averages keep
     the order 0.0 + plus + minus.
     """
     present = [(p, rho) for p, rho in stats.branches if rho is not None]
-    names = ["plus branch", "minus branch"][:len(present)] + [name]
-    *reports, report = metrics.report_for_states(
-        np.array([rho for _, rho in present] + [state]), names)
+    *reports, report = metrics._reports(np.array([rho for _, rho in present] + [state]),
+                                        np.vstack((stats.spectra[:-1], spectrum)))
     branches = [(p, r) for (p, _), r in zip(present, reports)]
     average = sum((p * r.negativity_numeric for p, r in branches), 0.0)
     closed = metrics.negativity_avg_closed(r1, r2, dphi)
@@ -273,7 +272,7 @@ def _run_protocol(cfg: dict) -> dict:
     dphi = p1.phi - p2.phi
     stats = protocol.measure_control(protocol.ProtocolConfig(p1, p2))
     payload, branches, mixture = _branch_reports(
-        stats, p1.r, p2.r, dphi, stats.rho_mixture, "classical mixture")
+        stats, p1.r, p2.r, dphi, stats.rho_mixture, stats.spectra[-1])
     payload.update({
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
@@ -299,8 +298,8 @@ def _run_phase(cfg: dict) -> dict:
     except ValueError as exc:
         raise UsageError(f"--r: {exc}")
     # blocks[0, 0] is the output of params1 = (r, 0), the single channel.
-    payload, branches, single = _branch_reports(
-        stats, cfg["r"], cfg["r"], math.pi, stats.blocks[0, 0], "channel output")
+    output = linop.check_two_qubit(stats.blocks[0, 0], "channel output")
+    payload, branches, single = _branch_reports(stats, cfg["r"], cfg["r"], math.pi, *output)
     payload["negativity_plus"] = branches[0][1].negativity_numeric
     payload["negativity_single_channel"] = single.negativity_numeric
     return payload

@@ -6,8 +6,9 @@ against the fully numeric pipeline.  All entropies are in bits.  Each
 public function validates the state it is handed once, reuses the
 validation spectrum as the state's own, then takes the other spectra it
 needs with ``numpy.linalg.eigvalsh``; `report_for_states` does each of
-those stages in one call for a whole stack of states.  The closed forms
-take floats or arrays that broadcast together.
+those stages in one call for a stack; `_reports` does the last for a stack
+checked elsewhere, from that check's spectra (`BranchStatistics.spectra`).
+The closed forms take floats or arrays that broadcast together.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def ppt_separable(rho) -> bool:
 
 
 def _reports(arr: np.ndarray, eigs: np.ndarray) -> list[MetricReport]:
-    """The reports of a validated ``(k, 4, 4)`` stack whose spectra are ``eigs``."""
+    """The reports of a ``(k, 4, 4)`` stack checked elsewhere, whose spectra are ``eigs``."""
     return [
         MetricReport(
             negativity_numeric=_negativity(pt),

@@ -15,9 +15,9 @@ entangled state:
 squeezing and opposite phases, where the closed forms are simplest.
 
 One `measure_control` call builds the branches and the mixture from one
-set of interference blocks, taken in one stacked matmul, and validates
-them in one call.  States are validated where they leave this module;
-the Bell state and the Kraus blocks are trusted in between.
+set of interference blocks, in one stacked matmul, and validates them in
+one call, keeping its spectra.  States are validated where they leave
+this module; the Bell state and the Kraus blocks are trusted in between.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ class BranchStatistics:
     ``rho_minus`` is ``None`` when the minus branch cannot occur
     (identical channels, C = 0).  ``rho_mixture`` is the classical
     mixture, the same state with the measurement record discarded:
-    ``p_plus rho_plus + p_minus rho_minus``.  ``blocks`` is the
-    interference block array the states come from (see
-    `superposed_state`); ``blocks[i, i]`` is channel i's output on the
-    Bell state, not yet validated.
+    ``p_plus rho_plus + p_minus rho_minus``.  ``spectra`` holds the
+    spectra, ``(k, 4)``, of their one check (mixture last).  ``blocks``
+    are the interference blocks behind them (see `superposed_state`);
+    ``blocks[i, i]``, channel i's output on the Bell state, is unchecked.
     """
 
     a_scalar: float
@@ -74,6 +74,7 @@ class BranchStatistics:
     rho_minus: Optional[np.ndarray]
     rho_mixture: np.ndarray
     blocks: np.ndarray
+    spectra: np.ndarray
 
     @property
     def branches(self) -> list[tuple[float, Optional[np.ndarray]]]:
@@ -152,23 +153,22 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
     invariants, while the closed form is non-negative diagonal by
     construction for every C.  The classical mixture is the control's
     diagonal, from the same blocks.  The plus branch, the minus branch
-    (when it occurs) and the mixture are validated in one call.
+    (when it occurs) and the mixture are validated in one call (spectra kept).
     """
     a, b, c = branch_scalars(cfg)
     xi = _interference_blocks(cfg)
     plus_un = 0.25 * (xi[0, 0] + xi[1, 1] + xi[0, 1] + xi[1, 0])
     p_plus = float(plus_un.trace().real)
-    states, names = [plus_un / p_plus], ["plus branch"]
+    states = [plus_un / p_plus]
     if c >= ABSENT_BRANCH_TOL:
         vac = (math.cos(cfg.params1.r) - math.cos(cfg.params2.r)) ** 2
         excited = (math.sin(cfg.params1.r) - math.sin(cfg.params2.r)) ** 2 + 4.0 * b
         states.append(np.diag([vac, excited, 0.0, 0.0]).astype(complex) / (vac + excited))
-        names.append("minus branch")
     states.append(_mixture(xi))
-    names.append("classical mixture")
-    states = linop.check_density_matrix(np.array(states), names)
+    names = ["plus branch", "minus branch"][:len(states) - 1] + ["classical mixture"]
+    states, spectra = linop.check_density_matrix(np.array(states), names, spectrum=True)
     rho_minus = states[1] if len(states) == 3 else None
-    return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], rho_minus, states[-1], xi)
+    return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], rho_minus, states[-1], xi, spectra)
 
 
 def _mixture(xi: np.ndarray) -> np.ndarray:

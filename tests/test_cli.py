@@ -160,8 +160,9 @@ class TestGeometryCommand:
             ("radius", 1.9, "observer inside horizon"),
             ("k0", 0.0, "k0 must be positive and finite"),
             ("hbar", -2.0, "hbar must be positive and finite"),
+            ("mass", 1e-320, "surface gravity 1/(4*mass) overflows"),
         ],
-        ids=["mass", "radius", "k0", "hbar"],
+        ids=["mass", "radius", "k0", "hbar", "mass-overflow"],
     )
     def test_domain_error_names_only_its_flag(
         self, tmp_path, capsys, flag, value, message, from_config
@@ -263,6 +264,13 @@ class TestConfigFile:
         assert cli.run(["channel", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"r": 0.3}')
+        assert cli.run(["channel", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: --config: cannot read {str(path)!r}: 'utf-8' codec" in err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

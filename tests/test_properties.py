@@ -19,10 +19,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from hawkchan import cli, linop
+from hawkchan import cli, linop, metrics
 from hawkchan.channel import (
     ChannelParams,
     apply_channel,
@@ -40,6 +40,7 @@ from hawkchan.metrics import (
     negativity_avg_closed,
     negativity_convex_avg,
     negativity_mixture_closed,
+    report_for_states,
 )
 from hawkchan.protocol import ProtocolConfig, classical_scenario, measure_control, superposed_state
 from hawkchan.sweep import METRICS, TWO_D_METRICS, SweepSpec, emit_csv, emit_json, run_sweep
@@ -85,6 +86,19 @@ def test_branches_average_to_the_mixture(cfg):
 def test_control_trace_of_superposition_is_the_mixture(cfg):
     reduced = linop.partial_trace(superposed_state(cfg), (4, 2), keep=0)
     assert np.abs(reduced - measure_control(cfg).rho_mixture).max() <= 1e-13
+
+
+@given(configs())
+@example(ProtocolConfig(ChannelParams(0.4, 2.0), ChannelParams(0.4, 2.0)))
+def test_kept_spectra_line_up_with_their_states(cfg):
+    """The spectra `measure_control` keeps are those of the states it hands out,
+    in order, so reports from them equal reports that validate the states again."""
+    stats = measure_control(cfg)
+    states = np.array([rho for _, rho in stats.branches if rho is not None]
+                      + [stats.rho_mixture])
+    assert np.array_equal(stats.spectra, np.linalg.eigvalsh(states))
+    names = ["plus branch", "minus branch"][:len(states) - 1] + ["classical mixture"]
+    assert metrics._reports(states, stats.spectra) == report_for_states(states, names)
 
 
 @given(configs())
