@@ -93,7 +93,7 @@ class ChannelParams:
     """Squeezing angle ``r`` and phase ``phi`` of one channel, in radians.
 
     ``r`` must lie in [0, pi/2); geometry-derived values always land in
-    (0, pi/4).  ``phi`` is reduced into [0, 2*pi).
+    [0, pi/4].  ``phi`` is reduced into [0, 2*pi).
     """
 
     r: float
@@ -122,8 +122,10 @@ def squeezing_from_geometry(g: BlackHoleGeometry) -> ChannelParams:
     The squeezing angle satisfies
     ``tan r = exp(-hbar * pi * sqrt(f0) * k0 / kappa)`` with
     ``f0 = 1 - 2m/R0`` and ``kappa = 1/(4m)``, so valid geometries give
-    ``0 < r < pi/4``: hotter horizons (small mass) and low-frequency
-    modes squeeze harder.
+    ``0 <= r <= pi/4``: hotter horizons (small mass) and low-frequency
+    modes squeeze harder.  The exact ``r`` lies strictly inside, but in
+    floating point ``exp`` underflows to 0 for a huge exponent (r = 0.0)
+    and rounds to 1 for a tiny one (r = pi/4); both are valid geometries.
     """
     exponent = -g.hbar * math.pi * math.sqrt(g.redshift_factor) * g.k0 / g.surface_gravity
     return ChannelParams(r=math.atan(math.exp(exponent)), phi=0.0)

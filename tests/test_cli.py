@@ -13,8 +13,9 @@ import pytest
 import hawkchan
 from hawkchan import cli, metrics, protocol
 from hawkchan.channel import ChannelParams
+from hawkchan.sweep import SweepSpec, run_sweep
 
-from helpers import geometry_r_oracle
+from helpers import emitted, geometry_r_oracle, reference_emit_csv, reference_emit_json
 
 
 def run_json(argv):
@@ -146,6 +147,19 @@ class TestGeometryCommand:
         assert abs(doc["r"] - geometry_r_oracle(1.0, 2.02, 0.05)) < 1e-13
         assert doc["horizon_radius"] == 2.0
         assert doc["kappa"] == 0.25
+
+    @pytest.mark.parametrize(
+        "flags, r",
+        [
+            (["--mass", "1e307", "--radius", "1e308", "--k0", "1e300", "--hbar", "1e300"], 0.0),
+            (["--mass", "1e-300", "--radius", "1", "--k0", "1"], 0.7853981633974483),
+        ],
+        ids=["exp-underflows", "exp-rounds-to-one"],
+    )
+    def test_floating_point_reaches_the_interval_endpoints(self, flags, r):
+        doc = run_json(["geometry", *flags])
+        assert doc["r"] == r
+        assert r in (0.0, math.pi / 4)
 
     def test_inside_horizon_is_usage_error(self, capsys):
         code = cli.run(["geometry", "--mass", "1", "--radius", "1.9", "--k0", "0.1"])
@@ -344,6 +358,26 @@ class TestSweepCommand:
         assert out.getvalue().startswith("r,value\n")
         assert len(out.getvalue().splitlines()) == 3
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_large_grid_through_a_real_stdout_pipe(self, fmt):
+        """No forked part flushes the stdout buffer it inherits (a StringIO cannot show it)."""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(hawkchan.__file__))))
+        argv = ["sweep", "--metric", "neg_pct_diff_mixture", "--resolution", "401",
+                "--format", fmt, "--out", "-"]
+        done = subprocess.run(
+            [sys.executable, "-m", "hawkchan.cli", *argv],
+            capture_output=True,
+            cwd=root,
+            # A block-buffered stdout, as a pipe normally gets, holds the header at the fork.
+            env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                 "PYTHONPATH": "src"},
+            timeout=120,
+        )
+        grid = run_sweep(SweepSpec("neg_pct_diff_mixture", resolution=401))
+        assert (done.returncode, done.stderr) == (0, b"")
+        reference = reference_emit_csv if fmt == "csv" else reference_emit_json
+        assert done.stdout == emitted(reference, grid).encode()
 
     def test_invalid_metric(self, capsys):
         assert cli.run(["sweep", "--metric", "nope", "--out", "-"]) == 2

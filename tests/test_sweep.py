@@ -1,8 +1,10 @@
 """Tests for the sweep engine and its CSV/JSON emitters."""
 
+import functools
 import io
 import json
 import math
+import os
 import sys
 import tracemalloc
 
@@ -263,11 +265,131 @@ class TestEmitterOracle:
         grid = SweepGrid(SweepSpec("phase_curve", resolution=len(edges)), [edges], edges[::-1])
         assert emitted(emit, grid) == emitted(reference, grid)
 
+    @pytest.mark.parametrize("fmt", sorted(EMITTERS))
+    @pytest.mark.parametrize(
+        "case, one_d, cells, cpus, forks",
+        [
+            pytest.param(case, one_d, cells, cpus, forks, id=f"{case}-{'1d' if one_d else '2d'}")
+            for case, one_d, cells, cpus, forks in [
+                ("two-cpus", False, 3 * sweep._PARALLEL_CELLS // 2, 2, 1),
+                ("two-cpus", True, 3 * sweep._PARALLEL_CELLS // 2, 2, 1),
+                ("three-cpus", False, 3 * sweep._PARALLEL_CELLS // 2, 3, 2),
+                ("one-cpu", False, 3 * sweep._PARALLEL_CELLS // 2, 1, 0),
+                ("no-fork", False, 3 * sweep._PARALLEL_CELLS // 2, 2, 0),
+                ("below", False, sweep._PARALLEL_CELLS - 1, 2, 0),
+                ("below", True, sweep._PARALLEL_CELLS - 1, 2, 0),
+            ]
+        ],
+    )
+    def test_any_part_count_writes_the_reference_bytes(
+        self, monkeypatch, tmp_path, case, cells, cpus, forks, one_d, fmt
+    ):
+        """Forked parts (1 or 2 children) and the one-part cases write the same bytes."""
+        emit, _ = EMITTERS[fmt]
+        grid = _grid_of(cells, one_d)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        started = []
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            fork = _no_fork if case == "below" else os.fork
+            monkeypatch.setattr(os, "fork", lambda: started.append(1) or fork())
+        expected = _reference_text(fmt, cells, one_d)
+        assert emitted(emit, grid) == expected
+        emit(grid, str(tmp_path / "grid"))
+        assert (tmp_path / "grid").read_bytes() == expected.encode()
+        assert len(started) == 2 * forks
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fmt", sorted(EMITTERS))
+    def test_failing_child_part_raises_and_leaves_no_child(self, monkeypatch, capsys, fmt):
+        emit, _ = EMITTERS[fmt]
+        grid = _grid_of(sweep._PARALLEL_CELLS, one_d=False)
+        grid = SweepGrid(grid.spec, grid.axes, grid.values.view(_FailsInChild))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(RuntimeError, match="forked sweep part exited with status 1"):
+            emit(grid, _Discard())
+        _assert_no_child_left()
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: grid)
+        argv = ["sweep", "--metric", "neg_pct_diff_mixture", "--format", fmt, "--out", "-"]
+        assert cli.run(argv, stdout=_Discard()) == 1
+        assert "internal error: a forked sweep part" in capsys.readouterr().err
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fmt", sorted(EMITTERS))
+    @pytest.mark.parametrize("writes", [10, 210], ids=["own-part", "splice"])
+    def test_failing_stream_propagates_and_leaves_no_child(self, monkeypatch, capsys, writes, fmt):
+        emit, _ = EMITTERS[fmt]
+        # 401 rows: the parent writes the header and 200 rows, then splices.
+        grid = run_sweep(SweepSpec("neg_pct_diff_mixture", resolution=401))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(OSError, match="disk full"):
+            emit(grid, _FailsAfter(writes))
+        _assert_no_child_left()
+        argv = ["sweep", "--metric", "neg_pct_diff_mixture", "--resolution", "401",
+                "--format", fmt, "--out", "-"]
+        assert cli.run(argv, stdout=_FailsAfter(writes)) == 2
+        assert "usage error: --out: disk full" in capsys.readouterr().err
+        _assert_no_child_left()
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_of(cells: int, one_d: bool) -> SweepGrid:
+    """A 1-D curve of ``cells`` points, or a near-square 2-D grid of at least ``cells`` cells."""
+    if one_d:
+        r = np.linspace(0.0, 1.5, cells)
+        return SweepGrid(SweepSpec("phase_curve", resolution=2001), [r], np.cos(r) ** 2 / 2)
+    rows = math.isqrt(cells)
+    r1 = np.linspace(0.0, math.pi / 4, rows)
+    r2 = np.linspace(0.0, math.pi / 4, -(-cells // rows))
+    return SweepGrid(SweepSpec("neg_pct_diff_mixture", resolution=2001), [r1, r2],
+                     metrics.negativity_avg_closed(r1[:, np.newaxis], r2))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_text(fmt: str, cells: int, one_d: bool) -> str:
+    return emitted(EMITTERS[fmt][1], _grid_of(cells, one_d))
+
+
+def _no_fork():
+    raise AssertionError("os.fork called below the parallel threshold")
+
+
+def _assert_no_child_left():
+    """Every child this process started has been reaped (none running, none a zombie)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_TEST_PID = os.getpid()
+
+
+class _FailsInChild(np.ndarray):
+    """Values whose rows cannot be listed in any process but this one."""
+
+    def tolist(self):
+        if os.getpid() != _TEST_PID:
+            raise RuntimeError("row listed in a child")
+        return super().tolist()
+
 
 class _Discard(io.TextIOBase):
     """A text stream that keeps nothing, so only the emitter's own allocations count."""
 
     def write(self, text):
+        return len(text)
+
+
+class _FailsAfter(_Discard):
+    """A text stream whose ``write`` raises once ``writes`` calls have succeeded."""
+
+    def __init__(self, writes):
+        self.left = writes
+
+    def write(self, text):
+        self.left -= 1
+        if self.left < 0:
+            raise OSError("disk full")
         return len(text)
 
 
