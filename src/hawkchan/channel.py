@@ -65,7 +65,9 @@ class BlackHoleGeometry:
                 raise DomainError(field, f"{field} must be positive and finite, got {value}")
         if not math.isfinite(self.surface_gravity):
             raise DomainError("mass", f"surface gravity 1/(4*mass) overflows for mass {self.mass}")
-        if not (math.isfinite(self.radius) and self.radius > 2.0 * self.mass):
+        if not math.isfinite(self.radius):
+            raise DomainError("radius", f"radius must be finite, got {self.radius}")
+        if not self.radius > 2.0 * self.mass:
             raise DomainError("radius", "observer inside horizon: "
                               f"radius {self.radius} <= 2*mass = {2 * self.mass}")
 
@@ -100,10 +102,12 @@ class ChannelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and 0.0 <= self.r < math.pi / 2):
-            raise ValueError(f"squeezing r must be in [0, pi/2), got {self.r}")
+        if not math.isfinite(self.r):
+            raise DomainError("r", f"squeezing r must be finite, got {self.r}")
+        if not 0.0 <= self.r < math.pi / 2:
+            raise DomainError("r", f"squeezing r must be in [0, pi/2), got {self.r}")
         if not math.isfinite(self.phi):
-            raise ValueError(f"phase phi must be finite, got {self.phi}")
+            raise DomainError("phi", f"phase phi must be finite, got {self.phi}")
         phi = self.phi % (2.0 * math.pi)
         # A tiny negative phase reduces to 2*pi - eps, which rounds to 2*pi.
         object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)

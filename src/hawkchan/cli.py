@@ -10,7 +10,7 @@ override it.  Reports print as human-readable text or, with
 ``--format json``, as a JSON object with sorted keys that echoes the
 effective configuration under ``"config"``.
 
-Exit codes: 0 success, 2 usage error, 1 internal invariant violation.
+Exit codes: 0 success or --help, 2 usage error naming its flag, 1 other failure.
 All angles are radians.
 """
 
@@ -35,11 +35,15 @@ from .channel import (
     kraus_pair,
     squeezing_from_geometry,
 )
-from .sweep import MAX_RESOLUTION, METRICS, SweepSpec, emit_csv, emit_json, run_sweep
+from .sweep import METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
 
 class UsageError(Exception):
-    """Bad invocation: unknown flag, missing value, out-of-domain input."""
+    """Bad invocation: unknown flag, missing value, unreadable config file."""
+
+
+class _Help(Exception):
+    """``-h``/``--help``: the help text, which `run` prints to its output stream."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,63 +55,46 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 2 <= value <= MAX_RESOLUTION:
-        raise argparse.ArgumentTypeError(f"must be in [2, {MAX_RESOLUTION}], got {value}")
-    return value
+    def print_help(self, file=None):
+        raise _Help(self.format_help())  # in place of printing to sys.stdout and exiting
 
 
 # Report format row shared by the subcommands that print one report.
 _REPORT_FORMAT = (str, "human", False, ("human", "json"))
 
 # Per-subcommand parameter tables: name -> (type, default, required, choices).
-# Defaults and choices are applied after the config-file merge, so the
-# parser itself always uses None as the "not provided" sentinel.
+# Defaults and choices are applied after the config-file merge, so the parser
+# uses None for "not provided"; the library type that takes a value checks it.
 _PARAMS = {
     "geometry": {
-        "mass": (_finite_float, None, True, None),
-        "radius": (_finite_float, None, True, None),
-        "k0": (_finite_float, None, True, None),
-        "hbar": (_finite_float, 1.0, False, None),
+        "mass": (float, None, True, None),
+        "radius": (float, None, True, None),
+        "k0": (float, None, True, None),
+        "hbar": (float, 1.0, False, None),
         "format": _REPORT_FORMAT,
     },
     "channel": {
-        "r": (_finite_float, None, True, None),
-        "phi": (_finite_float, 0.0, False, None),
+        "r": (float, None, True, None),
+        "phi": (float, 0.0, False, None),
         "state": (str, "bell", False, ("bell",)),
         "format": _REPORT_FORMAT,
     },
     "protocol": {
-        "r1": (_finite_float, None, True, None),
-        "r2": (_finite_float, None, True, None),
-        "phi1": (_finite_float, 0.0, False, None),
-        "phi2": (_finite_float, 0.0, False, None),
+        "r1": (float, None, True, None),
+        "r2": (float, None, True, None),
+        "phi1": (float, 0.0, False, None),
+        "phi2": (float, 0.0, False, None),
         "format": _REPORT_FORMAT,
     },
     "phase": {
-        "r": (_finite_float, None, True, None),
+        "r": (float, None, True, None),
         "format": _REPORT_FORMAT,
     },
     "sweep": {
         "metric": (str, None, True, METRICS),
-        "resolution": (_positive_int, 101, False, None),
-        "min": (_finite_float, 0.0, False, None),
-        "max": (_finite_float, math.pi / 4, False, None),
+        "resolution": (int, 101, False, None),
+        "min": (float, 0.0, False, None),
+        "max": (float, math.pi / 4, False, None),
         "out": (str, None, True, None),
         "format": (str, "csv", False, ("csv", "json")),
     },
@@ -176,8 +163,8 @@ def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
         if value is None and flag in config:
             raw = config[flag]
             try:
-                value = ftype(raw) if isinstance(raw, str) else ftype(str(raw))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
+                value = ftype(str(raw))
+            except ValueError as exc:
                 raise UsageError(f"--config: key {flag!r}: {exc}")
         if value is None:
             value = default
@@ -196,21 +183,8 @@ def _matrix_payload(arr: Optional[np.ndarray]):
     return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
-def _channel_params(cfg: dict, suffix: str = "") -> ChannelParams:
-    # A phase that passed _finite_float is always accepted, so only r can be wrong.
-    try:
-        return ChannelParams(r=cfg["r" + suffix], phi=cfg["phi" + suffix])
-    except ValueError as exc:
-        raise UsageError(f"--r{suffix}: {exc}")
-
-
 def _run_geometry(cfg: dict) -> dict:
-    try:
-        geometry = BlackHoleGeometry(
-            mass=cfg["mass"], radius=cfg["radius"], k0=cfg["k0"], hbar=cfg["hbar"]
-        )
-    except DomainError as exc:
-        raise UsageError(f"--{exc.field}: {exc}")
+    geometry = BlackHoleGeometry(cfg["mass"], cfg["radius"], cfg["k0"], cfg["hbar"])
     params = squeezing_from_geometry(geometry)
     return {
         "r": params.r,
@@ -221,7 +195,7 @@ def _run_geometry(cfg: dict) -> dict:
 
 
 def _run_channel(cfg: dict) -> dict:
-    params = _channel_params(cfg)
+    params = ChannelParams(r=cfg["r"], phi=cfg["phi"])
     pair = kraus_pair(params)
     # The library's Bell state needs no input check; the report validates the output state.
     output = _kraus_block(protocol.bell_state(), pair, pair)
@@ -267,6 +241,15 @@ def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi
     }, branches, report
 
 
+def _channel_params(cfg: dict, suffix: str) -> ChannelParams:
+    """Protocol channel ``suffix`` ("1" or "2"); a refused value keeps its flag's suffix."""
+    try:
+        return ChannelParams(r=cfg["r" + suffix], phi=cfg["phi" + suffix])
+    except DomainError as exc:
+        exc.field += suffix
+        raise
+
+
 def _run_protocol(cfg: dict) -> dict:
     p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
     dphi = p1.phi - p2.phi
@@ -293,10 +276,7 @@ def _run_protocol(cfg: dict) -> dict:
 
 
 def _run_phase(cfg: dict) -> dict:
-    try:
-        stats = protocol.phase_protocol(cfg["r"])
-    except ValueError as exc:
-        raise UsageError(f"--r: {exc}")
+    stats = protocol.phase_protocol(cfg["r"])
     # blocks[0, 0] is the output of params1 = (r, 0), the single channel.
     output = linop.check_two_qubit(stats.blocks[0, 0], "channel output")
     payload, branches, single = _branch_reports(stats, cfg["r"], cfg["r"], math.pi, *output)
@@ -306,16 +286,8 @@ def _run_phase(cfg: dict) -> dict:
 
 
 def _run_sweep(cfg: dict, stream) -> None:
-    try:
-        spec = SweepSpec(
-            metric=cfg["metric"],
-            r1_range=(cfg["min"], cfg["max"]),
-            r2_range=(cfg["min"], cfg["max"]),
-            resolution=cfg["resolution"],
-        )
-    except ValueError as exc:
-        raise UsageError(f"--min/--max: {exc}")
-    grid = run_sweep(spec)
+    axis = (cfg["min"], cfg["max"])
+    grid = run_sweep(SweepSpec(cfg["metric"], axis, axis, cfg["resolution"]))
     destination = stream if cfg["out"] == "-" else cfg["out"]
     try:
         if cfg["format"] == "csv":
@@ -366,6 +338,13 @@ def run(argv=None, stdout=None) -> int:
         else:
             _print_human(payload, stream)
         return 0
+    except _Help as exc:
+        stream.write(str(exc))
+        return 0
+    except DomainError as exc:  # a value the library refused, named by the flag it came from
+        flag = "min/--max" if exc.field in ("r1_range", "r2_range") else exc.field
+        print(f"usage error: --{flag}: {exc}", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

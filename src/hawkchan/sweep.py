@@ -46,6 +46,7 @@ from typing import IO, Callable, Union
 import numpy as np
 
 from . import metrics
+from .channel import DomainError
 # Not called here: perfbench's tracer test still looks this binding up.
 from .protocol import measure_control  # noqa: F401
 
@@ -78,19 +79,20 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}; choose from {METRICS}")
+            raise DomainError("metric", f"unknown metric {self.metric!r}; choose from {METRICS}")
         if not 2 <= self.resolution <= MAX_RESOLUTION:
-            raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
+            raise DomainError("resolution",
+                              f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
         r_max = MAX_R_1D if self.is_one_dimensional else MAX_R_2D
         ranges = [self.r1_range] if self.is_one_dimensional else [self.r1_range, self.r2_range]
         for label, (lo, hi) in zip(("r1_range", "r2_range"), ranges):
             if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{label} must be finite, got ({lo}, {hi})")
+                raise DomainError(label, f"{label} must be finite, got ({lo}, {hi})")
             if lo > hi:
-                raise ValueError(f"{label} is empty: ({lo}, {hi})")
+                raise DomainError(label, f"{label} is empty: ({lo}, {hi})")
             if lo < 0.0 or hi > r_max or (self.is_one_dimensional and hi >= r_max):
-                raise ValueError(
-                    f"{label} ({lo}, {hi}) outside the metric domain [0, {r_max:.6g}"
+                raise DomainError(
+                    label, f"{label} ({lo}, {hi}) outside the metric domain [0, {r_max:.6g}"
                     + (")" if self.is_one_dimensional else "]")
                 )
 
@@ -208,8 +210,11 @@ def _write_rows(stream: IO[str], values: np.ndarray, row_text: Callable[[int], s
     bounds = [len(values) * k // parts for k in range(parts + 1)]
     children = []
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_part(range(lo, hi), row_text))
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork_part(range(lo, hi), row_text))
+        except OSError as exc:  # no temporary file or process: not the destination's fault
+            raise RuntimeError(f"cannot start a forked sweep part: {exc}") from exc
         stream.writelines(map(row_text, range(bounds[1])))
         while children:
             pid, part = children[0]
@@ -259,7 +264,7 @@ def emit_json(grid: SweepGrid, destination: Destination = None) -> None:
 
     The bytes are ``json.dumps(document, sort_keys=True,
     separators=(",", ":"))`` plus a newline, written one row of
-    ``values`` (one value in 1-D) at a time.
+    ``values`` at a time; a 1-D curve is one row.
     """
     spec = {
         "metric": grid.spec.metric,
@@ -267,13 +272,14 @@ def emit_json(grid: SweepGrid, destination: Destination = None) -> None:
         "r2_range": list(grid.spec.r2_range),
         "resolution": grid.spec.resolution,
     }
-    values = grid.values
+    one_d = grid.spec.is_one_dimensional
+    rows = np.atleast_2d(grid.values)
 
     def row_text(i: int) -> str:
-        return ("," if i else "") + _ENCODE(values[i].tolist())
+        return ("," if i else "") + _ENCODE(rows[i].tolist())
 
     with _open_destination(destination) as stream:
         axes = _ENCODE([axis.tolist() for axis in grid.axes])
-        stream.write(f'{{"axes":{axes},"spec":{_ENCODE(spec)},"values":[')
-        _write_rows(stream, values, row_text)
-        stream.write("]}\n")
+        stream.write(f'{{"axes":{axes},"spec":{_ENCODE(spec)},"values":' + ("" if one_d else "["))
+        _write_rows(stream, rows, row_text)
+        stream.write(("" if one_d else "]") + "}\n")

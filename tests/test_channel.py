@@ -9,6 +9,7 @@ from hawkchan import linop
 from hawkchan.channel import (
     BlackHoleGeometry,
     ChannelParams,
+    DomainError,
     apply_channel,
     apply_channel_dilated,
     channel_output_closed_form,
@@ -69,6 +70,25 @@ class TestGeometry:
             BlackHoleGeometry(mass=1.0, radius=3.0, k0=-0.1)
         with pytest.raises(ValueError, match="hbar"):
             BlackHoleGeometry(mass=1.0, radius=3.0, k0=0.1, hbar=0.0)
+
+
+@pytest.mark.parametrize(
+    "make, field, message",
+    [
+        (lambda: BlackHoleGeometry(mass=math.nan, radius=3.0, k0=0.1), "mass", "mass must be positive"),
+        (lambda: BlackHoleGeometry(mass=1.0, radius=math.inf, k0=0.1), "radius", "radius must be finite"),
+        (lambda: BlackHoleGeometry(mass=1.0, radius=1.5, k0=0.1), "radius", "observer inside horizon"),
+        (lambda: BlackHoleGeometry(mass=1.0, radius=3.0, k0=0.1, hbar=-math.inf), "hbar", "hbar must"),
+        (lambda: ChannelParams(r=math.nan), "r", "squeezing r must be finite, got nan"),
+        (lambda: ChannelParams(r=2.0), "r", r"squeezing r must be in \[0, pi/2\), got 2.0"),
+        (lambda: ChannelParams(r=0.1, phi=-math.inf), "phi", "phase phi must be finite"),
+    ],
+    ids=["mass-nan", "radius-inf", "radius-inside", "hbar-inf", "r-nan", "r-range", "phi-inf"],
+)
+def test_refused_value_names_its_field(make, field, message):
+    with pytest.raises(DomainError, match=message) as refused:
+        make()
+    assert refused.value.field == field
 
 
 class TestChannelParams:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import hawkchan
-from hawkchan import cli, metrics, protocol
+from hawkchan import cli, linop, metrics, protocol
 from hawkchan.channel import ChannelParams
 from hawkchan.sweep import SweepSpec, run_sweep
 
@@ -26,6 +27,27 @@ def run_json(argv):
 
 
 PROTOCOL_QUERY = ["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0"]
+
+
+# Valid values of each subcommand's required flags.
+VALID = {
+    "geometry": {"mass": 1.0, "radius": 3.0, "k0": 0.05},
+    "channel": {"r": 0.4},
+    "protocol": {"r1": 0.2, "r2": 0.7},
+    "phase": {"r": 0.5},
+    "sweep": {"metric": "neg_pct_diff_mixture", "out": "-"},
+}
+NUMERIC_FLAGS = [(sub, flag, ftype) for sub, params in cli._PARAMS.items()
+                 for flag, (ftype, *_) in params.items() if ftype is not str]
+
+
+def given(subcommand, values, from_config, tmp_path):
+    """The argv of ``subcommand`` with ``values`` as flags, or as the keys of a config file."""
+    if from_config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        return [subcommand, "--config", str(path)]
+    return [subcommand] + [f"--{k}={v}" for k, v in values.items()]
 
 
 class TestProtocolCommand:
@@ -181,13 +203,7 @@ class TestGeometryCommand:
     def test_domain_error_names_only_its_flag(
         self, tmp_path, capsys, flag, value, message, from_config
     ):
-        values = {"mass": 1.0, "radius": 3.0, "k0": 0.05, flag: value}
-        if from_config:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(values))
-            argv = ["geometry", "--config", str(path)]
-        else:
-            argv = ["geometry"] + [f"--{k}={v!r}" for k, v in values.items()]
+        argv = given("geometry", {**VALID["geometry"], flag: value}, from_config, tmp_path)
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
         assert f"usage error: --{flag}: {message}" in err
@@ -218,9 +234,24 @@ class TestUsageErrors:
         assert cli.run(["channel", "--r", "3.5"]) == 2
         assert "squeezing" in capsys.readouterr().err
 
-    def test_non_finite_value(self, capsys):
-        assert cli.run(["channel", "--r", "nan"]) == 2
-        assert "finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("subcommand, flag, ftype", NUMERIC_FLAGS,
+                             ids=[f"{sub}-{flag}" for sub, flag, _ in NUMERIC_FLAGS])
+    def test_bad_number_names_only_its_flag(
+        self, tmp_path, capsys, subcommand, flag, ftype, value, from_config
+    ):
+        """The library refuses a non-finite value, the converter a non-number (int: both)."""
+        argv = given(subcommand, {**VALID[subcommand], flag: value}, from_config, tmp_path)
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        # A refused value names its flag; a config value that is no number names its key.
+        assert f"--{flag}" in err or f"--config: key {flag!r}" in err, err
+        pair = {"--min", "--max"} if flag in ("min", "max") else {f"--{flag}"}
+        others = {f"--{name}" for name in cli._PARAMS[subcommand]} - pair
+        assert not any(re.search(re.escape(other) + r"(?!\w)", err) for other in others), err
+        if value != "abc" and ftype is float:
+            assert "finite" in err
 
     def test_missing_subcommand(self, capsys):
         assert cli.run([]) == 2
@@ -426,14 +457,24 @@ class TestRepeatedRuns:
     def fresh_process(argv):
         src = os.path.dirname(os.path.dirname(hawkchan.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         done = subprocess.run(
             [sys.executable, "-m", "hawkchan.cli", *argv],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**env, "PYTHONPATH": path},
             timeout=60,
         )
         return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["protocol", "-h"]], ids=["help", "protocol-h"])
+    def test_help_is_written_to_the_output_stream(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to this width in both processes
+        out = io.StringIO()
+        assert cli.run(argv, stdout=out) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.getvalue().startswith("usage: hawkchan")
+        assert self.fresh_process(argv) == (0, out.getvalue(), "")
 
     def test_each_run_prints_what_a_fresh_process_prints(self, tmp_path, capsys):
         config = tmp_path / "phi2.json"
@@ -464,3 +505,14 @@ class TestInternalErrorPath:
         monkeypatch.setattr(cli.protocol, "measure_control", boom)
         assert cli.run(["protocol", "--r1", "0.1", "--r2", "0.2"]) == 1
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["protocol", "--r1", "0.1", "--r2", "0.2"], ["phase", "--r", "0.5"]],
+                             ids=["protocol", "phase"])
+    def test_invalid_state_is_internal_error(self, monkeypatch, capsys, argv):
+        """A library state that fails its check is not the user's input."""
+        def refuse(*args, **kwargs):
+            raise ValueError("plus branch is not Hermitian")
+
+        monkeypatch.setattr(linop, "check_density_matrix", refuse)
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == "internal error: plus branch is not Hermitian\n"

@@ -1,17 +1,20 @@
 """Tests for the sweep engine and its CSV/JSON emitters."""
 
+import errno
 import functools
 import io
 import json
 import math
 import os
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hawkchan import cli, metrics, sweep
+from hawkchan.channel import DomainError
 from hawkchan.sweep import SweepGrid, SweepSpec, emit_csv, emit_json, run_sweep
 
 from helpers import (
@@ -26,6 +29,22 @@ EMITTERS = {"csv": (emit_csv, reference_emit_csv), "json": (emit_json, reference
 
 
 class TestSweepSpec:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"metric": "negativity"}, "metric"),
+            ({"resolution": 2002}, "resolution"),
+            ({"r1_range": (math.nan, 0.5)}, "r1_range"),
+            ({"r2_range": (0.5, 0.2)}, "r2_range"),
+            ({"r2_range": (0.0, 1.0)}, "r2_range"),
+        ],
+        ids=["metric", "resolution", "r1-nan", "r2-empty", "r2-domain"],
+    )
+    def test_refused_value_names_its_field(self, kwargs, field):
+        with pytest.raises(DomainError) as refused:
+            SweepSpec(**{"metric": "neg_pct_diff_mixture", **kwargs})
+        assert refused.value.field == field
+
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):
             SweepSpec("negativity")
@@ -298,7 +317,8 @@ class TestEmitterOracle:
         assert emitted(emit, grid) == expected
         emit(grid, str(tmp_path / "grid"))
         assert (tmp_path / "grid").read_bytes() == expected.encode()
-        assert len(started) == 2 * forks
+        # A 1-D JSON curve is one row, one encoder call, so one process writes it.
+        assert len(started) == (0 if one_d and fmt == "json" else 2 * forks)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("fmt", sorted(EMITTERS))
@@ -315,6 +335,34 @@ class TestEmitterOracle:
         assert cli.run(argv, stdout=_Discard()) == 1
         assert "internal error: a forked sweep part" in capsys.readouterr().err
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("fmt", sorted(EMITTERS))
+    @pytest.mark.parametrize("module, name", [(os, "fork"), (tempfile, "TemporaryFile")],
+                             ids=["fork", "temporary-file"])
+    def test_failed_second_part_start_is_internal_error(self, monkeypatch, capsys, module, name, fmt):
+        """An OSError starting a part is the host's, not --out's; the started child is reaped."""
+        emit, _ = EMITTERS[fmt]
+        grid = run_sweep(SweepSpec("neg_pct_diff_mixture", resolution=401))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # three parts
+        start, calls = getattr(module, name), []
+
+        def every_second_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return start(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, every_second_call_fails)
+        refused = rf"cannot start a forked sweep part: \[Errno {errno.EAGAIN}\]"
+        with pytest.raises(RuntimeError, match=refused):
+            emit(grid, _Discard())
+        _assert_no_child_left()
+        argv = ["sweep", "--metric", "neg_pct_diff_mixture", "--resolution", "401",
+                "--format", fmt, "--out", "-"]
+        assert cli.run(argv, stdout=_Discard()) == 1
+        assert "internal error: cannot start a forked sweep part" in capsys.readouterr().err
+        _assert_no_child_left()
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("fmt", sorted(EMITTERS))
     @pytest.mark.parametrize("writes", [10, 210], ids=["own-part", "splice"])
