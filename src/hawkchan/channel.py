@@ -135,25 +135,29 @@ def squeezing_from_geometry(g: BlackHoleGeometry) -> ChannelParams:
     return ChannelParams(r=math.atan(math.exp(exponent)), phi=0.0)
 
 
-def kraus_pair(p: ChannelParams) -> KrausPair:
-    """Build the Kraus pair for the given parameters.
+def kraus_operators(*params: ChannelParams) -> np.ndarray:
+    """The ``(m, 2, 4, 4)`` Kraus array of ``m`` channels, ``[i] = (m0, m1)`` of ``params[i]``.
 
     ``m0`` damps Rob's vacuum by cos(r) and leaves an occupied mode
     alone; ``m1`` creates a particle in Rob's mode with amplitude
-    ``exp(-i phi) sin(r)``.  Together they satisfy
-    ``m0^dag m0 + m1^dag m1 = I``.
+    ``exp(-i phi) sin(r)``.  One check over the stack confirms
+    ``m0^dag m0 + m1^dag m1 = I`` for every channel.
     """
-    c, s = math.cos(p.r), math.sin(p.r)
-    m0 = np.diag([c, 1.0, c, 1.0]).astype(complex)
-    m1 = np.zeros((4, 4), dtype=complex)
-    amp = np.exp(-1j * p.phi) * s
-    m1[1, 0] = amp
-    m1[3, 2] = amp
-    pair = KrausPair(m0, m1)
-    defect = np.abs(m0.conj().T @ m0 + m1.conj().T @ m1 - np.eye(4)).max()
+    ks = np.zeros((len(params), 2, 4, 4), dtype=complex)
+    for k, p in zip(ks, params):
+        k[0, 0, 0] = k[0, 2, 2] = math.cos(p.r)
+        k[0, 1, 1] = k[0, 3, 3] = 1.0
+        k[1, 1, 0] = k[1, 3, 2] = np.exp(-1j * p.phi) * math.sin(p.r)
+    stacked = ks.reshape(-1, 8, 4)  # [m0; m1], so stacked^dag stacked = m0^dag m0 + m1^dag m1
+    defect = np.abs(stacked.conj().swapaxes(-1, -2) @ stacked - np.eye(4)).max()
     if defect > COMPLETENESS_TOL:
         raise ValueError(f"Kraus completeness violated by {defect:.3e}")
-    return pair
+    return ks
+
+
+def kraus_pair(p: ChannelParams) -> KrausPair:
+    """The Kraus pair of one channel: `kraus_operators` of the stack of one."""
+    return KrausPair(*kraus_operators(p)[0])
 
 
 def _kraus_block(rho: np.ndarray, left, right) -> np.ndarray:

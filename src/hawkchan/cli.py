@@ -101,7 +101,7 @@ _PARAMS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
     # --format and --config are accepted both before and after the
     # subcommand; the post-subcommand occurrence wins.
     parser = _Parser(prog="hawkchan", description=__doc__.splitlines()[0])
@@ -114,11 +114,22 @@ def _build_parser() -> _Parser:
             shown = "{" + ",".join(choices) + "}" if choices else None
             p.add_argument(f"--{flag}", type=ftype, default=None, metavar=shown)
         p.add_argument("--config", type=str, default=None)
-    return parser
+    return parser, sub.choices  # choices: subcommand name -> its parser
 
 
-# Parsing leaves the parser unchanged, so one instance serves every call.
-_PARSER = _build_parser()
+# Parsing leaves the parsers unchanged, so one instance of each serves every call.
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """`_PARSER.parse_args`, in one pass when ``argv[0]`` names a subcommand: `_PARSER`
+    hands all that follows it to that subcommand's parser, so the result is the same."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _SUBPARSERS:
+        return _PARSER.parse_args(argv)
+    args = _SUBPARSERS[argv[0]].parse_args(argv[1:])
+    args.subcommand, args.global_format, args.global_config = argv[0], None, None
+    return args
 
 
 def load_config(path: str) -> dict:
@@ -180,7 +191,7 @@ def _matrix_payload(arr: Optional[np.ndarray]):
     """Complex matrix as nested [real, imag] pairs (JSON has no complex type)."""
     if arr is None:
         return None
-    return np.stack((arr.real, arr.imag), axis=-1).tolist()
+    return np.ascontiguousarray(arr).view(float).reshape(arr.shape + (2,)).tolist()
 
 
 def _run_geometry(cfg: dict) -> dict:
@@ -215,19 +226,17 @@ def _run_channel(cfg: dict) -> dict:
 
 
 def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float,
-                    state: np.ndarray, spectrum: np.ndarray):
+                    states: np.ndarray, spectra: np.ndarray):
     """The branch fields `protocol` and `phase` both print, and one stacked
-    report over the branch states that occur and the checked ``state``, from
-    their checks' spectra (``stats.spectra``, ``spectrum``).  Returns
+    report over ``states``, checked with spectra ``spectra``: the branch
+    states that occur, plus branch first, then one more state.  Returns
     ``(payload, branches, report)`` with ``branches`` the
-    ``(probability, MetricReport)`` pairs of the branches that occur, plus
-    branch first, and ``report`` that of ``state``.  Branch averages keep
-    the order 0.0 + plus + minus.
+    ``(probability, MetricReport)`` pairs of the branches that occur and
+    ``report`` that of the last state.  Branch averages keep the order
+    0.0 + plus + minus.
     """
-    present = [(p, rho) for p, rho in stats.branches if rho is not None]
-    *reports, report = metrics._reports(np.array([rho for _, rho in present] + [state]),
-                                        np.vstack((stats.spectra[:-1], spectrum)))
-    branches = [(p, r) for (p, _), r in zip(present, reports)]
+    *reports, report = metrics._reports(states, spectra)
+    branches = list(zip((stats.p_plus, stats.p_minus), reports))
     average = sum((p * r.negativity_numeric for p, r in branches), 0.0)
     closed = metrics.negativity_avg_closed(r1, r2, dphi)
     metrics.check_closed_form("negativity_avg", average, closed)
@@ -254,8 +263,7 @@ def _run_protocol(cfg: dict) -> dict:
     p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
     dphi = p1.phi - p2.phi
     stats = protocol.measure_control(protocol.ProtocolConfig(p1, p2))
-    payload, branches, mixture = _branch_reports(
-        stats, p1.r, p2.r, dphi, stats.rho_mixture, stats.spectra[-1])
+    payload, branches, mixture = _branch_reports(stats, p1.r, p2.r, dphi, stats.states, stats.spectra)
     payload.update({
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
@@ -278,8 +286,10 @@ def _run_protocol(cfg: dict) -> dict:
 def _run_phase(cfg: dict) -> dict:
     stats = protocol.phase_protocol(cfg["r"])
     # blocks[0, 0] is the output of params1 = (r, 0), the single channel.
-    output = linop.check_two_qubit(stats.blocks[0, 0], "channel output")
-    payload, branches, single = _branch_reports(stats, cfg["r"], cfg["r"], math.pi, *output)
+    output, spectrum = linop.check_two_qubit(stats.blocks[0, 0], "channel output")
+    payload, branches, single = _branch_reports(
+        stats, cfg["r"], cfg["r"], math.pi, np.concatenate((stats.states[:-1], output[None])),
+        np.concatenate((stats.spectra[:-1], spectrum[None])))
     payload["negativity_plus"] = branches[0][1].negativity_numeric
     payload["negativity_single_channel"] = single.negativity_numeric
     return payload
@@ -324,7 +334,7 @@ def run(argv=None, stdout=None) -> int:
     """Parse ``argv``, execute the subcommand, and return the exit code."""
     stream = stdout if stdout is not None else sys.stdout
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         if args.subcommand is None:
             raise UsageError(f"a subcommand is required ({', '.join(_PARAMS)})")
         effective = _merge_config(args.subcommand, args)
@@ -343,7 +353,8 @@ def run(argv=None, stdout=None) -> int:
         return 0
     except DomainError as exc:  # a value the library refused, named by the flag it came from
         flag = "min/--max" if exc.field in ("r1_range", "r2_range") else exc.field
-        print(f"usage error: --{flag}: {exc}", file=sys.stderr)
+        message = re.sub(r"\br[12]_range\b", "range", str(exc))  # both axes take --min/--max
+        print(f"usage error: --{flag}: {message}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,11 +3,11 @@
 Numeric negativity and coherent information sit next to the closed
 forms for the protocol scenarios, so every closed form can be checked
 against the fully numeric pipeline.  All entropies are in bits.  Each
-public function validates the state it is handed once, reuses the
-validation spectrum as the state's own, then takes the other spectra it
-needs with ``numpy.linalg.eigvalsh``; `report_for_states` does each of
-those stages in one call for a stack; `_reports` does the last for a stack
-checked elsewhere, from that check's spectra (`BranchStatistics.spectra`).
+public function validates its state once and reuses that spectrum as S(AB);
+`_reports` takes each other spectrum of a checked stack in one ``eigvalsh``
+and reduces them to every measure at once.  `report_for_states` checks a
+stack and reports it, each numeric measure of one state is the stack of one,
+and the point queries pass a stack checked with `BranchStatistics.spectra`.
 The closed forms take floats or arrays that broadcast together.
 """
 
@@ -26,6 +26,8 @@ NEGATIVITY_CLIP = 1e-12
 PPT_TOL = -1e-10
 # Allowed gap between a closed form and its numeric counterpart.
 CLOSED_FORM_TOL = 1e-10
+# The smallest positive float: log2 of it is finite, and 0 * log2(_TINY) = 0.
+_TINY = 5e-324
 
 
 @dataclass(frozen=True)
@@ -49,24 +51,13 @@ def check_closed_form(name: str, numeric: float, closed: float) -> None:
         raise ValueError(f"closed-form {name} differs from numeric by {gap:.3e}")
 
 
-def _pt_spectrum(arr: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(linop.partial_transpose(arr, (2, 2)))
-
-
-def _negativity(pt_eigs: np.ndarray) -> float:
-    value = (float(np.abs(pt_eigs).sum()) - 1.0) / 2.0
-    if value < -NEGATIVITY_CLIP:
-        raise ValueError(f"negativity {value} below clip floor {-NEGATIVITY_CLIP}")
-    return max(value, 0.0)
-
-
 def negativity(rho) -> float:
     """Negativity (||rho^T_A||_1 - 1)/2 of a two-qubit state.
 
     Zero exactly for separable states; 1/2 for a maximally entangled
     pair.  Values in [-1e-12, 0) from roundoff are clipped to 0.
     """
-    return _negativity(_pt_spectrum(linop.check_two_qubit(rho)[0]))
+    return report_for_state(rho).negativity_numeric
 
 
 def _plus_branch_terms(r1, r2, dphi):
@@ -104,7 +95,7 @@ def negativity_convex_avg(r1, r2):
 
 def _weight_entropy(*weights):
     """``sum(-x log2 x)`` over non-negative weights, with ``0 log2 0 = 0``."""
-    return sum(-x * np.log2(np.where(x > 0.0, x, 1.0)) for x in weights)
+    return sum(-x * np.log2(np.maximum(x, _TINY)) for x in weights)
 
 
 def coherent_info_closed(r1, r2, dphi=0.0):
@@ -127,18 +118,16 @@ def coherent_info_closed(r1, r2, dphi=0.0):
     return ensemble, rob - _weight_entropy(big, (c1 - c2) ** 2 / 16.0 / big, s_sq / 4.0)
 
 
-def _entropy(eigs: np.ndarray) -> float:
-    positive = eigs[eigs > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
+def _entropies(eigs: np.ndarray) -> np.ndarray:
+    """``-sum(l log2 l)`` over the last axis of ascending spectra: eigenvalues <= 0
+    lead, add exact zeros and leave the sum of the positive terms unchanged."""
+    x = np.maximum(eigs, 0.0)
+    return -(x * np.log2(np.maximum(x, _TINY))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(l * log2 l) of a state's spectrum, in bits."""
-    return _entropy(linop.check_density_matrix(rho, "state", spectrum=True)[1])
-
-
-def _rob_spectrum(arr: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(linop.partial_trace(arr, (2, 2), keep=1))
+    return float(_entropies(linop.check_density_matrix(rho, "state", spectrum=True)[1]))
 
 
 def coherent_information(rho) -> float:
@@ -148,8 +137,7 @@ def coherent_information(rho) -> float:
     that produced ``rho`` from a maximally entangled input; a maximally
     entangled state gives +1 bit, a maximally mixed one -1 bit.
     """
-    arr, eigs = linop.check_two_qubit(rho)
-    return _entropy(_rob_spectrum(arr)) - _entropy(eigs)
+    return report_for_state(rho).coherent_information
 
 
 def _branch_average(branches, measure) -> float:
@@ -177,19 +165,23 @@ def average_branch_negativity(branches: Iterable[tuple[float, Optional[np.ndarra
 
 def ppt_separable(rho) -> bool:
     """Positive-partial-transpose test; equivalent to separability for 2x2."""
-    return bool(_pt_spectrum(linop.check_two_qubit(rho)[0])[0] >= PPT_TOL)
+    return report_for_state(rho).ppt
 
 
 def _reports(arr: np.ndarray, eigs: np.ndarray) -> list[MetricReport]:
-    """The reports of a ``(k, 4, 4)`` stack checked elsewhere, whose spectra are ``eigs``."""
-    return [
-        MetricReport(
-            negativity_numeric=_negativity(pt),
-            coherent_information=_entropy(rob) - _entropy(ab),
-            ppt=bool(pt[0] >= PPT_TOL),
-        )
-        for ab, pt, rob in zip(eigs, _pt_spectrum(arr), _rob_spectrum(arr))
-    ]
+    """The reports of a ``(k, 4, 4)`` stack checked elsewhere, whose spectra are ``eigs``:
+    partial transposes and Rob's states from one reshape of the stack, then one
+    reduction per measure over the ``(k, 4)`` and ``(k, 2)`` spectra."""
+    split = arr.reshape(-1, 2, 2, 2, 2)
+    pt = np.linalg.eigvalsh(split.swapaxes(1, 3).reshape(-1, 4, 4))
+    rob = np.linalg.eigvalsh(np.trace(split, axis1=1, axis2=3))
+    negativities = (np.abs(pt).sum(axis=-1) - 1.0) / 2.0
+    if negativities.min() < -NEGATIVITY_CLIP:
+        raise ValueError(f"negativity {negativities.min()} below clip floor {-NEGATIVITY_CLIP}")
+    return [MetricReport(*report) for report in zip(
+        np.maximum(negativities, 0.0).tolist(),
+        (_entropies(rob) - _entropies(eigs)).tolist(),
+        (pt[:, 0] >= PPT_TOL).tolist())]
 
 
 def report_for_states(states, names) -> list[MetricReport]:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import linop
-from .channel import ChannelParams, _kraus_block, kraus_pair
+from .channel import ChannelParams, _kraus_block, kraus_operators
 
 # Below this value of the minus-branch scalar the branch never occurs
 # and its posterior state is undefined (the 0/0 guard).
@@ -59,8 +59,9 @@ class BranchStatistics:
     ``rho_minus`` is ``None`` when the minus branch cannot occur
     (identical channels, C = 0).  ``rho_mixture`` is the classical
     mixture, the same state with the measurement record discarded:
-    ``p_plus rho_plus + p_minus rho_minus``.  ``spectra`` holds the
-    spectra, ``(k, 4)``, of their one check (mixture last).  ``blocks``
+    ``p_plus rho_plus + p_minus rho_minus``.  ``states`` is the checked
+    ``(k, 4, 4)`` stack of which they are views (mixture last) and
+    ``spectra``, ``(k, 4)``, its spectra.  ``blocks``
     are the interference blocks behind them (see `superposed_state`);
     ``blocks[i, i]``, channel i's output on the Bell state, is unchecked.
     """
@@ -74,6 +75,7 @@ class BranchStatistics:
     rho_minus: Optional[np.ndarray]
     rho_mixture: np.ndarray
     blocks: np.ndarray
+    states: np.ndarray
     spectra: np.ndarray
 
     @property
@@ -82,17 +84,20 @@ class BranchStatistics:
         return [(self.p_plus, self.rho_plus), (self.p_minus, self.rho_minus)]
 
 
+_PSI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+BELL_STATE = np.outer(_PSI, _PSI.conj())
+BELL_STATE.flags.writeable = False
+
+
 def bell_state() -> np.ndarray:
-    """Density matrix of (|00> + |11>)/sqrt(2), the shared resource state."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1.0 / math.sqrt(2.0)
-    return np.outer(psi, psi.conj())
+    """Density matrix of (|00> + |11>)/sqrt(2), the shared resource state (read-only)."""
+    return BELL_STATE
 
 
 def classical_scenario(p: ChannelParams) -> np.ndarray:
     """Shared state after a single channel: the definite-geometry case."""
-    k = kraus_pair(p)
-    return linop.check_density_matrix(_kraus_block(bell_state(), k, k), "channel output")
+    ks = kraus_operators(p)
+    return linop.check_density_matrix(_kraus_block(BELL_STATE, ks, ks)[0], "channel output")
 
 
 def _interference_blocks(cfg: ProtocolConfig) -> np.ndarray:
@@ -100,11 +105,11 @@ def _interference_blocks(cfg: ProtocolConfig) -> np.ndarray:
 
     ``xi[i, j] = sum_n M_in bell M_jn^dag`` for the channels of
     ``params1`` (i = 0) and ``params2`` (i = 1), from one `_kraus_block`
-    over the ``(channel, n, 4, 4)`` Kraus array.  Every state this module
-    hands out is derived from one such array.
+    over their `kraus_operators` array.  Every state this module hands out
+    is derived from one such array.
     """
-    ks = np.array([kraus_pair(cfg.params1), kraus_pair(cfg.params2)])
-    return _kraus_block(bell_state(), ks[:, None], ks[None, :])
+    ks = kraus_operators(cfg.params1, cfg.params2)
+    return _kraus_block(BELL_STATE, ks[:, None], ks[None, :])
 
 
 def branch_scalars(cfg: ProtocolConfig) -> tuple[float, float, float]:
@@ -157,18 +162,21 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
     """
     a, b, c = branch_scalars(cfg)
     xi = _interference_blocks(cfg)
+    minus = c >= ABSENT_BRANCH_TOL
+    states = np.zeros((3 if minus else 2, 4, 4), dtype=complex)
     plus_un = 0.25 * (xi[0, 0] + xi[1, 1] + xi[0, 1] + xi[1, 0])
     p_plus = float(plus_un.trace().real)
-    states = [plus_un / p_plus]
-    if c >= ABSENT_BRANCH_TOL:
+    np.divide(plus_un, p_plus, out=states[0])
+    if minus:
         vac = (math.cos(cfg.params1.r) - math.cos(cfg.params2.r)) ** 2
         excited = (math.sin(cfg.params1.r) - math.sin(cfg.params2.r)) ** 2 + 4.0 * b
-        states.append(np.diag([vac, excited, 0.0, 0.0]).astype(complex) / (vac + excited))
-    states.append(_mixture(xi))
-    names = ["plus branch", "minus branch"][:len(states) - 1] + ["classical mixture"]
-    states, spectra = linop.check_density_matrix(np.array(states), names, spectrum=True)
-    rho_minus = states[1] if len(states) == 3 else None
-    return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], rho_minus, states[-1], xi, spectra)
+        states[1, 0, 0], states[1, 1, 1] = vac, excited
+        states[1] /= vac + excited
+    states[-1] = _mixture(xi)
+    names = ["plus branch"] + ["minus branch"] * minus + ["classical mixture"]
+    _, spectra = linop.check_density_matrix(states, names, spectrum=True)
+    return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], states[1] if minus else None,
+                            states[-1], xi, states, spectra)
 
 
 def _mixture(xi: np.ndarray) -> np.ndarray:

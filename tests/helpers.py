@@ -6,7 +6,8 @@ the exponential oracle scaled Taylor summation, the geometry and
 convex-gap oracles arbitrary-precision arithmetic, the reference
 sweeps evaluate the whole grid in one call or one r1 row per call, and
 the reference sweep emitters format one cell at a time and encode the
-whole document with ``json.dump``.
+whole document with ``json.dump``, and the reference reports take one
+state at a time through the public partial transpose and partial trace.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import sys
 import mpmath
 import numpy as np
 
-from hawkchan import metrics
+from hawkchan import linop, metrics
 
 
 def random_density(rng, dim):
@@ -228,3 +229,33 @@ def emitted(emit, grid) -> str:
     buf = io.StringIO()
     emit(grid, buf)
     return buf.getvalue()
+
+
+# Reference metric reports: the per-state route that the vectorised
+# ``metrics._reports`` replaced, with entropies summed over the positive
+# eigenvalues only.  Its reports are the contract the stacked ones must meet
+# bit for bit.
+
+
+def masked_entropy(eigs):
+    """``-sum(l log2 l)`` over the eigenvalues above zero of one spectrum."""
+    positive = eigs[eigs > 0.0]
+    return float(-(positive * np.log2(positive)).sum())
+
+
+def reference_reports(states, spectra):
+    """One `MetricReport` per state of a checked ``(k, 4, 4)`` stack with spectra ``spectra``."""
+    reports = []
+    for rho, ab in zip(states, spectra):
+        pt = np.linalg.eigvalsh(linop.partial_transpose(rho, (2, 2)))
+        rob = np.linalg.eigvalsh(linop.partial_trace(rho, (2, 2), keep=1))
+        negativity = (float(np.abs(pt).sum()) - 1.0) / 2.0
+        reports.append(metrics.MetricReport(max(negativity, 0.0),
+                                            masked_entropy(rob) - masked_entropy(ab),
+                                            bool(pt[0] >= metrics.PPT_TOL)))
+    return reports
+
+
+def reference_weight_entropy(*weights):
+    """``sum(-x log2 x)`` with the zero weights masked to ``log2 1`` by ``np.where``."""
+    return sum(-x * np.log2(np.where(x > 0.0, x, 1.0)) for x in weights)

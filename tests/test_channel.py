@@ -1,11 +1,12 @@
 """Tests for geometry mapping, Kraus construction, and the dilation oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hawkchan import linop
+from hawkchan import channel, linop
 from hawkchan.channel import (
     BlackHoleGeometry,
     ChannelParams,
@@ -16,6 +17,7 @@ from hawkchan.channel import (
     cross_term,
     cross_term_dilated,
     dilation_unitary,
+    kraus_operators,
     kraus_pair,
     squeezing_from_geometry,
 )
@@ -127,6 +129,48 @@ class TestKrausPair:
             pair = kraus_pair(random_params(RNG))
             total = pair.m0.conj().T @ pair.m0 + pair.m1.conj().T @ pair.m1
             assert np.abs(total - np.eye(4)).max() < 1e-12
+
+
+def hand_built_pair(p):
+    """``diag(c, 1, c, 1)`` and ``e^{-i phi} s`` at (1, 0) and (3, 2), entry by entry."""
+    c, s = math.cos(p.r), math.sin(p.r)
+    m0 = np.diag([c, 1.0, c, 1.0]).astype(complex)
+    m1 = np.zeros((4, 4), dtype=complex)
+    m1[1, 0] = m1[3, 2] = np.exp(-1j * p.phi) * s
+    return np.array([m0, m1])
+
+
+EDGE_PARAMS = [ChannelParams(0.0), ChannelParams(0.0, math.pi),
+               ChannelParams(math.nextafter(math.pi / 2, 0.0), 1.0),
+               ChannelParams(math.pi / 2 - 1e-9, 2 * math.pi - 1e-15),
+               ChannelParams(0.7, 2 * math.pi - 1e-15), ChannelParams(0.3, -1e-17)]
+
+
+class TestKrausOperators:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_stack_is_the_hand_built_pairs_bit_for_bit(self, count):
+        rng = np.random.default_rng(20261019 + count)
+        for _ in range(30):
+            params = [random_params(rng) for _ in range(count)]
+            expected = np.array([hand_built_pair(p) for p in params])
+            assert kraus_operators(*params).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p", EDGE_PARAMS)
+    def test_edges_are_the_hand_built_pair_bit_for_bit(self, p):
+        assert kraus_operators(p).tobytes() == hand_built_pair(p)[np.newaxis].tobytes()
+        assert kraus_operators(*EDGE_PARAMS)[EDGE_PARAMS.index(p)].tobytes() == \
+            hand_built_pair(p).tobytes()
+        pair = kraus_pair(p)
+        assert np.array([pair.m0, pair.m1]).tobytes() == hand_built_pair(p).tobytes()
+
+    def test_corrupted_entry_fails_the_completeness_check(self, monkeypatch):
+        good, bad = ChannelParams(0.2, 1.0), ChannelParams(0.3, 2.0)
+        corrupt = SimpleNamespace(sin=math.sin,
+                                  cos=lambda r: math.cos(r) + (1e-9 if r == bad.r else 0.0))
+        monkeypatch.setattr(channel, "math", corrupt)
+        kraus_operators(good)
+        with pytest.raises(ValueError, match="^Kraus completeness violated by 1.9"):
+            kraus_operators(good, bad)
 
 
 class TestApplyChannel:

@@ -265,6 +265,10 @@ class TestUsageErrors:
             (["sweep", "--metric", "neg_pct_diff_mixture", "--out", "-", "--max", "1.2"],
              "--min/--max", ("--metric", "--resolution")),
             (["protocol", "--r1", "2.0", "--r2", "0.3"], "--r1", ("--phi1", "--r2", "--phi2")),
+            (["sweep", "--metric", "neg_pct_diff_mixture", "--min", "nan", "--out", "-"],
+             "--min/--max", ("r1_range", "r2_range", "--metric", "--resolution")),
+            (["sweep", "--metric", "neg_pct_diff_mixture", "--min", "0.5", "--max", "0.2",
+              "--out", "-"], "--min/--max", ("r1_range", "r2_range", "--metric", "--resolution")),
         ],
     )
     def test_message_names_only_the_wrong_flag(self, capsys, argv, named, not_named):
@@ -272,6 +276,56 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert named in err
         assert not any(flag in err for flag in not_named), err
+
+
+# argv that name their subcommand first take one parse by that subcommand's
+# parser; the rest go through the two-level parser.  Both must agree on all.
+PARSE_TABLE = [
+    ["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0", "--format", "json"],
+    ["protocol", "--r1=0.2", "--r2=0.7", "--format=json"],
+    ["channel", "--r", "0.4", "--phi", "-1e-17", "--format", "json"],
+    ["sweep", "--metric", "phase_curve", "--res", "5", "--out", "-"],
+    ["channel", "--r", "0.4", "--bogus", "1"],
+    ["channel", "--r", "0.4", "extra"],
+    ["protocol", "--r1"],
+    ["channel", "--r", "abc"],
+    ["sweep", "--metric", "no_such_metric", "--out", "-"],
+    ["protocol", "-h"],
+    ["protocol", "--r1", "0.2", "--help"],
+    ["-h"],
+    ["--format", "json", "channel", "--r", "0.4"],
+    ["--config", "missing.json", "geometry"],
+    [],
+    ["teleport", "--r", "0.4"],
+]
+
+
+def parse_outcome(parse, argv):
+    """The namespace that ``parse`` returns, or the type and text of what it raises."""
+    try:
+        return vars(parse(list(argv)))
+    except (cli.UsageError, cli._Help) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def run_outcome(argv, capsys):
+    out = io.StringIO()
+    code = cli.run(list(argv), stdout=out)
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+class TestOneParsePass:
+    @pytest.mark.parametrize("argv", PARSE_TABLE, ids=" ".join)
+    def test_same_parse_either_way(self, argv, capsys, monkeypatch):
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._PARSER.parse_args, argv)
+        one_pass = run_outcome(argv, capsys)
+        monkeypatch.setattr(cli, "_parse_args", cli._PARSER.parse_args)
+        assert one_pass == run_outcome(argv, capsys)
+
+    def test_subcommand_first_takes_one_pass(self, monkeypatch):
+        monkeypatch.setattr(cli._PARSER, "parse_args", lambda *args: pytest.fail("two passes"))
+        argv = ["channel", "--r", "0.4", "--format", "json"]
+        assert cli.run(argv, stdout=io.StringIO()) == 0
 
 
 class TestConfigFile:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hawkchan import linop, metrics
@@ -19,7 +19,13 @@ from hawkchan.protocol import (
 )
 from hawkchan.sweep import SweepSpec, run_sweep
 
-from helpers import convex_gap_oracle, random_density, random_unitary
+from helpers import (
+    convex_gap_oracle,
+    random_density,
+    random_unitary,
+    reference_reports,
+    reference_weight_entropy,
+)
 
 RNG = np.random.default_rng(20240814)
 
@@ -345,3 +351,55 @@ def test_stacked_eigvalsh_is_per_matrix_eigvalsh(dim):
     stack = g + g.conj().swapaxes(1, 2)
     stacked = np.linalg.eigvalsh(stack)
     assert all(np.array_equal(stacked[i], np.linalg.eigvalsh(h)) for i, h in enumerate(stack))
+
+
+@st.composite
+def pure_states(draw):
+    """A random pure state: its spectrum is 1 and three roundoff values around 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+@st.composite
+def diagonal_states(draw):
+    """A diagonal state whose spectrum, and Rob's, can hold exact 0 and -1e-17 values."""
+    weights = np.array(draw(st.lists(
+        st.sampled_from([0.0, -1e-17, 0.5]) | st.floats(1e-3, 1.0), min_size=4, max_size=4)))
+    positive = weights[weights > 0.0].sum()
+    assume(positive > 0.0)
+    return np.diag(np.where(weights > 0.0, weights / positive, weights)).astype(complex)
+
+
+def _bits(reports):
+    return [(r.negativity_numeric.hex(), r.coherent_information.hex(), r.ppt) for r in reports]
+
+
+@given(st.lists(two_qubit_states() | pure_states() | diagonal_states(), min_size=1, max_size=4))
+def test_stacked_reports_equal_the_per_state_reference(states):
+    """Bit for bit, signs of zero included: the vectorised reports of a checked
+    stack are the per-state route's (public partial transpose and partial trace,
+    entropies summed over the positive eigenvalues only)."""
+    arr, eigs = linop.check_two_qubit(np.array(states), [f"state {i}" for i in range(len(states))])
+    assert _bits(metrics._reports(arr, eigs)) == _bits(reference_reports(arr, eigs))
+
+
+def test_weight_entropy_maximum_form_is_the_where_form(monkeypatch):
+    """``log2(maximum(x, 5e-324))`` gives the bits of ``log2(where(x > 0, x, 1))``
+    in every closed-form coherent information: the 51^2 sweep grid at dphi 0
+    and pi, and random and edge scalars with zero and tiny weights (r = 0,
+    r1 = r2, dphi = pi, and next to them)."""
+    rs = np.linspace(0.0, math.pi / 4, 51)
+    rng = np.random.default_rng(20261019)
+    edges = [(0.0, 0.0, 0.0), (0.0, 0.0, math.pi), (0.0, 0.5, math.pi), (0.4, 0.4, 0.0),
+             (0.4, 0.4, math.pi), (0.7, 0.2, math.pi), (1e-9, 2e-9, 0.0), (1e-300, 0.0, 0.0),
+             (0.5, 0.5 + 1e-7, 0.0), (0.5, 0.5 + 1e-7, math.pi), (0.5, 0.5, math.pi - 1e-9),
+             (0.5, 0.501, 0.0), (1e-4, 3e-4, 0.0), (0.3, 0.3, math.pi - 1e-3)]
+    randoms = rng.uniform(0.0, [math.pi / 2 - 1e-9, math.pi / 2 - 1e-9, 2 * math.pi], (300, 3))
+    cases = [(rs[:, None], rs, 0.0), (rs[:, None], rs, math.pi)] + edges + randoms.tolist()
+    assert metrics._plus_branch_terms(0.4, 0.4, math.pi)[0] == 0.0  # a zero weight occurs
+    new = [np.asarray(v).tobytes() for case in cases for v in metrics.coherent_info_closed(*case)]
+    monkeypatch.setattr(metrics, "_weight_entropy", reference_weight_entropy)
+    old = [np.asarray(v).tobytes() for case in cases for v in metrics.coherent_info_closed(*case)]
+    assert new == old

@@ -272,15 +272,18 @@ def oracle_configs():
 
 @pytest.fixture
 def kraus_calls(monkeypatch):
-    """Records every ``kraus_pair`` call made through any module that imports it."""
+    """Records every channel built through ``kraus_operators``, by any module that
+    imports it (``kraus_pair`` builds through it too), one entry per channel."""
     calls = []
+    build = channel.kraus_operators
 
-    def counting(p):
-        calls.append(p)
-        return kraus_pair(p)
+    def counting(*params):
+        calls.extend(params)
+        return build(*params)
 
     for module in (channel, protocol, cli):
-        monkeypatch.setattr(module, "kraus_pair", counting)
+        if hasattr(module, "kraus_operators"):
+            monkeypatch.setattr(module, "kraus_operators", counting)
     return calls
 
 
