@@ -7,11 +7,8 @@ from .channel import (
     ChannelParams,
     KrausPair,
     apply_channel,
-    apply_channel_dilated,
     channel_output_closed_form,
     cross_term,
-    cross_term_dilated,
-    dilation_unitary,
     kraus_pair,
     squeezing_from_geometry,
 )
@@ -30,15 +27,18 @@ from .metrics import (
     report_for_states,
     von_neumann_entropy,
 )
+from .oracle import (
+    apply_channel_dilated,
+    cross_term_dilated,
+    dilation_unitary,
+    superposed_state,
+)
 from .protocol import (
     BranchStatistics,
     ProtocolConfig,
     bell_state,
-    classical_mixture,
-    classical_scenario,
     measure_control,
     phase_protocol,
-    superposed_state,
 )
 from .sweep import METRICS, SweepGrid, SweepSpec, emit_csv, emit_json, run_sweep
 
@@ -57,8 +57,6 @@ __all__ = [
     "average_branch_negativity",
     "bell_state",
     "channel_output_closed_form",
-    "classical_mixture",
-    "classical_scenario",
     "coherent_info_closed",
     "coherent_information",
     "cross_term",

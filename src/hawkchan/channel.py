@@ -9,10 +9,12 @@ vacuum component is damped by cos(r) while a particle is created with
 amplitude e^{-i phi} sin(r); an occupied mode is blocked from further
 excitation, which is what truncates the channel to two Kraus operators.
 
-Alongside the Kraus route, `dilation_unitary` provides an independent
-construction of the same map as a two-mode unitary on Rob's mode plus a
-hidden partner mode, followed by a trace over the partner.  The two
-routes agreeing is the main correctness oracle for this module.
+`kraus_block` is the one production route to every channel output and
+interference block: `apply_channel`, `cross_term`, the `channel` query
+and `protocol.measure_control` all call it.  `oracle.dilation_unitary`
+builds the same map independently, as a two-mode unitary on Rob's mode
+plus a hidden partner mode followed by a trace over the partner; the
+two routes agreeing is the main correctness check of this module.
 """
 
 from __future__ import annotations
@@ -160,12 +162,13 @@ def kraus_pair(p: ChannelParams) -> KrausPair:
     return KrausPair(*kraus_operators(p)[0])
 
 
-def _kraus_block(rho: np.ndarray, left, right) -> np.ndarray:
+def kraus_block(rho: np.ndarray, left, right) -> np.ndarray:
     """``sum_n L_n rho R_n^dag`` on a 4x4 state the caller has validated or built.
 
     ``left`` and ``right`` are Kraus arrays of shape ``(..., 2, 4, 4)`` (a
     `KrausPair` is the ``(2, 4, 4)`` case) whose leading axes broadcast;
-    the blocks of every pair come out of one stacked matmul.
+    the blocks of every pair come out of one stacked matmul.  Nothing is
+    checked here; `cross_term` is the entry point that checks its input.
     """
     terms = np.asarray(left) @ rho @ np.asarray(right).conj().swapaxes(-1, -2)
     return terms[..., 0, :, :] + terms[..., 1, :, :]
@@ -183,7 +186,7 @@ def cross_term(rho, ki: KrausPair, kj: KrausPair) -> np.ndarray:
     with the channels swapped, and ``ki == kj`` recovers
     `apply_channel`.
     """
-    return _kraus_block(linop.check_two_qubit(rho, "input state")[0], ki, kj)
+    return kraus_block(linop.check_two_qubit(rho, "input state")[0], ki, kj)
 
 
 def channel_output_closed_form(p: ChannelParams) -> np.ndarray:
@@ -198,40 +201,3 @@ def channel_output_closed_form(p: ChannelParams) -> np.ndarray:
     out[0, 3] = out[3, 0] = c
     out[3, 3] = 1.0
     return out / 2.0
-
-
-def dilation_unitary(p: ChannelParams) -> np.ndarray:
-    """Unitary dilation of the channel on (Rob mode) x (partner mode).
-
-    Returns ``U = expm(r * K)`` where the generator ``K`` couples
-    |00> <-> |11> with amplitudes ``-exp(-i phi)`` and ``+exp(+i phi)``
-    and annihilates |01> and |10>.  The sign of the |00> -> |11>
-    amplitude fixes the branch convention; the induced channel (and its
-    cross terms) matches the Kraus route regardless, which is what the
-    tests assert.
-    """
-    gen = np.zeros((4, 4), dtype=complex)
-    gen[3, 0] = -np.exp(-1j * p.phi)
-    gen[0, 3] = np.exp(1j * p.phi)
-    return linop.matrix_exponential(p.r * gen)
-
-
-def _dilated_block(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
-    """Tr_partner[ U(pi) (rho x |0><0|) U(pj)^dag ] on the 8-dim A x R x partner space."""
-    arr, _ = linop.check_two_qubit(rho, "input state")
-    partner_vacuum = np.zeros((2, 2), dtype=complex)
-    partner_vacuum[0, 0] = 1.0
-    big = linop.tensor(arr, partner_vacuum)
-    ui = linop.tensor(np.eye(2), dilation_unitary(pi))
-    uj = linop.tensor(np.eye(2), dilation_unitary(pj))
-    return linop.partial_trace(ui @ big @ uj.conj().T, (2, 2, 2), keep=(0, 1))
-
-
-def apply_channel_dilated(rho, p: ChannelParams) -> np.ndarray:
-    """Channel output via the unitary dilation; oracle for `apply_channel`."""
-    return linop.check_density_matrix(_dilated_block(rho, p, p), "dilated channel output")
-
-
-def cross_term_dilated(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
-    """Cross term via the unitary dilation; oracle for `cross_term`."""
-    return _dilated_block(rho, pi, pj)

@@ -30,8 +30,8 @@ from .channel import (
     BlackHoleGeometry,
     ChannelParams,
     DomainError,
-    _kraus_block,
     channel_output_closed_form,
+    kraus_block,
     kraus_pair,
     squeezing_from_geometry,
 )
@@ -209,7 +209,7 @@ def _run_channel(cfg: dict) -> dict:
     params = ChannelParams(r=cfg["r"], phi=cfg["phi"])
     pair = kraus_pair(params)
     # The library's Bell state needs no input check; the report validates the output state.
-    output = _kraus_block(protocol.bell_state(), pair, pair)
+    output = kraus_block(protocol.bell_state(), pair, pair)
     report = metrics.report_for_state(output)
     closed = math.cos(params.r) ** 2 / 2.0
     metrics.check_closed_form("negativity", report.negativity_numeric, closed)

@@ -1,15 +1,13 @@
 """Communication protocols built on the Hawking channel.
 
-Three scenarios are implemented for a shared two-qubit maximally
-entangled state:
-
-* a single channel acting on Rob's half (`classical_scenario`),
-* an equal coherent superposition of two channels correlated with a
-  control qubit that is finally measured in the |+>/|-> basis
-  (`superposed_state`, `measure_control`),
-* the incoherent equal mixture of the same two channels
-  (`classical_mixture`), the baseline a stochastic classical field
-  would produce.
+A shared two-qubit maximally entangled state (`BELL_STATE`) sends Rob's
+half through an equal coherent superposition of two channels, correlated
+with a control qubit that is finally measured in the |+>/|-> basis.
+`measure_control` returns both measured branches and, from the same
+evaluation, the incoherent equal mixture of the two channels
+(`rho_mixture`): the baseline a stochastic classical field would
+produce.  The single channel alone is `channel.apply_channel` on the
+Bell state.
 
 `phase_protocol` is the superposition of two channels with equal
 squeezing and opposite phases, where the closed forms are simplest.
@@ -18,6 +16,8 @@ One `measure_control` call builds the branches and the mixture from one
 set of interference blocks, in one stacked matmul, and validates them in
 one call, keeping its spectra.  States are validated where they leave
 this module; the Bell state and the Kraus blocks are trusted in between.
+The 8x8 superposed state is an oracle for these branches
+(`oracle.superposed_state`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import linop
-from .channel import ChannelParams, _kraus_block, kraus_operators
+from .channel import ChannelParams, kraus_block, kraus_operators
 
 # Below this value of the minus-branch scalar the branch never occurs
 # and its posterior state is undefined (the 0/0 guard).
@@ -61,9 +61,9 @@ class BranchStatistics:
     mixture, the same state with the measurement record discarded:
     ``p_plus rho_plus + p_minus rho_minus``.  ``states`` is the checked
     ``(k, 4, 4)`` stack of which they are views (mixture last) and
-    ``spectra``, ``(k, 4)``, its spectra.  ``blocks``
-    are the interference blocks behind them (see `superposed_state`);
-    ``blocks[i, i]``, channel i's output on the Bell state, is unchecked.
+    ``spectra``, ``(k, 4)``, its spectra.  ``blocks`` are the
+    interference blocks behind them, ``blocks[i, j]`` of |i><j| on the
+    control; ``blocks[i, i]``, channel i's output on the Bell state, is unchecked.
     """
 
     a_scalar: float
@@ -94,22 +94,16 @@ def bell_state() -> np.ndarray:
     return BELL_STATE
 
 
-def classical_scenario(p: ChannelParams) -> np.ndarray:
-    """Shared state after a single channel: the definite-geometry case."""
-    ks = kraus_operators(p)
-    return linop.check_density_matrix(_kraus_block(BELL_STATE, ks, ks)[0], "channel output")
-
-
 def _interference_blocks(cfg: ProtocolConfig) -> np.ndarray:
     """The blocks ``xi[i, j]`` of |i><j| on the control, a (2, 2, 4, 4) array.
 
     ``xi[i, j] = sum_n M_in bell M_jn^dag`` for the channels of
-    ``params1`` (i = 0) and ``params2`` (i = 1), from one `_kraus_block`
+    ``params1`` (i = 0) and ``params2`` (i = 1), from one `kraus_block`
     over their `kraus_operators` array.  Every state this module hands out
     is derived from one such array.
     """
     ks = kraus_operators(cfg.params1, cfg.params2)
-    return _kraus_block(BELL_STATE, ks[:, None], ks[None, :])
+    return kraus_block(BELL_STATE, ks[:, None], ks[None, :])
 
 
 def branch_scalars(cfg: ProtocolConfig) -> tuple[float, float, float]:
@@ -125,22 +119,6 @@ def branch_scalars(cfg: ProtocolConfig) -> tuple[float, float, float]:
     b = math.sin(dphi / 2.0) ** 2 * math.sin(r1) * math.sin(r2)
     c = 2.0 * math.sin((r1 - r2) / 2.0) ** 2 + 2.0 * b
     return 4.0 - c, b, c
-
-
-def superposed_state(cfg: ProtocolConfig) -> np.ndarray:
-    """Joint Alice-Rob-control state after the coherent superposition.
-
-    The 8x8 state on (A x R) x control is assembled from the four
-    interference blocks:
-
-        1/2 [ xi_00 (x) |0><0| + xi_11 (x) |1><1|
-              + xi_01 (x) |0><1| + xi_10 (x) |1><0| ].
-
-    Tracing out the control recovers `classical_mixture`.
-    """
-    xi = _interference_blocks(cfg)
-    state = 0.5 * xi.transpose(2, 0, 3, 1).reshape(8, 8)
-    return linop.check_density_matrix(state, "superposed state")
 
 
 def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
@@ -172,21 +150,11 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
         excited = (math.sin(cfg.params1.r) - math.sin(cfg.params2.r)) ** 2 + 4.0 * b
         states[1, 0, 0], states[1, 1, 1] = vac, excited
         states[1] /= vac + excited
-    states[-1] = _mixture(xi)
+    states[-1] = 0.5 * (xi[0, 0] + xi[1, 1])  # the control's diagonal
     names = ["plus branch"] + ["minus branch"] * minus + ["classical mixture"]
     _, spectra = linop.check_density_matrix(states, names, spectrum=True)
     return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], states[1] if minus else None,
                             states[-1], xi, states, spectra)
-
-
-def _mixture(xi: np.ndarray) -> np.ndarray:
-    """The control's diagonal: the two channel outputs, equally weighted."""
-    return 0.5 * (xi[0, 0] + xi[1, 1])
-
-
-def classical_mixture(cfg: ProtocolConfig) -> np.ndarray:
-    """Equal incoherent mixture of the two channel outputs."""
-    return linop.check_density_matrix(_mixture(_interference_blocks(cfg)), "classical mixture")
 
 
 def phase_protocol(r: float) -> BranchStatistics:

@@ -7,7 +7,8 @@ convex-gap oracles arbitrary-precision arithmetic, the reference
 sweeps evaluate the whole grid in one call or one r1 row per call, and
 the reference sweep emitters format one cell at a time and encode the
 whole document with ``json.dump``, and the reference reports take one
-state at a time through the public partial transpose and partial trace.
+state at a time through the partial transpose and partial trace of
+``hawkchan.oracle``.
 """
 
 import contextlib
@@ -19,7 +20,14 @@ import sys
 import mpmath
 import numpy as np
 
-from hawkchan import linop, metrics
+from hawkchan import metrics, oracle
+from hawkchan.channel import apply_channel, kraus_pair
+from hawkchan.protocol import bell_state
+
+
+def single_channel(p):
+    """The single channel on the Bell state: criterion 01's route."""
+    return apply_channel(bell_state(), kraus_pair(p))
 
 
 def random_density(rng, dim):
@@ -247,8 +255,8 @@ def reference_reports(states, spectra):
     """One `MetricReport` per state of a checked ``(k, 4, 4)`` stack with spectra ``spectra``."""
     reports = []
     for rho, ab in zip(states, spectra):
-        pt = np.linalg.eigvalsh(linop.partial_transpose(rho, (2, 2)))
-        rob = np.linalg.eigvalsh(linop.partial_trace(rho, (2, 2), keep=1))
+        pt = np.linalg.eigvalsh(oracle.partial_transpose(rho, (2, 2)))
+        rob = np.linalg.eigvalsh(oracle.partial_trace(rho, (2, 2), keep=1))
         negativity = (float(np.abs(pt).sum()) - 1.0) / 2.0
         reports.append(metrics.MetricReport(max(negativity, 0.0),
                                             masked_entropy(rob) - masked_entropy(ab),

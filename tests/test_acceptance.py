@@ -24,24 +24,16 @@ from hawkchan.channel import (
     BlackHoleGeometry,
     ChannelParams,
     apply_channel,
-    apply_channel_dilated,
     channel_output_closed_form,
     cross_term,
-    cross_term_dilated,
     kraus_pair,
     squeezing_from_geometry,
 )
-from hawkchan.protocol import (
-    ProtocolConfig,
-    bell_state,
-    classical_mixture,
-    classical_scenario,
-    measure_control,
-    phase_protocol,
-)
+from hawkchan.oracle import apply_channel_dilated, cross_term_dilated
+from hawkchan.protocol import ProtocolConfig, bell_state, measure_control, phase_protocol
 from hawkchan.sweep import SweepSpec, emit_csv, emit_json, run_sweep
 
-from helpers import convex_gap_oracle, geometry_r_oracle
+from helpers import convex_gap_oracle, geometry_r_oracle, single_channel
 
 RNG = np.random.default_rng(20240815)
 
@@ -117,7 +109,7 @@ def test_criterion_03_protocol_algebra():
         if stats.rho_minus is not None:
             rebuilt = rebuilt + stats.p_minus * stats.rho_minus
             worst_neg = max(worst_neg, metrics.negativity(stats.rho_minus))
-        worst_recon = max(worst_recon, float(np.abs(rebuilt - classical_mixture(cfg)).max()))
+        worst_recon = max(worst_recon, float(np.abs(rebuilt - stats.rho_mixture).max()))
     check(
         3,
         "protocol-algebra",
@@ -135,9 +127,9 @@ def test_criterion_04_closed_form_negativities():
             cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
             stats = measure_control(cfg)
             numeric_avg = metrics.average_branch_negativity(stats.branches)
-            numeric_mix = metrics.negativity(classical_mixture(cfg))
-            numeric_convex = 0.5 * metrics.negativity(classical_scenario(cfg.params1)) + (
-                0.5 * metrics.negativity(classical_scenario(cfg.params2))
+            numeric_mix = metrics.negativity(stats.rho_mixture)
+            numeric_convex = 0.5 * metrics.negativity(single_channel(cfg.params1)) + (
+                0.5 * metrics.negativity(single_channel(cfg.params2))
             )
             worst = max(
                 worst,
@@ -222,7 +214,7 @@ def test_criterion_07_coherent_information_grid():
             cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
             stats = measure_control(cfg)
             ensemble = metrics.ensemble_coherent_information(stats.branches)
-            mixture = metrics.coherent_information(classical_mixture(cfg))
+            mixture = metrics.coherent_information(stats.rho_mixture)
             diff = ensemble - mixture
             worst_floor = min(worst_floor, diff)
             if i == j:

@@ -6,21 +6,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hawkchan import channel, linop
+from hawkchan import channel
 from hawkchan.channel import (
     BlackHoleGeometry,
     ChannelParams,
     DomainError,
     apply_channel,
-    apply_channel_dilated,
     channel_output_closed_form,
     cross_term,
-    cross_term_dilated,
-    dilation_unitary,
     kraus_operators,
     kraus_pair,
     squeezing_from_geometry,
 )
+from hawkchan.oracle import apply_channel_dilated, cross_term_dilated, dilation_unitary, tensor
 from hawkchan.protocol import bell_state
 
 from helpers import geometry_r_oracle, random_density
@@ -269,9 +267,9 @@ class TestDilationOracle:
         n0 = u.reshape(2, 2, 2, 2)[:, 0, :, 0]
         n1 = u.reshape(2, 2, 2, 2)[:, 1, :, 0]
         k = kraus_pair(p)
-        assert np.abs(linop.tensor(np.eye(2), n0) - k.m0).max() < 1e-12
+        assert np.abs(tensor(np.eye(2), n0) - k.m0).max() < 1e-12
         phase = -1.0  # branch-global sign from the generator convention
-        assert np.abs(phase * linop.tensor(np.eye(2), n1) - k.m1).max() < 1e-12
+        assert np.abs(phase * tensor(np.eye(2), n1) - k.m1).max() < 1e-12
 
 
 def test_high_frequency_mode_nearly_invariant():

@@ -66,7 +66,7 @@ class TestProtocolCommand:
         branches = [(stats.p_plus, stats.rho_plus), (stats.p_minus, stats.rho_minus)]
         assert doc["negativity_avg"] == metrics.average_branch_negativity(branches)
         assert doc["negativity_avg_closed"] == metrics.negativity_avg_closed(0.2, 0.7)
-        mixture = protocol.classical_mixture(cfg)
+        mixture = stats.rho_mixture
         assert doc["negativity_mixture"] == metrics.negativity(mixture)
         assert doc["coherent_info_mixture"] == metrics.coherent_information(mixture)
 

@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 
 from hawkchan import linop, metrics
 from hawkchan.channel import ChannelParams
-from hawkchan.protocol import (
-    ProtocolConfig,
-    bell_state,
-    classical_mixture,
-    classical_scenario,
-    measure_control,
-)
+from hawkchan.oracle import tensor
+from hawkchan.protocol import ProtocolConfig, bell_state, measure_control
 from hawkchan.sweep import SweepSpec, run_sweep
 
 from helpers import (
@@ -25,6 +20,7 @@ from helpers import (
     random_unitary,
     reference_reports,
     reference_weight_entropy,
+    single_channel,
 )
 
 RNG = np.random.default_rng(20240814)
@@ -38,13 +34,13 @@ class TestNegativity:
         assert metrics.negativity(np.eye(4) / 4) == 0.0
 
     def test_single_channel_closed_form(self):
-        out = classical_scenario(ChannelParams(0.4))
+        out = single_channel(ChannelParams(0.4))
         assert abs(metrics.negativity(out) - math.cos(0.4) ** 2 / 2) < 1e-10
 
     def test_local_unitary_invariance(self):
         for _ in range(5):
             rho = random_density(RNG, 4)
-            u = linop.tensor(random_unitary(RNG, 2), random_unitary(RNG, 2))
+            u = tensor(random_unitary(RNG, 2), random_unitary(RNG, 2))
             rotated = u @ rho @ u.conj().T
             assert abs(metrics.negativity(rotated) - metrics.negativity(rho)) < 1e-10
 
@@ -83,7 +79,7 @@ class TestClosedFormNegativities:
 
     def test_mixture_matches_numeric(self):
         cfg = ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7))
-        numeric = metrics.negativity(classical_mixture(cfg))
+        numeric = metrics.negativity(measure_control(cfg).rho_mixture)
         assert abs(numeric - metrics.negativity_mixture_closed(0.2, 0.7)) < 1e-10
 
     def test_convex_avg_example(self):
@@ -177,7 +173,7 @@ class TestCoherentInformation:
         rho_a = random_density(RNG, 2)
         rho_b = random_density(RNG, 2)
         expected = -metrics.von_neumann_entropy(rho_a)
-        got = metrics.coherent_information(linop.tensor(rho_a, rho_b))
+        got = metrics.coherent_information(tensor(rho_a, rho_b))
         assert abs(got - expected) < 1e-12
         assert got <= 1e-12
 
@@ -185,7 +181,7 @@ class TestCoherentInformation:
         cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6))
         stats = measure_control(cfg)
         ensemble = metrics.ensemble_coherent_information(stats.branches)
-        mixture = metrics.coherent_information(classical_mixture(cfg))
+        mixture = metrics.coherent_information(stats.rho_mixture)
         assert ensemble - mixture > 0.0
 
 
@@ -263,15 +259,16 @@ class TestPhaseAvgNegativity:
 
 class TestMetricReport:
     def test_consistent_report(self):
-        out = classical_scenario(ChannelParams(0.4))
+        out = single_channel(ChannelParams(0.4))
         report = metrics.report_for_state(out)
         assert report.ppt is False
         metrics.check_closed_form("negativity", report.negativity_numeric, math.cos(0.4) ** 2 / 2)
 
     def test_validates_once_and_matches_public_measures(self, monkeypatch):
         cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6, 1.0))
-        states = [bell_state(), classical_scenario(ChannelParams(0.4)),
-                  classical_mixture(cfg), measure_control(cfg).rho_plus, random_density(RNG, 4)]
+        stats = measure_control(cfg)
+        states = [bell_state(), single_channel(ChannelParams(0.4)),
+                  stats.rho_mixture, stats.rho_plus, random_density(RNG, 4)]
         expected = [
             metrics.MetricReport(
                 metrics.negativity(rho), metrics.coherent_information(rho), metrics.ppt_separable(rho)

@@ -22,15 +22,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from hawkchan import cli, linop, metrics
-from hawkchan.channel import (
-    ChannelParams,
-    apply_channel,
-    apply_channel_dilated,
-    cross_term,
-    cross_term_dilated,
-    kraus_pair,
-)
+from hawkchan import cli, metrics
+from hawkchan.channel import ChannelParams, apply_channel, cross_term, kraus_pair
 from hawkchan.metrics import (
     average_branch_negativity,
     coherent_info_closed,
@@ -42,10 +35,17 @@ from hawkchan.metrics import (
     negativity_mixture_closed,
     report_for_states,
 )
-from hawkchan.protocol import ProtocolConfig, classical_scenario, measure_control, superposed_state
+from hawkchan.oracle import apply_channel_dilated, cross_term_dilated, partial_trace, superposed_state
+from hawkchan.protocol import ProtocolConfig, measure_control
 from hawkchan.sweep import METRICS, TWO_D_METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
-from helpers import emitted, random_density, reference_emit_csv, reference_emit_json
+from helpers import (
+    emitted,
+    random_density,
+    reference_emit_csv,
+    reference_emit_json,
+    single_channel,
+)
 
 R_MAX = math.pi / 2 - 1e-9
 
@@ -84,7 +84,7 @@ def test_branches_average_to_the_mixture(cfg):
 
 @given(configs())
 def test_control_trace_of_superposition_is_the_mixture(cfg):
-    reduced = linop.partial_trace(superposed_state(cfg), (4, 2), keep=0)
+    reduced = partial_trace(superposed_state(cfg), (4, 2), keep=0)
     assert np.abs(reduced - measure_control(cfg).rho_mixture).max() <= 1e-13
 
 
@@ -125,7 +125,7 @@ def test_mixture_negativity_matches_closed_form(cfg):
 
 @given(configs())
 def test_convex_average_matches_closed_form(cfg):
-    single = [negativity(classical_scenario(p)) for p in (cfg.params1, cfg.params2)]
+    single = [negativity(single_channel(p)) for p in (cfg.params1, cfg.params2)]
     closed = negativity_convex_avg(cfg.params1.r, cfg.params2.r)
     assert abs((single[0] + single[1]) / 2.0 - closed) <= 1e-12
 

@@ -7,23 +7,19 @@ import numpy as np
 import pytest
 
 from hawkchan import channel, cli, linop, protocol, sweep
-from hawkchan.channel import (
-    ChannelParams,
-    apply_channel,
-    apply_channel_dilated,
-    dilation_unitary,
-    kraus_pair,
-)
+from hawkchan.channel import ChannelParams, apply_channel, kraus_pair
 from hawkchan.metrics import negativity, ppt_separable
-from hawkchan.protocol import (
-    ProtocolConfig,
-    bell_state,
-    classical_mixture,
-    classical_scenario,
-    measure_control,
-    phase_protocol,
+from hawkchan.oracle import (
+    apply_channel_dilated,
+    cross_term_dilated,
+    dilation_unitary,
+    partial_trace,
     superposed_state,
+    tensor,
 )
+from hawkchan.protocol import ProtocolConfig, bell_state, measure_control, phase_protocol
+
+from helpers import single_channel
 
 RNG = np.random.default_rng(20240813)
 
@@ -70,16 +66,16 @@ class TestBellState:
     def test_marginals_maximally_mixed(self):
         rho = bell_state()
         for side in (0, 1):
-            marginal = linop.partial_trace(rho, (2, 2), keep=side)
+            marginal = partial_trace(rho, (2, 2), keep=side)
             assert np.abs(marginal - np.eye(2) / 2).max() < 1e-14
 
 
 class TestClassicalScenario:
     def test_zero_squeezing_is_identity(self):
-        assert np.abs(classical_scenario(ChannelParams(0.0)) - bell_state()).max() < 1e-14
+        assert np.abs(single_channel(ChannelParams(0.0)) - bell_state()).max() < 1e-14
 
     def test_quarter_pi_matrix(self):
-        out = classical_scenario(ChannelParams(math.pi / 4))
+        out = single_channel(ChannelParams(math.pi / 4))
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         expected = 0.5 * np.array(
             [
@@ -94,7 +90,7 @@ class TestClassicalScenario:
 
     def test_negativity_closed_form(self):
         for r in (0.0, 0.3, 0.7, 1.2):
-            out = classical_scenario(ChannelParams(r, phi=0.4))
+            out = single_channel(ChannelParams(r, phi=0.4))
             assert abs(negativity(out) - math.cos(r) ** 2 / 2) < 1e-12
 
 
@@ -103,14 +99,14 @@ class TestSuperposedState:
         p = ChannelParams(0.4, 0.9)
         state = superposed_state(ProtocolConfig(p, p))
         plus_proj = 0.5 * np.ones((2, 2), dtype=complex)
-        expected = linop.tensor(classical_scenario(p), plus_proj)
+        expected = tensor(single_channel(p), plus_proj)
         assert np.abs(state - expected).max() < 1e-13
 
     def test_control_marginal_is_mixture(self):
         for _ in range(5):
             cfg = random_config(RNG)
-            reduced = linop.partial_trace(superposed_state(cfg), (4, 2), keep=0)
-            assert np.abs(reduced - classical_mixture(cfg)).max() < 1e-13
+            reduced = partial_trace(superposed_state(cfg), (4, 2), keep=0)
+            assert np.abs(reduced - measure_control(cfg).rho_mixture).max() < 1e-13
 
     def test_matches_dilated_purification(self):
         # Independent route on the 16-dim A x R x partner x control
@@ -119,8 +115,8 @@ class TestSuperposedState:
         cfg = ProtocolConfig(ChannelParams(0.2), ChannelParams(0.6))
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0 / math.sqrt(2.0)
-        u1 = linop.tensor(np.eye(2), dilation_unitary(cfg.params1))
-        u2 = linop.tensor(np.eye(2), dilation_unitary(cfg.params2))
+        u1 = tensor(np.eye(2), dilation_unitary(cfg.params1))
+        u2 = tensor(np.eye(2), dilation_unitary(cfg.params2))
         ket0 = np.array([1.0, 0.0], dtype=complex)
         ket1 = np.array([0.0, 1.0], dtype=complex)
         base = np.kron(psi, ket0)  # A,R,partner with partner in vacuum
@@ -128,7 +124,7 @@ class TestSuperposedState:
         branch2 = np.kron(u2 @ base, ket1)
         full = (branch1 + branch2) / math.sqrt(2.0)
         rho_full = np.outer(full, full.conj())
-        got = linop.partial_trace(rho_full, (2, 2, 2, 2), keep=(0, 1, 3))
+        got = partial_trace(rho_full, (2, 2, 2, 2), keep=(0, 1, 3))
         assert np.abs(got - superposed_state(cfg)).max() < 1e-10
 
     def test_valid_density_matrix(self):
@@ -145,7 +141,7 @@ class TestMeasureControl:
         assert abs(stats.p_plus - 1.0) < 1e-12
         assert abs(stats.p_minus) < 1e-12
         assert stats.rho_minus is None
-        assert np.abs(stats.rho_plus - classical_scenario(p)).max() < 1e-12
+        assert np.abs(stats.rho_plus - single_channel(p)).max() < 1e-12
 
     def test_minus_branch_separable(self):
         stats = measure_control(ProtocolConfig(ChannelParams(0.3), ChannelParams(0.7)))
@@ -163,8 +159,8 @@ class TestMeasureControl:
                 (-1.0, stats.p_minus, stats.rho_minus),
             ):
                 ket = np.array([[1.0], [sign]], dtype=complex) / math.sqrt(2.0)
-                projector = linop.tensor(np.eye(4), ket @ ket.conj().T)
-                projected = linop.partial_trace(projector @ state @ projector, (4, 2), keep=0)
+                projector = tensor(np.eye(4), ket @ ket.conj().T)
+                projected = partial_trace(projector @ state @ projector, (4, 2), keep=0)
                 assert abs(projected.trace().real - prob) < 1e-12
                 if rho is not None:
                     assert np.abs(projected / prob - rho).max() < 1e-12
@@ -198,7 +194,7 @@ class TestMeasureControl:
             rebuilt = stats.p_plus * stats.rho_plus
             if stats.rho_minus is not None:
                 rebuilt = rebuilt + stats.p_minus * stats.rho_minus
-            assert np.abs(rebuilt - classical_mixture(cfg)).max() < 1e-12
+            assert np.abs(rebuilt - stats.rho_mixture).max() < 1e-12
 
     def test_near_degenerate_minus_branch_stays_valid(self):
         # Normalizing the numeric minus block by p_minus ~ C/4 would
@@ -233,12 +229,12 @@ class TestMeasureControl:
 class TestClassicalMixture:
     def test_identical_branches(self):
         p = ChannelParams(0.6, 0.2)
-        out = classical_mixture(ProtocolConfig(p, p))
-        assert np.abs(out - classical_scenario(p)).max() < 1e-14
+        out = measure_control(ProtocolConfig(p, p)).rho_mixture
+        assert np.abs(out - single_channel(p)).max() < 1e-14
 
     def test_printed_matrix_at_zero_and_quarter_pi(self):
         cfg = ProtocolConfig(ChannelParams(0.0), ChannelParams(math.pi / 4))
-        out = classical_mixture(cfg)
+        out = measure_control(cfg).rho_mixture
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         expected = 0.25 * np.array(
             [
@@ -254,7 +250,8 @@ class TestClassicalMixture:
     def test_phase_independent(self):
         cfg_a = ProtocolConfig(ChannelParams(0.3, 0.0), ChannelParams(0.8, 0.0))
         cfg_b = ProtocolConfig(ChannelParams(0.3, 2.1), ChannelParams(0.8, 4.4))
-        assert np.abs(classical_mixture(cfg_a) - classical_mixture(cfg_b)).max() < 1e-14
+        mixture_a, mixture_b = (measure_control(cfg).rho_mixture for cfg in (cfg_a, cfg_b))
+        assert np.abs(mixture_a - mixture_b).max() < 1e-14
 
 
 def mixture_oracle(cfg, apply=lambda rho, p: apply_channel(rho, kraus_pair(p))):
@@ -318,7 +315,7 @@ def eigvalsh_calls(monkeypatch):
 class TestOneEvaluation:
     @pytest.mark.parametrize("cfg", oracle_configs())
     def test_mixture_matches_channel_by_channel_oracle(self, cfg):
-        mixture = classical_mixture(cfg)
+        mixture = measure_control(cfg).rho_mixture
         assert np.array_equal(mixture, mixture_oracle(cfg))
         assert np.abs(mixture - mixture_oracle(cfg, apply_channel_dilated)).max() < 1e-12
 
@@ -337,10 +334,6 @@ class TestOneEvaluation:
         argv = ["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0", "--format", "json"]
         assert cli.run(argv, stdout=io.StringIO()) == 0
         assert len(kraus_calls) == 2
-
-    def test_mixture_validates_one_state(self, validated):
-        classical_mixture(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7, 1.0)))
-        assert validated == [["classical mixture"]]
 
     @pytest.mark.parametrize("r2, phi2, built", [
         ("0.7", "1.0", ["plus branch", "minus branch", "classical mixture"]),
@@ -377,15 +370,19 @@ class TestOneEvaluation:
         assert (len(kraus_calls), validated, eigvalsh_calls) == (pairs, checks, eigvalsh)
 
     def test_blocks_match_per_block_oracle(self):
-        """The stacked matmul gives each block bit for bit as m0 rho m0^dag + m1 rho m1^dag."""
+        """The stacked matmul gives each block bit for bit as m0 rho m0^dag + m1 rho m1^dag,
+        and within 1e-10 as the unitary dilation's block."""
         rho = bell_state()
         for cfg in oracle_configs():
             xi = measure_control(cfg).blocks
+            params = (cfg.params1, cfg.params2)
             pairs = (kraus_pair(cfg.params1), kraus_pair(cfg.params2))
             for i, ki in enumerate(pairs):
                 for j, kj in enumerate(pairs):
                     expected = ki.m0 @ rho @ kj.m0.conj().T + ki.m1 @ rho @ kj.m1.conj().T
                     assert np.array_equal(xi[i, j], expected)
+                    dilated = cross_term_dilated(rho, params[i], params[j])
+                    assert np.abs(xi[i, j] - dilated).max() <= 1e-10
 
     def test_coherent_info_sweep_builds_no_kraus_pairs(self, kraus_calls):
         sweep.run_sweep(sweep.SweepSpec("coherent_info_diff", resolution=5))
