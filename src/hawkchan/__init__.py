@@ -5,24 +5,18 @@ each scenario preserves."""
 from .channel import (
     BlackHoleGeometry,
     ChannelParams,
-    KrausPair,
     apply_channel,
     channel_output_closed_form,
     cross_term,
-    kraus_pair,
     squeezing_from_geometry,
 )
 from .metrics import (
     MetricReport,
-    average_branch_negativity,
     coherent_info_closed,
-    coherent_information,
-    ensemble_coherent_information,
     negativity,
     negativity_avg_closed,
     negativity_convex_avg,
     negativity_mixture_closed,
-    ppt_separable,
     report_for_state,
     report_for_states,
     von_neumann_entropy,
@@ -46,7 +40,6 @@ __all__ = [
     "BlackHoleGeometry",
     "BranchStatistics",
     "ChannelParams",
-    "KrausPair",
     "METRICS",
     "MetricReport",
     "ProtocolConfig",
@@ -54,25 +47,20 @@ __all__ = [
     "SweepSpec",
     "apply_channel",
     "apply_channel_dilated",
-    "average_branch_negativity",
     "bell_state",
     "channel_output_closed_form",
     "coherent_info_closed",
-    "coherent_information",
     "cross_term",
     "cross_term_dilated",
     "dilation_unitary",
     "emit_csv",
     "emit_json",
-    "ensemble_coherent_information",
-    "kraus_pair",
     "measure_control",
     "negativity",
     "negativity_avg_closed",
     "negativity_convex_avg",
     "negativity_mixture_closed",
     "phase_protocol",
-    "ppt_separable",
     "report_for_state",
     "report_for_states",
     "run_sweep",

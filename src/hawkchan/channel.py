@@ -9,9 +9,10 @@ vacuum component is damped by cos(r) while a particle is created with
 amplitude e^{-i phi} sin(r); an occupied mode is blocked from further
 excitation, which is what truncates the channel to two Kraus operators.
 
-`kraus_block` is the one production route to every channel output and
-interference block: `apply_channel`, `cross_term`, the `channel` query
-and `protocol.measure_control` all call it.  `oracle.dilation_unitary`
+`kraus_operators` is the one Kraus build, and `kraus_block` the one
+production route to every channel output and interference block:
+`apply_channel`, `cross_term`, the `channel` query and
+`protocol.measure_control` all call it.  `oracle.dilation_unitary`
 builds the same map independently, as a two-mode unitary on Rob's mode
 plus a hidden partner mode followed by a trace over the partner; the
 two routes agreeing is the main correctness check of this module.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,13 +115,6 @@ class ChannelParams:
         object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)
 
 
-class KrausPair(NamedTuple):
-    """The two 4x4 Kraus operators of one channel."""
-
-    m0: np.ndarray
-    m1: np.ndarray
-
-
 def squeezing_from_geometry(g: BlackHoleGeometry) -> ChannelParams:
     """Map a geometry to its channel parameters (phase 0).
 
@@ -157,31 +150,28 @@ def kraus_operators(*params: ChannelParams) -> np.ndarray:
     return ks
 
 
-def kraus_pair(p: ChannelParams) -> KrausPair:
-    """The Kraus pair of one channel: `kraus_operators` of the stack of one."""
-    return KrausPair(*kraus_operators(p)[0])
-
-
 def kraus_block(rho: np.ndarray, left, right) -> np.ndarray:
     """``sum_n L_n rho R_n^dag`` on a 4x4 state the caller has validated or built.
 
-    ``left`` and ``right`` are Kraus arrays of shape ``(..., 2, 4, 4)`` (a
-    `KrausPair` is the ``(2, 4, 4)`` case) whose leading axes broadcast;
-    the blocks of every pair come out of one stacked matmul.  Nothing is
-    checked here; `cross_term` is the entry point that checks its input.
+    ``left`` and ``right`` are Kraus arrays of shape ``(..., 2, 4, 4)``
+    whose leading axes broadcast; the blocks of every pair come out of
+    one stacked matmul.  Nothing is checked here; `cross_term` is the
+    entry point that checks its input.
     """
     terms = np.asarray(left) @ rho @ np.asarray(right).conj().swapaxes(-1, -2)
     return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
-def apply_channel(rho, k: KrausPair) -> np.ndarray:
-    """Apply the channel ``rho -> m0 rho m0^dag + m1 rho m1^dag``."""
+def apply_channel(rho, k: np.ndarray) -> np.ndarray:
+    """Apply the channel ``rho -> m0 rho m0^dag + m1 rho m1^dag``; ``k = (m0, m1)``
+    is the ``(2, 4, 4)`` Kraus array of one channel, a row of `kraus_operators`."""
     return linop.check_density_matrix(cross_term(rho, k, k), "channel output")
 
 
-def cross_term(rho, ki: KrausPair, kj: KrausPair) -> np.ndarray:
+def cross_term(rho, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
     """Interference block ``sum_n M_in rho M_jn^dag`` between two channels.
 
+    ``ki`` and ``kj`` are ``(2, 4, 4)`` Kraus arrays, as in `apply_channel`.
     Generally non-Hermitian for ``ki != kj``; its adjoint is the block
     with the channels swapped, and ``ki == kj`` recovers
     `apply_channel`.

@@ -32,7 +32,7 @@ from .channel import (
     DomainError,
     channel_output_closed_form,
     kraus_block,
-    kraus_pair,
+    kraus_operators,
     squeezing_from_geometry,
 )
 from .sweep import METRICS, SweepSpec, emit_csv, emit_json, run_sweep
@@ -207,15 +207,15 @@ def _run_geometry(cfg: dict) -> dict:
 
 def _run_channel(cfg: dict) -> dict:
     params = ChannelParams(r=cfg["r"], phi=cfg["phi"])
-    pair = kraus_pair(params)
+    pair = kraus_operators(params)[0]
     # The library's Bell state needs no input check; the report validates the output state.
-    output = kraus_block(protocol.bell_state(), pair, pair)
+    output = kraus_block(protocol.BELL_STATE, pair, pair)
     report = metrics.report_for_state(output)
     closed = math.cos(params.r) ** 2 / 2.0
     metrics.check_closed_form("negativity", report.negativity_numeric, closed)
     return {
-        "kraus_m0": _matrix_payload(pair.m0),
-        "kraus_m1": _matrix_payload(pair.m1),
+        "kraus_m0": _matrix_payload(pair[0]),
+        "kraus_m1": _matrix_payload(pair[1]),
         "output_state": _matrix_payload(output),
         "closed_form_state": _matrix_payload(channel_output_closed_form(params)),
         "negativity": report.negativity_numeric,

@@ -2,19 +2,19 @@
 
 Numeric negativity and coherent information sit next to the closed
 forms for the protocol scenarios, so every closed form can be checked
-against the fully numeric pipeline.  All entropies are in bits.  Each
-public function validates its state once and reuses that spectrum as S(AB);
-`_reports` takes each other spectrum of a checked stack in one ``eigvalsh``
-and reduces them to every measure at once.  `report_for_states` checks a
-stack and reports it, each numeric measure of one state is the stack of one,
-and the point queries pass a stack checked with `BranchStatistics.spectra`.
-The closed forms take floats or arrays that broadcast together.
+against the fully numeric pipeline.  All entropies are in bits.
+`report_for_states` is the one numeric route to every measure of a state:
+it validates a stack once, reuses those spectra as S(AB), and `_reports`
+takes each other spectrum of the checked stack in one ``eigvalsh`` and
+reduces them to every measure at once.  `report_for_state` is its stack of
+one, and the point queries pass a stack checked with `BranchStatistics.spectra`.
+Branch averages are probability-weighted sums of the reports.  The closed
+forms take floats or arrays that broadcast together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -32,7 +32,17 @@ _TINY = 5e-324
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Entanglement summary of one two-qubit state."""
+    """Entanglement summary of one two-qubit state, B = Rob's side.
+
+    ``negativity_numeric`` is (||rho^T_A||_1 - 1)/2: zero exactly for
+    separable states, 1/2 for a maximally entangled pair; values in
+    [-1e-12, 0) from roundoff are clipped to 0.  ``coherent_information``
+    is S(B) - S(AB); a positive value lower-bounds the quantum capacity of
+    the channel that produced the state from a maximally entangled input
+    (+1 bit for a maximally entangled state, -1 bit for a maximally mixed
+    one).  ``ppt`` is the positive-partial-transpose test, no eigenvalue
+    of rho^T_A below ``PPT_TOL``; for 2x2 systems it is separability.
+    """
 
     negativity_numeric: float
     coherent_information: float
@@ -52,10 +62,10 @@ def check_closed_form(name: str, numeric: float, closed: float) -> None:
 
 
 def negativity(rho) -> float:
-    """Negativity (||rho^T_A||_1 - 1)/2 of a two-qubit state.
+    """``report_for_state(rho).negativity_numeric``.
 
-    Zero exactly for separable states; 1/2 for a maximally entangled
-    pair.  Values in [-1e-12, 0) from roundoff are clipped to 0.
+    The benchmark's tracer test (``perfbench/test_perfbench.py``) asserts on
+    the ``hawkchan.negativity`` binding, so this stays until that test moves.
     """
     return report_for_state(rho).negativity_numeric
 
@@ -74,8 +84,8 @@ def negativity_avg_closed(r1, r2, dphi=0.0):
 
     ``(-|w|^2 + sqrt(|w|^4 + 16 (c1 + c2)^2)) / 16`` with
     ``|w|^2 = (s1 + s2)^2 - 4 s1 s2 sin^2(dphi/2)`` and ``dphi = phi1 - phi2``;
-    equals ``p_plus * negativity(rho_plus)`` from the numeric protocol
-    path within 1e-10.  At r1 = r2 and dphi = pi it is exactly |cos r|/2.
+    equals ``p_plus`` times the ``negativity_numeric`` of ``rho_plus`` from
+    the numeric protocol path within 1e-10.  At r1 = r2 and dphi = pi it is exactly |cos r|/2.
     """
     w_sq, c_sum = _plus_branch_terms(r1, r2, dphi)
     return (-w_sq + np.sqrt(16.0 * c_sum**2 + w_sq**2)) / 16.0
@@ -130,44 +140,6 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropies(linop.check_density_matrix(rho, "state", spectrum=True)[1]))
 
 
-def coherent_information(rho) -> float:
-    """Coherent information S(B) - S(AB) of a two-qubit state, B = Rob's side.
-
-    A positive value lower-bounds the quantum capacity of the channel
-    that produced ``rho`` from a maximally entangled input; a maximally
-    entangled state gives +1 bit, a maximally mixed one -1 bit.
-    """
-    return report_for_state(rho).coherent_information
-
-
-def _branch_average(branches, measure) -> float:
-    return sum((prob * measure(rho) for prob, rho in branches if rho is not None), 0.0)
-
-
-def ensemble_coherent_information(branches: Iterable[tuple[float, Optional[np.ndarray]]]) -> float:
-    """Probability-weighted coherent information over measurement branches.
-
-    ``branches`` yields ``(probability, state)`` pairs; absent branches
-    (state ``None``) contribute nothing.
-    """
-    return _branch_average(branches, coherent_information)
-
-
-def average_branch_negativity(branches: Iterable[tuple[float, Optional[np.ndarray]]]) -> float:
-    """Probability-weighted negativity over measurement branches.
-
-    This is the entanglement kept on average when the measurement
-    record is retained.  Absent branches (state ``None``) contribute
-    nothing.
-    """
-    return _branch_average(branches, negativity)
-
-
-def ppt_separable(rho) -> bool:
-    """Positive-partial-transpose test; equivalent to separability for 2x2."""
-    return report_for_state(rho).ppt
-
-
 def _reports(arr: np.ndarray, eigs: np.ndarray) -> list[MetricReport]:
     """The reports of a ``(k, 4, 4)`` stack checked elsewhere, whose spectra are ``eigs``:
     partial transposes and Rob's states from one reshape of the stack, then one
@@ -189,8 +161,7 @@ def report_for_states(states, names) -> list[MetricReport]:
 
     The stack is validated in one call, whose spectra serve as S(AB); the
     partial transposes and Rob's reduced states take one ``eigvalsh`` each.
-    Every report equals `negativity`, `coherent_information` and
-    `ppt_separable` of its state.
+    `MetricReport` defines each measure.
     """
     return _reports(*linop.check_two_qubit(states, names))
 

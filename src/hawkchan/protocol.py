@@ -78,11 +78,6 @@ class BranchStatistics:
     states: np.ndarray
     spectra: np.ndarray
 
-    @property
-    def branches(self) -> list[tuple[float, Optional[np.ndarray]]]:
-        """The ``(probability, state)`` pairs of the plus and minus outcomes."""
-        return [(self.p_plus, self.rho_plus), (self.p_minus, self.rho_minus)]
-
 
 _PSI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 BELL_STATE = np.outer(_PSI, _PSI.conj())

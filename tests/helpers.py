@@ -21,13 +21,27 @@ import mpmath
 import numpy as np
 
 from hawkchan import metrics, oracle
-from hawkchan.channel import apply_channel, kraus_pair
+from hawkchan.channel import apply_channel, kraus_operators
 from hawkchan.protocol import bell_state
 
 
 def single_channel(p):
     """The single channel on the Bell state: criterion 01's route."""
-    return apply_channel(bell_state(), kraus_pair(p))
+    return apply_channel(bell_state(), kraus_operators(p)[0])
+
+
+def branch_measures(stats):
+    """``(kept negativity, ensemble coherent information, mixture report)`` of a
+    `measure_control` result, from `metrics.report_for_states` of its stack.
+
+    Both branch averages are probability-weighted sums over the branches
+    that occur, in the order 0.0 + plus + minus, as the CLI adds them.
+    """
+    names = ["plus branch"] + ["minus branch"] * (stats.rho_minus is not None)
+    *branches, mixture = metrics.report_for_states(stats.states, names + ["classical mixture"])
+    weighted = list(zip((stats.p_plus, stats.p_minus), branches))
+    return (sum((p * r.negativity_numeric for p, r in weighted), 0.0),
+            sum((p * r.coherent_information for p, r in weighted), 0.0), mixture)
 
 
 def random_density(rng, dim):

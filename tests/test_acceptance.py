@@ -26,14 +26,14 @@ from hawkchan.channel import (
     apply_channel,
     channel_output_closed_form,
     cross_term,
-    kraus_pair,
+    kraus_operators,
     squeezing_from_geometry,
 )
 from hawkchan.oracle import apply_channel_dilated, cross_term_dilated
 from hawkchan.protocol import ProtocolConfig, bell_state, measure_control, phase_protocol
 from hawkchan.sweep import SweepSpec, emit_csv, emit_json, run_sweep
 
-from helpers import convex_gap_oracle, geometry_r_oracle, single_channel
+from helpers import branch_measures, convex_gap_oracle, geometry_r_oracle, single_channel
 
 RNG = np.random.default_rng(20240815)
 
@@ -55,7 +55,7 @@ def test_criterion_01_single_channel_output():
     worst_neg = 0.0
     for _ in range(100):
         p = random_params(RNG)
-        out = apply_channel(bell_state(), kraus_pair(p))
+        out = apply_channel(bell_state(), kraus_operators(p)[0])
         worst_matrix = max(worst_matrix, float(np.abs(out - channel_output_closed_form(p)).max()))
         worst_neg = max(worst_neg, abs(metrics.negativity(out) - math.cos(p.r) ** 2 / 2))
     check(
@@ -70,7 +70,7 @@ def test_criterion_02_kraus_vs_dilation():
     worst = 0.0
     for _ in range(10):
         p1, p2 = random_params(RNG), random_params(RNG)
-        k1, k2 = kraus_pair(p1), kraus_pair(p2)
+        k1, k2 = kraus_operators(p1, p2)
         for _ in range(20):
             g = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
             rho = g @ g.conj().T
@@ -126,8 +126,8 @@ def test_criterion_04_closed_form_negativities():
         for r2 in rs:
             cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
             stats = measure_control(cfg)
-            numeric_avg = metrics.average_branch_negativity(stats.branches)
-            numeric_mix = metrics.negativity(stats.rho_mixture)
+            numeric_avg, _, mixture = branch_measures(stats)
+            numeric_mix = mixture.negativity_numeric
             numeric_convex = 0.5 * metrics.negativity(single_channel(cfg.params1)) + (
                 0.5 * metrics.negativity(single_channel(cfg.params2))
             )
@@ -140,7 +140,7 @@ def test_criterion_04_closed_form_negativities():
     phase_rs = np.linspace(0.0, math.pi / 2, 102)[:-1]
     for r in phase_rs:
         stats = measure_control(ProtocolConfig(ChannelParams(r, 0.0), ChannelParams(r, math.pi)))
-        numeric = metrics.average_branch_negativity(stats.branches)
+        numeric = branch_measures(stats)[0]
         worst = max(worst, abs(numeric - metrics.negativity_avg_closed(r, r, math.pi)))
     check(4, "closed-form-negativities", worst <= 1e-10, f"worst gap {worst:.2e} (tol 1e-10)")
 
@@ -213,9 +213,8 @@ def test_criterion_07_coherent_information_grid():
         for j, r2 in enumerate(rs):
             cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
             stats = measure_control(cfg)
-            ensemble = metrics.ensemble_coherent_information(stats.branches)
-            mixture = metrics.coherent_information(stats.rho_mixture)
-            diff = ensemble - mixture
+            _, ensemble, mixture = branch_measures(stats)
+            diff = ensemble - mixture.coherent_information
             worst_floor = min(worst_floor, diff)
             if i == j:
                 # Identical channels make the two scenarios coincide, so

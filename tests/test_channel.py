@@ -15,7 +15,6 @@ from hawkchan.channel import (
     channel_output_closed_form,
     cross_term,
     kraus_operators,
-    kraus_pair,
     squeezing_from_geometry,
 )
 from hawkchan.oracle import apply_channel_dilated, cross_term_dilated, dilation_unitary, tensor
@@ -109,23 +108,23 @@ class TestChannelParams:
 
 class TestKrausPair:
     def test_identity_channel_at_zero(self):
-        pair = kraus_pair(ChannelParams(0.0))
-        assert np.array_equal(pair.m0, np.eye(4))
-        assert np.abs(pair.m1).max() == 0.0
+        m0, m1 = kraus_operators(ChannelParams(0.0))[0]
+        assert np.array_equal(m0, np.eye(4))
+        assert np.abs(m1).max() == 0.0
 
     def test_quarter_pi_matrices(self):
-        pair = kraus_pair(ChannelParams(math.pi / 4, 0.0))
+        m0, m1 = kraus_operators(ChannelParams(math.pi / 4, 0.0))[0]
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        assert np.abs(pair.m0 - np.diag([inv_sqrt2, 1.0, inv_sqrt2, 1.0])).max() < 1e-15
+        assert np.abs(m0 - np.diag([inv_sqrt2, 1.0, inv_sqrt2, 1.0])).max() < 1e-15
         expected_m1 = np.zeros((4, 4), dtype=complex)
         expected_m1[1, 0] = inv_sqrt2
         expected_m1[3, 2] = inv_sqrt2
-        assert np.abs(pair.m1 - expected_m1).max() < 1e-15
+        assert np.abs(m1 - expected_m1).max() < 1e-15
 
     def test_completeness(self):
         for _ in range(20):
-            pair = kraus_pair(random_params(RNG))
-            total = pair.m0.conj().T @ pair.m0 + pair.m1.conj().T @ pair.m1
+            m0, m1 = kraus_operators(random_params(RNG))[0]
+            total = m0.conj().T @ m0 + m1.conj().T @ m1
             assert np.abs(total - np.eye(4)).max() < 1e-12
 
 
@@ -158,8 +157,6 @@ class TestKrausOperators:
         assert kraus_operators(p).tobytes() == hand_built_pair(p)[np.newaxis].tobytes()
         assert kraus_operators(*EDGE_PARAMS)[EDGE_PARAMS.index(p)].tobytes() == \
             hand_built_pair(p).tobytes()
-        pair = kraus_pair(p)
-        assert np.array([pair.m0, pair.m1]).tobytes() == hand_built_pair(p).tobytes()
 
     def test_corrupted_entry_fails_the_completeness_check(self, monkeypatch):
         good, bad = ChannelParams(0.2, 1.0), ChannelParams(0.3, 2.0)
@@ -173,13 +170,13 @@ class TestKrausOperators:
 
 class TestApplyChannel:
     def test_identity_at_zero_squeezing(self):
-        out = apply_channel(bell_state(), kraus_pair(ChannelParams(0.0)))
+        out = apply_channel(bell_state(), kraus_operators(ChannelParams(0.0))[0])
         assert np.abs(out - bell_state()).max() < 1e-14
 
     def test_bell_output_matches_closed_form(self):
         for _ in range(20):
             p = random_params(RNG)
-            out = apply_channel(bell_state(), kraus_pair(p))
+            out = apply_channel(bell_state(), kraus_operators(p)[0])
             assert np.abs(out - channel_output_closed_form(p)).max() < 1e-14
 
     def test_closed_form_entries(self):
@@ -195,31 +192,31 @@ class TestApplyChannel:
     def test_maximally_mixed_matches_dilation(self):
         p = ChannelParams(0.5)
         rho = np.eye(4, dtype=complex) / 4
-        assert np.abs(apply_channel(rho, kraus_pair(p)) - apply_channel_dilated(rho, p)).max() < 1e-12
+        out = apply_channel(rho, kraus_operators(p)[0])
+        assert np.abs(out - apply_channel_dilated(rho, p)).max() < 1e-12
 
     def test_preserves_trace_and_positivity(self):
         for _ in range(10):
             p = random_params(RNG)
-            out = apply_channel(random_density(RNG, 4), kraus_pair(p))
+            out = apply_channel(random_density(RNG, 4), kraus_operators(p)[0])
             assert abs(out.trace() - 1.0) < 1e-12
             assert np.linalg.eigvalsh(out)[0] > -1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="4x4"):
-            apply_channel(np.eye(2) / 2, kraus_pair(ChannelParams(0.3)))
+            apply_channel(np.eye(2) / 2, kraus_operators(ChannelParams(0.3))[0])
 
 
 class TestCrossTerm:
     def test_equal_channels_reduce_to_apply(self):
         p = random_params(RNG)
-        k = kraus_pair(p)
+        k = kraus_operators(p)[0]
         rho = random_density(RNG, 4)
         assert np.abs(cross_term(rho, k, k) - apply_channel(rho, k)).max() < 1e-14
 
     def test_adjoint_symmetry(self):
         for _ in range(10):
-            k1 = kraus_pair(random_params(RNG))
-            k2 = kraus_pair(random_params(RNG))
+            k1, k2 = kraus_operators(random_params(RNG), random_params(RNG))
             rho = random_density(RNG, 4)
             x12 = cross_term(rho, k1, k2)
             x21 = cross_term(rho, k2, k1)
@@ -228,7 +225,7 @@ class TestCrossTerm:
     def test_matches_dilation_cross_block(self):
         p1, p2 = ChannelParams(0.3), ChannelParams(0.7)
         rho = bell_state()
-        got = cross_term(rho, kraus_pair(p1), kraus_pair(p2))
+        got = cross_term(rho, *kraus_operators(p1, p2))
         assert np.abs(got - cross_term_dilated(rho, p1, p2)).max() < 1e-12
 
 
@@ -243,7 +240,7 @@ class TestDilationOracle:
 
     def test_channel_equality_on_random_states(self):
         p = ChannelParams(0.4, 1.1)
-        k = kraus_pair(p)
+        k = kraus_operators(p)[0]
         for _ in range(20):
             rho = random_density(RNG, 4)
             assert np.abs(apply_channel(rho, k) - apply_channel_dilated(rho, p)).max() < 1e-10
@@ -266,10 +263,10 @@ class TestDilationOracle:
         u = dilation_unitary(p)
         n0 = u.reshape(2, 2, 2, 2)[:, 0, :, 0]
         n1 = u.reshape(2, 2, 2, 2)[:, 1, :, 0]
-        k = kraus_pair(p)
-        assert np.abs(tensor(np.eye(2), n0) - k.m0).max() < 1e-12
+        m0, m1 = kraus_operators(p)[0]
+        assert np.abs(tensor(np.eye(2), n0) - m0).max() < 1e-12
         phase = -1.0  # branch-global sign from the generator convention
-        assert np.abs(phase * tensor(np.eye(2), n1) - k.m1).max() < 1e-12
+        assert np.abs(phase * tensor(np.eye(2), n1) - m1).max() < 1e-12
 
 
 def test_high_frequency_mode_nearly_invariant():
@@ -278,5 +275,5 @@ def test_high_frequency_mode_nearly_invariant():
     r_low = squeezing_from_geometry(base).r
     r_high = squeezing_from_geometry(boosted).r
     assert r_high < r_low * 1e-4
-    out = apply_channel(bell_state(), kraus_pair(ChannelParams(r_high)))
+    out = apply_channel(bell_state(), kraus_operators(ChannelParams(r_high))[0])
     assert np.abs(out - bell_state()).max() < 1e-8

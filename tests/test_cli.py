@@ -16,7 +16,7 @@ from hawkchan import cli, linop, metrics, protocol
 from hawkchan.channel import ChannelParams
 from hawkchan.sweep import SweepSpec, run_sweep
 
-from helpers import emitted, geometry_r_oracle, reference_emit_csv, reference_emit_json
+from helpers import branch_measures, emitted, geometry_r_oracle, reference_emit_csv, reference_emit_json
 
 
 def run_json(argv):
@@ -63,12 +63,11 @@ class TestProtocolCommand:
         stats = protocol.measure_control(cfg)
         assert doc["p_plus"] == stats.p_plus
         assert doc["a_scalar"] == stats.a_scalar
-        branches = [(stats.p_plus, stats.rho_plus), (stats.p_minus, stats.rho_minus)]
-        assert doc["negativity_avg"] == metrics.average_branch_negativity(branches)
+        kept, _, mixture = branch_measures(stats)
+        assert doc["negativity_avg"] == kept
         assert doc["negativity_avg_closed"] == metrics.negativity_avg_closed(0.2, 0.7)
-        mixture = stats.rho_mixture
-        assert doc["negativity_mixture"] == metrics.negativity(mixture)
-        assert doc["coherent_info_mixture"] == metrics.coherent_information(mixture)
+        assert doc["negativity_mixture"] == mixture.negativity_numeric
+        assert doc["coherent_info_mixture"] == mixture.coherent_information
 
     def test_closed_form_reported_for_unequal_phases(self):
         doc = run_json(["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0"])

@@ -15,6 +15,7 @@ from hawkchan.protocol import ProtocolConfig, bell_state, measure_control
 from hawkchan.sweep import SweepSpec, run_sweep
 
 from helpers import (
+    branch_measures,
     convex_gap_oracle,
     random_density,
     random_unitary,
@@ -64,16 +65,14 @@ class TestClosedFormNegativities:
 
     def test_avg_matches_numeric_protocol(self):
         stats = measure_control(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7)))
-        numeric = metrics.average_branch_negativity(stats.branches)
+        numeric = branch_measures(stats)[0]
         assert abs(numeric - metrics.negativity_avg_closed(0.2, 0.7)) < 1e-10
 
     def test_avg_matches_numeric_protocol_for_any_phases(self):
         for _ in range(200):
             p1 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
             p2 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
-            numeric = metrics.average_branch_negativity(
-                measure_control(ProtocolConfig(p1, p2)).branches
-            )
+            numeric = branch_measures(measure_control(ProtocolConfig(p1, p2)))[0]
             closed = metrics.negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)
             assert abs(numeric - closed) < 1e-10
 
@@ -164,31 +163,30 @@ class TestEntropy:
 
 class TestCoherentInformation:
     def test_bell_is_one_bit(self):
-        assert abs(metrics.coherent_information(bell_state()) - 1.0) < 1e-12
+        assert abs(metrics.report_for_state(bell_state()).coherent_information - 1.0) < 1e-12
 
     def test_maximally_mixed_is_minus_one(self):
-        assert abs(metrics.coherent_information(np.eye(4) / 4) + 1.0) < 1e-12
+        assert abs(metrics.report_for_state(np.eye(4) / 4).coherent_information + 1.0) < 1e-12
 
     def test_product_state(self):
         rho_a = random_density(RNG, 2)
         rho_b = random_density(RNG, 2)
         expected = -metrics.von_neumann_entropy(rho_a)
-        got = metrics.coherent_information(tensor(rho_a, rho_b))
+        got = metrics.report_for_state(tensor(rho_a, rho_b)).coherent_information
         assert abs(got - expected) < 1e-12
         assert got <= 1e-12
 
     def test_superposition_beats_mixture(self):
         cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6))
         stats = measure_control(cfg)
-        ensemble = metrics.ensemble_coherent_information(stats.branches)
-        mixture = metrics.coherent_information(stats.rho_mixture)
-        assert ensemble - mixture > 0.0
+        _, ensemble, mixture = branch_measures(stats)
+        assert ensemble - mixture.coherent_information > 0.0
 
 
 def numeric_coherent_info_diff(r1, r2):
     stats = measure_control(ProtocolConfig(ChannelParams(r1), ChannelParams(r2)))
-    ensemble = metrics.ensemble_coherent_information(stats.branches)
-    return ensemble - metrics.coherent_information(stats.rho_mixture)
+    _, ensemble, mixture = branch_measures(stats)
+    return ensemble - mixture.coherent_information
 
 
 class TestCoherentInfoClosedForm:
@@ -207,18 +205,19 @@ class TestCoherentInfoClosedForm:
 
 class TestPptSeparable:
     def test_bell_is_entangled(self):
-        assert not metrics.ppt_separable(bell_state())
+        assert not metrics.report_for_state(bell_state()).ppt
 
     def test_diagonal_states_separable(self):
         probs = RNG.dirichlet(np.ones(4))
-        assert metrics.ppt_separable(np.diag(probs))
+        assert metrics.report_for_state(np.diag(probs)).ppt
 
     def test_agrees_with_negativity(self):
         # For two qubits a positive partial transpose is exactly the
         # zero-negativity condition.
         for _ in range(20):
             rho = random_density(RNG, 4)
-            assert metrics.ppt_separable(rho) == (metrics.negativity(rho) < 1e-12)
+            report = metrics.report_for_state(rho)
+            assert report.ppt == (report.negativity_numeric < 1e-12)
 
     def test_minus_branch_always_separable(self):
         for _ in range(10):
@@ -228,7 +227,7 @@ class TestPptSeparable:
             )
             stats = measure_control(cfg)
             if stats.rho_minus is not None:
-                assert metrics.ppt_separable(stats.rho_minus)
+                assert metrics.report_for_state(stats.rho_minus).ppt
 
 
 class TestPhaseAvgNegativity:
@@ -269,12 +268,8 @@ class TestMetricReport:
         stats = measure_control(cfg)
         states = [bell_state(), single_channel(ChannelParams(0.4)),
                   stats.rho_mixture, stats.rho_plus, random_density(RNG, 4)]
-        expected = [
-            metrics.MetricReport(
-                metrics.negativity(rho), metrics.coherent_information(rho), metrics.ppt_separable(rho)
-            )
-            for rho in states
-        ]
+        expected = reference_reports(*linop.check_two_qubit(
+            np.array(states), [f"state {i}" for i in range(len(states))]))
         calls = []
         check = linop.check_density_matrix
         monkeypatch.setattr(
@@ -329,14 +324,9 @@ def two_qubit_states(draw):
 
 @given(st.lists(two_qubit_states(), min_size=1, max_size=4))
 def test_stacked_report_equals_public_measures(states):
-    """Bit for bit: the stacked report of each state is its public measures."""
+    """Bit for bit: the stacked report of each state is its report alone."""
     reports = metrics.report_for_states(np.array(states), [f"state {i}" for i in range(len(states))])
-    assert reports == [
-        metrics.MetricReport(
-            metrics.negativity(rho), metrics.coherent_information(rho), metrics.ppt_separable(rho)
-        )
-        for rho in states
-    ]
+    assert reports == [metrics.report_for_state(rho) for rho in states]
 
 
 @pytest.mark.parametrize("dim", [2, 4])

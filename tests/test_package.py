@@ -1,14 +1,18 @@
-"""The package boundary: production modules never import the oracles, every
-public name resolves, and the README's library example runs."""
+"""The package boundary: production modules never import the oracles, the
+public names are one pinned list with no retired route bound anywhere, and
+the README's library example and CLI lines run."""
 
 import ast
+import importlib
+import io
 import os
 import re
+import shlex
 
 import pytest
 
 import hawkchan
-from hawkchan import oracle
+from hawkchan import cli, oracle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRODUCTION = ("channel", "protocol", "metrics", "linop", "sweep", "cli")
@@ -50,6 +54,33 @@ def test_production_module_does_not_import_the_oracles(module):
         assert not imports_oracle(f.read())
 
 
+PUBLIC = [
+    "BlackHoleGeometry", "BranchStatistics", "ChannelParams", "METRICS", "MetricReport",
+    "ProtocolConfig", "SweepGrid", "SweepSpec", "apply_channel", "apply_channel_dilated",
+    "bell_state", "channel_output_closed_form", "coherent_info_closed", "cross_term",
+    "cross_term_dilated", "dilation_unitary", "emit_csv", "emit_json", "measure_control",
+    "negativity", "negativity_avg_closed", "negativity_convex_avg", "negativity_mixture_closed",
+    "phase_protocol", "report_for_state", "report_for_states", "run_sweep",
+    "squeezing_from_geometry", "superposed_state", "von_neumann_entropy",
+]
+# Second routes to a measure or to the Kraus build; `report_for_state(s)` and
+# `kraus_operators` are the routes.
+RETIRED = ("KrausPair", "kraus_pair", "coherent_information", "ppt_separable",
+           "average_branch_negativity", "ensemble_coherent_information", "_branch_average")
+
+
+def test_public_surface_is_pinned():
+    assert hawkchan.__all__ == PUBLIC
+    assert not hasattr(hawkchan.BranchStatistics, "branches")
+
+
+@pytest.mark.parametrize("module", sorted(
+    f[:-3] for f in os.listdir(os.path.join(ROOT, "src", "hawkchan")) if f.endswith(".py")))
+def test_no_module_binds_a_retired_name(module):
+    name = "hawkchan" if module == "__init__" else f"hawkchan.{module}"
+    assert sorted(set(RETIRED) & set(vars(importlib.import_module(name)))) == []
+
+
 def test_every_public_name_resolves():
     missing = [name for name in hawkchan.__all__ if not hasattr(hawkchan, name)]
     assert missing == []
@@ -65,3 +96,19 @@ def test_readme_library_example_runs():
     example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     assert "from hawkchan import" in example
     exec(compile(example, "README.md (Library)", "exec"), {})
+
+
+def test_readme_cli_lines_run(tmp_path):
+    """Every ``hawkchan ...`` line of the README's CLI block exits 0, with its
+    ``--out`` files written under ``tmp_path``."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("hawkchan ")]
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        for i, word in enumerate(argv[:-1]):
+            if word == "--out" and argv[i + 1] != "-":
+                argv[i + 1] = str(tmp_path / argv[i + 1])
+        assert cli.run(argv, stdout=io.StringIO()) == 0, line

@@ -23,12 +23,9 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hawkchan import cli, metrics
-from hawkchan.channel import ChannelParams, apply_channel, cross_term, kraus_pair
+from hawkchan.channel import ChannelParams, apply_channel, cross_term, kraus_operators
 from hawkchan.metrics import (
-    average_branch_negativity,
     coherent_info_closed,
-    coherent_information,
-    ensemble_coherent_information,
     negativity,
     negativity_avg_closed,
     negativity_convex_avg,
@@ -40,6 +37,7 @@ from hawkchan.protocol import ProtocolConfig, measure_control
 from hawkchan.sweep import METRICS, TWO_D_METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
 from helpers import (
+    branch_measures,
     emitted,
     random_density,
     reference_emit_csv,
@@ -78,7 +76,9 @@ def test_probabilities_sum_to_one(cfg):
 @given(configs())
 def test_branches_average_to_the_mixture(cfg):
     stats = measure_control(cfg)
-    averaged = sum(p * rho for p, rho in stats.branches if rho is not None)
+    averaged = stats.p_plus * stats.rho_plus
+    if stats.rho_minus is not None:
+        averaged = averaged + stats.p_minus * stats.rho_minus
     assert np.abs(averaged - stats.rho_mixture).max() <= 1e-12
 
 
@@ -94,7 +94,7 @@ def test_kept_spectra_line_up_with_their_states(cfg):
     """The spectra `measure_control` keeps are those of the states it hands out,
     in order, so reports from them equal reports that validate the states again."""
     stats = measure_control(cfg)
-    states = np.array([rho for _, rho in stats.branches if rho is not None]
+    states = np.array([rho for rho in (stats.rho_plus, stats.rho_minus) if rho is not None]
                       + [stats.rho_mixture])
     assert np.array_equal(stats.spectra, np.linalg.eigvalsh(states))
     names = ["plus branch", "minus branch"][:len(states) - 1] + ["classical mixture"]
@@ -104,7 +104,7 @@ def test_kept_spectra_line_up_with_their_states(cfg):
 @given(configs())
 def test_average_negativity_matches_closed_form(cfg):
     p1, p2 = cfg.params1, cfg.params2
-    numeric = average_branch_negativity(measure_control(cfg).branches)
+    numeric = branch_measures(measure_control(cfg))[0]
     assert abs(numeric - negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)) <= 1e-10
 
 
@@ -113,8 +113,9 @@ def test_coherent_information_matches_closed_form(cfg):
     p1, p2 = cfg.params1, cfg.params2
     stats = measure_control(cfg)
     ensemble, mixture = coherent_info_closed(p1.r, p2.r, p1.phi - p2.phi)
-    assert abs(ensemble_coherent_information(stats.branches) - ensemble) <= 1e-12
-    assert abs(coherent_information(stats.rho_mixture) - mixture) <= 1e-12
+    _, numeric_ensemble, numeric_mixture = branch_measures(stats)
+    assert abs(numeric_ensemble - ensemble) <= 1e-12
+    assert abs(numeric_mixture.coherent_information - mixture) <= 1e-12
 
 
 @given(configs())
@@ -134,7 +135,7 @@ def test_convex_average_matches_closed_form(cfg):
 def test_kraus_route_matches_the_dilation_oracle(cfg, seed):
     rho = random_density(np.random.default_rng(seed), 4)
     p1, p2 = cfg.params1, cfg.params2
-    k1, k2 = kraus_pair(p1), kraus_pair(p2)
+    k1, k2 = kraus_operators(p1, p2)
     assert np.abs(apply_channel(rho, k1) - apply_channel_dilated(rho, p1)).max() <= 1e-10
     assert np.abs(apply_channel(rho, k2) - apply_channel_dilated(rho, p2)).max() <= 1e-10
     assert np.abs(cross_term(rho, k1, k2) - cross_term_dilated(rho, p1, p2)).max() <= 1e-10

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hawkchan import channel, cli, linop, protocol, sweep
-from hawkchan.channel import ChannelParams, apply_channel, kraus_pair
-from hawkchan.metrics import negativity, ppt_separable
+from hawkchan.channel import ChannelParams, apply_channel, kraus_operators
+from hawkchan.metrics import negativity, report_for_state
 from hawkchan.oracle import (
     apply_channel_dilated,
     cross_term_dilated,
@@ -147,7 +147,7 @@ class TestMeasureControl:
         stats = measure_control(ProtocolConfig(ChannelParams(0.3), ChannelParams(0.7)))
         assert stats.rho_minus is not None
         assert negativity(stats.rho_minus) < 1e-12
-        assert ppt_separable(stats.rho_minus)
+        assert report_for_state(stats.rho_minus).ppt
 
     def test_matches_projection_of_superposed_state(self):
         for _ in range(10):
@@ -205,7 +205,7 @@ class TestMeasureControl:
             stats = measure_control(cfg)
             assert stats.rho_minus is not None
             linop.check_density_matrix(stats.rho_minus)
-            assert ppt_separable(stats.rho_minus)
+            assert report_for_state(stats.rho_minus).ppt
             ratio = stats.rho_minus[1, 1].real / stats.rho_minus[0, 0].real
             assert ratio == pytest.approx(1.0 / math.tan(0.3) ** 2, rel=1e-3)
 
@@ -254,7 +254,7 @@ class TestClassicalMixture:
         assert np.abs(mixture_a - mixture_b).max() < 1e-14
 
 
-def mixture_oracle(cfg, apply=lambda rho, p: apply_channel(rho, kraus_pair(p))):
+def mixture_oracle(cfg, apply=lambda rho, p: apply_channel(rho, kraus_operators(p)[0])):
     """The equal mixture built channel by channel, apart from the interference blocks."""
     return 0.5 * (apply(bell_state(), cfg.params1) + apply(bell_state(), cfg.params2))
 
@@ -270,7 +270,7 @@ def oracle_configs():
 @pytest.fixture
 def kraus_calls(monkeypatch):
     """Records every channel built through ``kraus_operators``, by any module that
-    imports it (``kraus_pair`` builds through it too), one entry per channel."""
+    imports it, one entry per channel."""
     calls = []
     build = channel.kraus_operators
 
@@ -320,15 +320,18 @@ class TestOneEvaluation:
         assert np.abs(mixture - mixture_oracle(cfg, apply_channel_dilated)).max() < 1e-12
 
     def test_branches_are_the_two_outcomes(self):
+        """``states`` stacks the plus branch, the minus branch and the mixture, in
+        that order, as views: the layout a `report_for_states` call relies on."""
         stats = measure_control(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7, 1.0)))
-        (p_plus, rho_plus), (p_minus, rho_minus) = stats.branches
-        assert (p_plus, p_minus) == (stats.p_plus, stats.p_minus)
-        assert rho_plus is stats.rho_plus and rho_minus is stats.rho_minus
-        assert rho_minus is not None
+        assert stats.rho_minus is not None
+        for i, rho in enumerate((stats.rho_plus, stats.rho_minus, stats.rho_mixture)):
+            assert rho.base is stats.states and np.array_equal(rho, stats.states[i])
+        assert len(stats.states) == 3
 
     def test_identical_channels_have_no_minus_state(self):
         p = ChannelParams(0.4, 2.0)
-        assert measure_control(ProtocolConfig(p, p)).branches[1] == (0.0, None)
+        stats = measure_control(ProtocolConfig(p, p))
+        assert (stats.p_minus, stats.rho_minus) == (0.0, None)
 
     def test_protocol_query_builds_two_kraus_pairs(self, kraus_calls):
         argv = ["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0", "--format", "json"]
@@ -361,7 +364,7 @@ class TestOneEvaluation:
     ], ids=["channel", "phase", "phase-r0"])
     def test_point_query_work(self, kraus_calls, validated, eigvalsh_calls,
                               argv, pairs, checks, eigvalsh):
-        """``kraus_pair``, ``check_density_matrix`` and ``eigvalsh`` calls per query
+        """``kraus_operators`` channels, ``check_density_matrix`` and ``eigvalsh`` calls per query
         (protocol: above).  The Bell state a ``channel`` query starts from is not
         re-checked.  ``phase`` checks its branches when they are built and its
         single-channel state, taken from the blocks, on its own; one stacked
@@ -376,10 +379,10 @@ class TestOneEvaluation:
         for cfg in oracle_configs():
             xi = measure_control(cfg).blocks
             params = (cfg.params1, cfg.params2)
-            pairs = (kraus_pair(cfg.params1), kraus_pair(cfg.params2))
-            for i, ki in enumerate(pairs):
-                for j, kj in enumerate(pairs):
-                    expected = ki.m0 @ rho @ kj.m0.conj().T + ki.m1 @ rho @ kj.m1.conj().T
+            pairs = kraus_operators(*params)
+            for i, (mi0, mi1) in enumerate(pairs):
+                for j, (mj0, mj1) in enumerate(pairs):
+                    expected = mi0 @ rho @ mj0.conj().T + mi1 @ rho @ mj1.conj().T
                     assert np.array_equal(xi[i, j], expected)
                     dilated = cross_term_dilated(rho, params[i], params[j])
                     assert np.abs(xi[i, j] - dilated).max() <= 1e-10

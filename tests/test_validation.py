@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 from hawkchan import metrics
-from hawkchan.channel import ChannelParams, apply_channel, cross_term, kraus_pair
+from hawkchan.channel import ChannelParams, apply_channel, cross_term, kraus_operators
 
-K1 = kraus_pair(ChannelParams(0.3, 0.4))
-K2 = kraus_pair(ChannelParams(0.6, 1.9))
+K1, K2 = kraus_operators(ChannelParams(0.3, 0.4), ChannelParams(0.6, 1.9))
 
 ENTRY_POINTS = {
     "negativity": metrics.negativity,
-    "coherent_information": metrics.coherent_information,
-    "ppt_separable": metrics.ppt_separable,
     "von_neumann_entropy": metrics.von_neumann_entropy,
     "report_for_state": metrics.report_for_state,
+    "report_for_states": lambda rho: metrics.report_for_states(rho[np.newaxis], ["state"]),
     "apply_channel": lambda rho: apply_channel(rho, K1),
     "cross_term": lambda rho: cross_term(rho, K1, K2),
 }
