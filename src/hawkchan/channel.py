@@ -165,7 +165,7 @@ def kraus_block(rho: np.ndarray, left, right) -> np.ndarray:
 def apply_channel(rho, k: np.ndarray) -> np.ndarray:
     """Apply the channel ``rho -> m0 rho m0^dag + m1 rho m1^dag``; ``k = (m0, m1)``
     is the ``(2, 4, 4)`` Kraus array of one channel, a row of `kraus_operators`."""
-    return linop.check_density_matrix(cross_term(rho, k, k), "channel output")
+    return linop.check_density_matrix(cross_term(rho, k, k), "channel output")[0]
 
 
 def cross_term(rho, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linop, metrics, protocol
+from . import metrics, protocol
 from .channel import (
     BlackHoleGeometry,
     ChannelParams,
@@ -173,6 +173,8 @@ def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
         value = getattr(args, flag)
         if value is None and flag in config:
             raw = config[flag]
+            if ftype is str and not isinstance(raw, str):
+                raise UsageError(f"--config: key {flag!r}: expected a string, got {json.dumps(raw)}")
             try:
                 value = ftype(str(raw))
             except ValueError as exc:
@@ -225,18 +227,11 @@ def _run_channel(cfg: dict) -> dict:
     }
 
 
-def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float,
-                    states: np.ndarray, spectra: np.ndarray):
-    """The branch fields `protocol` and `phase` both print, and one stacked
-    report over ``states``, checked with spectra ``spectra``: the branch
-    states that occur, plus branch first, then one more state.  Returns
-    ``(payload, branches, report)`` with ``branches`` the
-    ``(probability, MetricReport)`` pairs of the branches that occur and
-    ``report`` that of the last state.  Branch averages keep the order
-    0.0 + plus + minus.
-    """
-    *reports, report = metrics._reports(states, spectra)
-    branches = list(zip((stats.p_plus, stats.p_minus), reports))
+def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float):
+    """The branch fields `protocol` and `phase` both print, and the ``(probability,
+    MetricReport)`` pairs of the branches that occur, from ``stats.reports``.
+    Branch averages keep the order 0.0 + plus + minus."""
+    branches = list(zip((stats.p_plus, stats.p_minus), stats.reports[:-1]))
     average = sum((p * r.negativity_numeric for p, r in branches), 0.0)
     closed = metrics.negativity_avg_closed(r1, r2, dphi)
     metrics.check_closed_form("negativity_avg", average, closed)
@@ -247,7 +242,7 @@ def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi
         "rho_minus": _matrix_payload(stats.rho_minus),
         "negativity_avg": average,
         "negativity_avg_closed": closed,
-    }, branches, report
+    }, branches
 
 
 def _channel_params(cfg: dict, suffix: str) -> ChannelParams:
@@ -263,7 +258,8 @@ def _run_protocol(cfg: dict) -> dict:
     p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
     dphi = p1.phi - p2.phi
     stats = protocol.measure_control(protocol.ProtocolConfig(p1, p2))
-    payload, branches, mixture = _branch_reports(stats, p1.r, p2.r, dphi, stats.states, stats.spectra)
+    payload, branches = _branch_reports(stats, p1.r, p2.r, dphi)
+    *_, mixture = stats.reports
     payload.update({
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
@@ -286,10 +282,8 @@ def _run_protocol(cfg: dict) -> dict:
 def _run_phase(cfg: dict) -> dict:
     stats = protocol.phase_protocol(cfg["r"])
     # blocks[0, 0] is the output of params1 = (r, 0), the single channel.
-    output, spectrum = linop.check_two_qubit(stats.blocks[0, 0], "channel output")
-    payload, branches, single = _branch_reports(
-        stats, cfg["r"], cfg["r"], math.pi, np.concatenate((stats.states[:-1], output[None])),
-        np.concatenate((stats.spectra[:-1], spectrum[None])))
+    [single] = metrics.report_for_states(stats.blocks[0, 0], "channel output")
+    payload, branches = _branch_reports(stats, cfg["r"], cfg["r"], math.pi)
     payload["negativity_plus"] = branches[0][1].negativity_numeric
     payload["negativity_single_channel"] = single.negativity_numeric
     return payload
@@ -322,6 +316,8 @@ def _print_human(payload: dict, stream) -> None:
             stream.write(f"{key} = {value}\n")
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(..., sort_keys=True)
+
 _HANDLERS = {
     "geometry": _run_geometry,
     "channel": _run_channel,
@@ -344,7 +340,7 @@ def run(argv=None, stdout=None) -> int:
         payload = _HANDLERS[args.subcommand](effective)
         if effective["format"] == "json":
             payload["config"] = effective
-            stream.write(json.dumps(payload, sort_keys=True) + "\n")
+            stream.write(_ENCODE(payload) + "\n")
         else:
             _print_human(payload, stream)
         return 0

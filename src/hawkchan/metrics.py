@@ -4,11 +4,12 @@ Numeric negativity and coherent information sit next to the closed
 forms for the protocol scenarios, so every closed form can be checked
 against the fully numeric pipeline.  All entropies are in bits.
 `report_for_states` is the one numeric route to every measure of a state:
-it validates a stack once, reuses those spectra as S(AB), and `_reports`
-takes each other spectrum of the checked stack in one ``eigvalsh`` and
-reduces them to every measure at once.  `report_for_state` is its stack of
-one, and the point queries pass a stack checked with `BranchStatistics.spectra`.
-Branch averages are probability-weighted sums of the reports.  The closed
+it validates a stack once, reuses that call's spectra of the states (as
+S(AB)) and of their partial transposes, takes Rob's reduced states in one
+more ``eigvalsh`` and reduces them to every measure at once.
+`report_for_state` is its call on one state, and `BranchStatistics.reports`
+holds the reports of the states `measure_control` hands out.  Branch
+averages are probability-weighted sums of the reports.  The closed
 forms take floats or arrays that broadcast together.
 """
 
@@ -137,16 +138,22 @@ def _entropies(eigs: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(l * log2 l) of a state's spectrum, in bits."""
-    return float(_entropies(linop.check_density_matrix(rho, "state", spectrum=True)[1]))
+    return float(_entropies(linop.check_density_matrix(rho, "state")[1]))
 
 
-def _reports(arr: np.ndarray, eigs: np.ndarray) -> list[MetricReport]:
-    """The reports of a ``(k, 4, 4)`` stack checked elsewhere, whose spectra are ``eigs``:
-    partial transposes and Rob's states from one reshape of the stack, then one
-    reduction per measure over the ``(k, 4)`` and ``(k, 2)`` spectra."""
-    split = arr.reshape(-1, 2, 2, 2, 2)
-    pt = np.linalg.eigvalsh(split.swapaxes(1, 3).reshape(-1, 4, 4))
-    rob = np.linalg.eigvalsh(np.trace(split, axis1=1, axis2=3))
+def report_for_states(states, names) -> list[MetricReport]:
+    """One `MetricReport` per state of a ``(k, 4, 4)`` stack named ``names``, or of
+    one 4x4 state named by the string ``names``.
+
+    The states are validated in one `linop.check_two_qubit` call, whose
+    ``eigvalsh`` also takes their partial transposes and whose spectra of the
+    states serve as S(AB); Rob's reduced states, from one reshape, take one more
+    ``eigvalsh``.  Each measure is then one reduction over the spectra.
+    `MetricReport` defines each measure.
+    """
+    arr, eigs, pt = linop.check_two_qubit(states, names)
+    eigs, pt = eigs.reshape(-1, 4), pt.reshape(-1, 4)
+    rob = np.linalg.eigvalsh(np.trace(arr.reshape(-1, 2, 2, 2, 2), axis1=1, axis2=3))
     negativities = (np.abs(pt).sum(axis=-1) - 1.0) / 2.0
     if negativities.min() < -NEGATIVITY_CLIP:
         raise ValueError(f"negativity {negativities.min()} below clip floor {-NEGATIVITY_CLIP}")
@@ -156,17 +163,6 @@ def _reports(arr: np.ndarray, eigs: np.ndarray) -> list[MetricReport]:
         (pt[:, 0] >= PPT_TOL).tolist())]
 
 
-def report_for_states(states, names) -> list[MetricReport]:
-    """One `MetricReport` per state of a ``(k, 4, 4)`` stack named ``names``.
-
-    The stack is validated in one call, whose spectra serve as S(AB); the
-    partial transposes and Rob's reduced states take one ``eigvalsh`` each.
-    `MetricReport` defines each measure.
-    """
-    return _reports(*linop.check_two_qubit(states, names))
-
-
 def report_for_state(rho) -> MetricReport:
-    """`report_for_states` of one state: the stack of one."""
-    arr, eigs = linop.check_two_qubit(rho)
-    return _reports(arr[np.newaxis], eigs[np.newaxis])[0]
+    """`report_for_states` of one state."""
+    return report_for_states(rho, "state")[0]

@@ -140,7 +140,7 @@ def dilation_unitary(p: ChannelParams) -> np.ndarray:
 
 def _dilated_block(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     """Tr_partner[ U(pi) (rho x |0><0|) U(pj)^dag ] on the 8-dim A x R x partner space."""
-    arr, _ = linop.check_two_qubit(rho, "input state")
+    arr = linop.check_two_qubit(rho, "input state")[0]
     partner_vacuum = np.zeros((2, 2), dtype=complex)
     partner_vacuum[0, 0] = 1.0
     big = tensor(arr, partner_vacuum)
@@ -151,7 +151,7 @@ def _dilated_block(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
 
 def apply_channel_dilated(rho, p: ChannelParams) -> np.ndarray:
     """Channel output via the unitary dilation; oracle for `channel.apply_channel`."""
-    return linop.check_density_matrix(_dilated_block(rho, p, p), "dilated channel output")
+    return linop.check_density_matrix(_dilated_block(rho, p, p), "dilated channel output")[0]
 
 
 def cross_term_dilated(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
@@ -173,4 +173,4 @@ def superposed_state(cfg: ProtocolConfig) -> np.ndarray:
     ks = kraus_operators(cfg.params1, cfg.params2)
     xi = kraus_block(BELL_STATE, ks[:, None], ks[None, :])
     state = 0.5 * xi.transpose(2, 0, 3, 1).reshape(8, 8)
-    return linop.check_density_matrix(state, "superposed state")
+    return linop.check_density_matrix(state, "superposed state")[0]

@@ -13,11 +13,11 @@ Bell state.
 squeezing and opposite phases, where the closed forms are simplest.
 
 One `measure_control` call builds the branches and the mixture from one
-set of interference blocks, in one stacked matmul, and validates them in
-one call, keeping its spectra.  States are validated where they leave
-this module; the Bell state and the Kraus blocks are trusted in between.
-The 8x8 superposed state is an oracle for these branches
-(`oracle.superposed_state`).
+set of interference blocks, in one stacked matmul, and validates and
+reports them in one `metrics.report_for_states` call.  States are
+validated where they leave this module; the Bell state and the Kraus
+blocks are trusted in between.  The 8x8 superposed state is an oracle
+for these branches (`oracle.superposed_state`).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import linop
 from .channel import ChannelParams, kraus_block, kraus_operators
+from .metrics import MetricReport, report_for_states
 
 # Below this value of the minus-branch scalar the branch never occurs
 # and its posterior state is undefined (the 0/0 guard).
@@ -61,7 +61,7 @@ class BranchStatistics:
     mixture, the same state with the measurement record discarded:
     ``p_plus rho_plus + p_minus rho_minus``.  ``states`` is the checked
     ``(k, 4, 4)`` stack of which they are views (mixture last) and
-    ``spectra``, ``(k, 4)``, its spectra.  ``blocks`` are the
+    ``reports`` its `MetricReport` list, in that order.  ``blocks`` are the
     interference blocks behind them, ``blocks[i, j]`` of |i><j| on the
     control; ``blocks[i, i]``, channel i's output on the Bell state, is unchecked.
     """
@@ -76,7 +76,7 @@ class BranchStatistics:
     rho_mixture: np.ndarray
     blocks: np.ndarray
     states: np.ndarray
-    spectra: np.ndarray
+    reports: list[MetricReport]
 
 
 _PSI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -131,7 +131,7 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
     invariants, while the closed form is non-negative diagonal by
     construction for every C.  The classical mixture is the control's
     diagonal, from the same blocks.  The plus branch, the minus branch
-    (when it occurs) and the mixture are validated in one call (spectra kept).
+    (when it occurs) and the mixture are validated and reported in one call.
     """
     a, b, c = branch_scalars(cfg)
     xi = _interference_blocks(cfg)
@@ -147,9 +147,8 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
         states[1] /= vac + excited
     states[-1] = 0.5 * (xi[0, 0] + xi[1, 1])  # the control's diagonal
     names = ["plus branch"] + ["minus branch"] * minus + ["classical mixture"]
-    _, spectra = linop.check_density_matrix(states, names, spectrum=True)
     return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], states[1] if minus else None,
-                            states[-1], xi, states, spectra)
+                            states[-1], xi, states, report_for_states(states, names))
 
 
 def phase_protocol(r: float) -> BranchStatistics:

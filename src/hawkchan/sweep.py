@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -80,6 +81,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise DomainError("metric", f"unknown metric {self.metric!r}; choose from {METRICS}")
+        try:  # any integer type, numpy's included, stored as a plain int
+            object.__setattr__(self, "resolution", operator.index(self.resolution))
+        except TypeError:
+            raise DomainError("resolution",
+                              f"resolution must be an integer, got {self.resolution!r}") from None
         if not 2 <= self.resolution <= MAX_RESOLUTION:
             raise DomainError("resolution",
                               f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")

@@ -254,7 +254,7 @@ def emitted(emit, grid) -> str:
 
 
 # Reference metric reports: the per-state route that the vectorised
-# ``metrics._reports`` replaced, with entropies summed over the positive
+# ``metrics.report_for_states`` replaced, with entropies summed over the positive
 # eigenvalues only.  Its reports are the contract the stacked ones must meet
 # bit for bit.
 

@@ -382,6 +382,20 @@ class TestConfigFile:
         assert cli.run(["channel", "--r", "0.4", "--config", str(path)]) == 2
         assert "subcommand" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("out", None), ("out", 5), ("metric", ["phase_curve"]), ("format", True),
+    ])
+    def test_string_flag_takes_only_a_json_string(self, tmp_path, monkeypatch, capsys, key, value):
+        """No ``str(value)``: a null ``out`` once wrote a file named ``None``."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"metric": "phase_curve", "resolution": 3, "out": "-", key: value}))
+        stdout = io.StringIO()
+        assert cli.run(["sweep", "--config", str(path)], stdout=stdout) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --config: key {key!r}: expected a string, got {json.dumps(value)}\n")
+        assert stdout.getvalue() == "" and os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize(
         "argv, key, value",
         [

@@ -172,7 +172,7 @@ class TestMatrixExponential:
 class TestDensityMatrixChecks:
     def test_accepts_valid_state(self):
         rho = random_density(RNG, 4)
-        assert linop.check_density_matrix(rho) is rho
+        assert linop.check_density_matrix(rho)[0] is rho
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -243,18 +243,28 @@ class TestStackedDensityMatrixChecks:
     def test_returns_the_same_array_and_its_spectrum(self):
         rho = random_density(RNG, 4)
         stack = np.array([rho, bell_state(), np.eye(4, dtype=complex) / 4])
-        assert linop.check_density_matrix(stack, NAMES) is stack
-        arr, eigs = linop.check_density_matrix(stack, NAMES, spectrum=True)
+        arr, eigs = linop.check_density_matrix(stack, NAMES)
         assert arr is stack and np.array_equal(eigs, np.linalg.eigvalsh(stack))
-        arr, eigs = linop.check_density_matrix(rho, "state", spectrum=True)
+        arr, eigs = linop.check_density_matrix(rho, "state")
         assert arr is rho and np.array_equal(eigs, np.linalg.eigvalsh(rho))
 
     def test_two_qubit_check_takes_a_stack(self):
         stack = np.array([bell_state(), np.eye(4, dtype=complex) / 4])
-        arr, eigs = linop.check_two_qubit(stack, NAMES[:2])
-        assert arr is stack and eigs.shape == (2, 4)
+        arr, eigs, pt = linop.check_two_qubit(stack, NAMES[:2])
+        assert arr is stack and eigs.shape == pt.shape == (2, 4)
         with pytest.raises(ValueError, match="first, middle must be a 4x4 two-qubit state"):
             linop.check_two_qubit(np.array([np.eye(2) / 2] * 2), NAMES[:2])
+
+    def test_two_qubit_check_returns_the_partial_transpose_spectra(self):
+        """Bit for bit those of `oracle.partial_transpose`, for a stack and for one
+        state, though they come from the ``eigvalsh`` call that checks the states."""
+        stack = np.array([random_density(RNG, 4), bell_state(), np.eye(4, dtype=complex) / 4])
+        expected = [np.linalg.eigvalsh(oracle.partial_transpose(rho, (2, 2))) for rho in stack]
+        arr, eigs, pt = linop.check_two_qubit(stack, NAMES)
+        assert np.array_equal(eigs, np.linalg.eigvalsh(stack)) and np.array_equal(pt, expected)
+        for rho, want in zip(stack, expected):
+            arr, eigs, pt = linop.check_two_qubit(rho)
+            assert np.array_equal(eigs, np.linalg.eigvalsh(rho)) and np.array_equal(pt, want)
 
     def test_tensor_and_exponential_take_one_matrix(self):
         stack = np.zeros((2, 2, 2))

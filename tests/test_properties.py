@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from hawkchan import cli, metrics
+from hawkchan import cli
 from hawkchan.channel import ChannelParams, apply_channel, cross_term, kraus_operators
 from hawkchan.metrics import (
     coherent_info_closed,
@@ -90,15 +90,15 @@ def test_control_trace_of_superposition_is_the_mixture(cfg):
 
 @given(configs())
 @example(ProtocolConfig(ChannelParams(0.4, 2.0), ChannelParams(0.4, 2.0)))
-def test_kept_spectra_line_up_with_their_states(cfg):
-    """The spectra `measure_control` keeps are those of the states it hands out,
-    in order, so reports from them equal reports that validate the states again."""
+def test_kept_reports_line_up_with_their_states(cfg):
+    """The reports `measure_control` keeps are those of the states it hands out,
+    in order: equal to reports that validate the states again."""
     stats = measure_control(cfg)
     states = np.array([rho for rho in (stats.rho_plus, stats.rho_minus) if rho is not None]
                       + [stats.rho_mixture])
-    assert np.array_equal(stats.spectra, np.linalg.eigvalsh(states))
+    assert np.array_equal(stats.states, states)
     names = ["plus branch", "minus branch"][:len(states) - 1] + ["classical mixture"]
-    assert metrics._reports(states, stats.spectra) == report_for_states(states, names)
+    assert stats.reports == report_for_states(stats.states, names)
 
 
 @given(configs())

@@ -345,30 +345,30 @@ class TestOneEvaluation:
     def test_protocol_query_validates_each_state_once(self, validated, eigvalsh_calls,
                                                       r2, phi2, built):
         """Each protocol state is checked once, when it is built, in one stacked
-        call over all of them.  Three ``eigvalsh`` calls in all: the build check
-        (whose spectra the report reuses as S(AB)), and the report's partial
-        transposes and reduced states."""
+        call over all of them.  Two ``eigvalsh`` calls in all: the build check,
+        which also takes the partial transposes (its spectra of the states serve
+        as S(AB)), and the report's reduced states."""
         argv = ["protocol", "--r1", "0.2", "--r2", r2, "--phi2", phi2, "--format", "json"]
         assert cli.run(argv, stdout=io.StringIO()) == 0
         assert validated == [built]
-        assert eigvalsh_calls == [(len(built),)] * 3
+        assert eigvalsh_calls == [(2 * len(built),), (len(built),)]
 
     @pytest.mark.parametrize("argv, pairs, checks, eigvalsh", [
         (["channel", "--r", "0.4", "--phi", "1.1"], 1,
-         [["state"]], [(1,)] * 3),
+         [["state"]], [(2,), (1,)]),
         (["phase", "--r", "0.5"], 2,
          [["plus branch", "minus branch", "classical mixture"], ["channel output"]],
-         [(3,), (1,), (3,), (3,)]),
+         [(6,), (3,), (2,), (1,)]),
         (["phase", "--r", "0"], 2,
-         [["plus branch", "classical mixture"], ["channel output"]], [(2,), (1,), (2,), (2,)]),
+         [["plus branch", "classical mixture"], ["channel output"]], [(4,), (2,), (2,), (1,)]),
     ], ids=["channel", "phase", "phase-r0"])
     def test_point_query_work(self, kraus_calls, validated, eigvalsh_calls,
                               argv, pairs, checks, eigvalsh):
         """``kraus_operators`` channels, ``check_density_matrix`` and ``eigvalsh`` calls per query
         (protocol: above).  The Bell state a ``channel`` query starts from is not
-        re-checked.  ``phase`` checks its branches when they are built and its
-        single-channel state, taken from the blocks, on its own; one stacked
-        report over the branches and that state reuses both checks' spectra."""
+        re-checked.  ``phase`` checks and reports its branches when they are built,
+        and its single-channel state, taken from the blocks, as a stack of one;
+        each check's ``eigvalsh`` also takes the partial transposes."""
         assert cli.run(argv + ["--format", "json"], stdout=io.StringIO()) == 0
         assert (len(kraus_calls), validated, eigvalsh_calls) == (pairs, checks, eigvalsh)
 

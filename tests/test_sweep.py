@@ -70,6 +70,20 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="resolution"):
             SweepSpec("neg_pct_diff_mixture", resolution=2002)
 
+    @pytest.mark.parametrize("resolution", [5.0, "5", None])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(DomainError, match="resolution must be an integer") as refused:
+            SweepSpec("neg_pct_diff_mixture", resolution=resolution)
+        assert refused.value.field == "resolution"
+
+    @pytest.mark.parametrize("metric", ["neg_pct_diff_mixture", "phase_curve"])
+    def test_numpy_integer_resolution_sweeps_as_its_int(self, metric):
+        spec = SweepSpec(metric, resolution=np.int64(5))
+        assert type(spec.resolution) is int and spec == SweepSpec(metric, resolution=5)
+        grid, expected = run_sweep(spec), run_sweep(SweepSpec(metric, resolution=5))
+        for emit in (emit_csv, emit_json):
+            assert emitted(emit, grid) == emitted(emit, expected)
+
     def test_phase_curve_wider_domain(self):
         SweepSpec("phase_curve", r1_range=(0.0, 1.5), resolution=11)
         with pytest.raises(ValueError, match="domain"):
