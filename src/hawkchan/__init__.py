@@ -28,26 +28,24 @@ from .oracle import (
     superposed_state,
 )
 from .protocol import (
+    BELL_STATE,
     BranchStatistics,
-    ProtocolConfig,
-    bell_state,
     measure_control,
     phase_protocol,
 )
 from .sweep import METRICS, SweepGrid, SweepSpec, emit_csv, emit_json, run_sweep
 
 __all__ = [
+    "BELL_STATE",
     "BlackHoleGeometry",
     "BranchStatistics",
     "ChannelParams",
     "METRICS",
     "MetricReport",
-    "ProtocolConfig",
     "SweepGrid",
     "SweepSpec",
     "apply_channel",
     "apply_channel_dilated",
-    "bell_state",
     "channel_output_closed_form",
     "coherent_info_closed",
     "cross_term",

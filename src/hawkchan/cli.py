@@ -2,8 +2,9 @@
 
 Subcommands: ``geometry`` (geometry -> squeezing), ``channel``
 (single-channel evaluation), ``protocol`` (superposition vs classical
-mixture), ``phase`` (opposite-phase superposition), ``sweep``
-(figure-reproduction grids to CSV/JSON).
+mixture), ``phase`` (opposite-phase superposition, whose classical
+mixture is the single channel's output), ``sweep`` (figure-reproduction
+grids to CSV/JSON).  Each point query checks its states once.
 
 Values may come from a JSON config file (``--config``); explicit flags
 override it.  Reports print as human-readable text or, with
@@ -257,7 +258,7 @@ def _channel_params(cfg: dict, suffix: str) -> ChannelParams:
 def _run_protocol(cfg: dict) -> dict:
     p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
     dphi = p1.phi - p2.phi
-    stats = protocol.measure_control(protocol.ProtocolConfig(p1, p2))
+    stats = protocol.measure_control(p1, p2)
     payload, branches = _branch_reports(stats, p1.r, p2.r, dphi)
     *_, mixture = stats.reports
     payload.update({
@@ -281,11 +282,10 @@ def _run_protocol(cfg: dict) -> dict:
 
 def _run_phase(cfg: dict) -> dict:
     stats = protocol.phase_protocol(cfg["r"])
-    # blocks[0, 0] is the output of params1 = (r, 0), the single channel.
-    [single] = metrics.report_for_states(stats.blocks[0, 0], "channel output")
     payload, branches = _branch_reports(stats, cfg["r"], cfg["r"], math.pi)
     payload["negativity_plus"] = branches[0][1].negativity_numeric
-    payload["negativity_single_channel"] = single.negativity_numeric
+    # With opposite phases the classical mixture is the single channel's output.
+    payload["negativity_single_channel"] = stats.reports[-1].negativity_numeric
     return payload
 
 

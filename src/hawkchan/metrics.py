@@ -50,15 +50,16 @@ class MetricReport:
     ppt: bool
 
     def __post_init__(self):
-        if self.negativity_numeric < -NEGATIVITY_CLIP:
+        if not self.negativity_numeric >= -NEGATIVITY_CLIP:  # NaN fails too
             raise ValueError(f"negativity {self.negativity_numeric} below clip floor")
 
 
 def check_closed_form(name: str, numeric: float, closed: float) -> None:
     """Raise ``ValueError`` naming ``name`` when a closed form and its numeric
-    counterpart differ by more than ``CLOSED_FORM_TOL``."""
+    counterpart differ by more than ``CLOSED_FORM_TOL``, or either is NaN or
+    both are the same infinity (a NaN gap)."""
     gap = abs(numeric - closed)
-    if gap > CLOSED_FORM_TOL:
+    if not gap <= CLOSED_FORM_TOL:
         raise ValueError(f"closed-form {name} differs from numeric by {gap:.3e}")
 
 

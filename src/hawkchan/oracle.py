@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linop
 from .channel import ChannelParams, kraus_block, kraus_operators
-from .protocol import BELL_STATE, ProtocolConfig
+from .protocol import BELL_STATE
 
 # Largest operator dimension the package needs (A x R x control).
 MAX_DIM = 8
@@ -159,7 +159,7 @@ def cross_term_dilated(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     return _dilated_block(rho, pi, pj)
 
 
-def superposed_state(cfg: ProtocolConfig) -> np.ndarray:
+def superposed_state(params1: ChannelParams, params2: ChannelParams) -> np.ndarray:
     """Joint Alice-Rob-control state after the coherent superposition.
 
     The 8x8 state on (A x R) x control is assembled from the four
@@ -170,7 +170,7 @@ def superposed_state(cfg: ProtocolConfig) -> np.ndarray:
 
     Tracing out the control recovers the classical mixture.
     """
-    ks = kraus_operators(cfg.params1, cfg.params2)
+    ks = kraus_operators(params1, params2)
     xi = kraus_block(BELL_STATE, ks[:, None], ks[None, :])
     state = 0.5 * xi.transpose(2, 0, 3, 1).reshape(8, 8)
     return linop.check_density_matrix(state, "superposed state")[0]

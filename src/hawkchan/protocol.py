@@ -10,13 +10,16 @@ produce.  The single channel alone is `channel.apply_channel` on the
 Bell state.
 
 `phase_protocol` is the superposition of two channels with equal
-squeezing and opposite phases, where the closed forms are simplest.
+squeezing and opposite phases, where the closed forms are simplest.  A
+channel's output on the Bell state does not depend on its phase, so
+there the mixture is the single channel's output.
 
-One `measure_control` call builds the branches and the mixture from one
-set of interference blocks, in one stacked matmul, and validates and
-reports them in one `metrics.report_for_states` call.  States are
-validated where they leave this module; the Bell state and the Kraus
-blocks are trusted in between.  The 8x8 superposed state is an oracle
+`measure_control` takes the two `ChannelParams`, as `kraus_operators`
+does.  One call builds the branches and the mixture from one set of
+interference blocks, in one stacked matmul, and validates and reports
+them in one `metrics.report_for_states` call.  States are validated
+where they leave this module; the Bell state and the Kraus blocks are
+trusted in between.  The 8x8 superposed state is an oracle
 for these branches (`oracle.superposed_state`).
 """
 
@@ -36,14 +39,6 @@ from .metrics import MetricReport, report_for_states
 ABSENT_BRANCH_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Parameters of the two superposed channels (equal branch weights)."""
-
-    params1: ChannelParams
-    params2: ChannelParams
-
-
 @dataclass(eq=False)
 class BranchStatistics:
     """Outcome of measuring the control qubit in the |+>/|-> basis.
@@ -61,9 +56,7 @@ class BranchStatistics:
     mixture, the same state with the measurement record discarded:
     ``p_plus rho_plus + p_minus rho_minus``.  ``states`` is the checked
     ``(k, 4, 4)`` stack of which they are views (mixture last) and
-    ``reports`` its `MetricReport` list, in that order.  ``blocks`` are the
-    interference blocks behind them, ``blocks[i, j]`` of |i><j| on the
-    control; ``blocks[i, i]``, channel i's output on the Bell state, is unchecked.
+    ``reports`` its `MetricReport` list, in that order.
     """
 
     a_scalar: float
@@ -74,7 +67,6 @@ class BranchStatistics:
     rho_plus: np.ndarray
     rho_minus: Optional[np.ndarray]
     rho_mixture: np.ndarray
-    blocks: np.ndarray
     states: np.ndarray
     reports: list[MetricReport]
 
@@ -84,12 +76,7 @@ BELL_STATE = np.outer(_PSI, _PSI.conj())
 BELL_STATE.flags.writeable = False
 
 
-def bell_state() -> np.ndarray:
-    """Density matrix of (|00> + |11>)/sqrt(2), the shared resource state (read-only)."""
-    return BELL_STATE
-
-
-def _interference_blocks(cfg: ProtocolConfig) -> np.ndarray:
+def _interference_blocks(params1: ChannelParams, params2: ChannelParams) -> np.ndarray:
     """The blocks ``xi[i, j]`` of |i><j| on the control, a (2, 2, 4, 4) array.
 
     ``xi[i, j] = sum_n M_in bell M_jn^dag`` for the channels of
@@ -97,26 +84,24 @@ def _interference_blocks(cfg: ProtocolConfig) -> np.ndarray:
     over their `kraus_operators` array.  Every state this module hands out
     is derived from one such array.
     """
-    ks = kraus_operators(cfg.params1, cfg.params2)
+    ks = kraus_operators(params1, params2)
     return kraus_block(BELL_STATE, ks[:, None], ks[None, :])
 
 
-def branch_scalars(cfg: ProtocolConfig) -> tuple[float, float, float]:
+def branch_scalars(params1: ChannelParams, params2: ChannelParams) -> tuple[float, float, float]:
     """Closed-form scalars (A, B, C) for the given channel pair.
 
     C is evaluated as 2 sin^2((r1 - r2)/2) + 2 B, a sum of
     non-negatives; the textbook form 1 - c1 c2 - cos(dphi) s1 s2
     cancels catastrophically for near-identical channels.  A = 4 - C.
     """
-    r1, phi1 = cfg.params1.r, cfg.params1.phi
-    r2, phi2 = cfg.params2.r, cfg.params2.phi
-    dphi = phi1 - phi2
-    b = math.sin(dphi / 2.0) ** 2 * math.sin(r1) * math.sin(r2)
+    r1, r2 = params1.r, params2.r
+    b = math.sin((params1.phi - params2.phi) / 2.0) ** 2 * math.sin(r1) * math.sin(r2)
     c = 2.0 * math.sin((r1 - r2) / 2.0) ** 2 + 2.0 * b
     return 4.0 - c, b, c
 
 
-def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
+def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchStatistics:
     """Posterior Alice-Rob states after measuring the control in |+>/|->.
 
     The plus branch carries the recovered entanglement; the minus
@@ -133,22 +118,22 @@ def measure_control(cfg: ProtocolConfig) -> BranchStatistics:
     diagonal, from the same blocks.  The plus branch, the minus branch
     (when it occurs) and the mixture are validated and reported in one call.
     """
-    a, b, c = branch_scalars(cfg)
-    xi = _interference_blocks(cfg)
+    a, b, c = branch_scalars(params1, params2)
+    xi = _interference_blocks(params1, params2)
     minus = c >= ABSENT_BRANCH_TOL
     states = np.zeros((3 if minus else 2, 4, 4), dtype=complex)
     plus_un = 0.25 * (xi[0, 0] + xi[1, 1] + xi[0, 1] + xi[1, 0])
     p_plus = float(plus_un.trace().real)
     np.divide(plus_un, p_plus, out=states[0])
     if minus:
-        vac = (math.cos(cfg.params1.r) - math.cos(cfg.params2.r)) ** 2
-        excited = (math.sin(cfg.params1.r) - math.sin(cfg.params2.r)) ** 2 + 4.0 * b
+        vac = (math.cos(params1.r) - math.cos(params2.r)) ** 2
+        excited = (math.sin(params1.r) - math.sin(params2.r)) ** 2 + 4.0 * b
         states[1, 0, 0], states[1, 1, 1] = vac, excited
         states[1] /= vac + excited
     states[-1] = 0.5 * (xi[0, 0] + xi[1, 1])  # the control's diagonal
     names = ["plus branch"] + ["minus branch"] * minus + ["classical mixture"]
     return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], states[1] if minus else None,
-                            states[-1], xi, states, report_for_states(states, names))
+                            states[-1], states, report_for_states(states, names))
 
 
 def phase_protocol(r: float) -> BranchStatistics:
@@ -157,6 +142,6 @@ def phase_protocol(r: float) -> BranchStatistics:
     For phi1 = phi2 + pi and common squeezing ``r`` the plus branch has
     probability (1 + cos(r)^2)/2 and negativity |cos r| / (1 + cos^2 r),
     and the minus branch is the product state |0_A 1_R><0_A 1_R|
-    (absent at r = 0).
+    (absent at r = 0).  ``rho_mixture`` is the single channel's output.
     """
-    return measure_control(ProtocolConfig(ChannelParams(r, 0.0), ChannelParams(r, math.pi)))
+    return measure_control(ChannelParams(r, 0.0), ChannelParams(r, math.pi))

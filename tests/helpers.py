@@ -22,12 +22,12 @@ import numpy as np
 
 from hawkchan import metrics, oracle
 from hawkchan.channel import apply_channel, kraus_operators
-from hawkchan.protocol import bell_state
+from hawkchan.protocol import BELL_STATE
 
 
 def single_channel(p):
     """The single channel on the Bell state: criterion 01's route."""
-    return apply_channel(bell_state(), kraus_operators(p)[0])
+    return apply_channel(BELL_STATE, kraus_operators(p)[0])
 
 
 def branch_measures(stats):

@@ -30,7 +30,7 @@ from hawkchan.channel import (
     squeezing_from_geometry,
 )
 from hawkchan.oracle import apply_channel_dilated, cross_term_dilated
-from hawkchan.protocol import ProtocolConfig, bell_state, measure_control, phase_protocol
+from hawkchan.protocol import BELL_STATE, measure_control, phase_protocol
 from hawkchan.sweep import SweepSpec, emit_csv, emit_json, run_sweep
 
 from helpers import branch_measures, convex_gap_oracle, geometry_r_oracle, single_channel
@@ -55,7 +55,7 @@ def test_criterion_01_single_channel_output():
     worst_neg = 0.0
     for _ in range(100):
         p = random_params(RNG)
-        out = apply_channel(bell_state(), kraus_operators(p)[0])
+        out = apply_channel(BELL_STATE, kraus_operators(p)[0])
         worst_matrix = max(worst_matrix, float(np.abs(out - channel_output_closed_form(p)).max()))
         worst_neg = max(worst_neg, abs(metrics.negativity(out) - math.cos(p.r) ** 2 / 2))
     check(
@@ -87,12 +87,12 @@ def test_criterion_02_kraus_vs_dilation():
 def test_criterion_03_protocol_algebra():
     worst_prob = worst_scalar = worst_recon = worst_neg = 0.0
     for _ in range(100):
-        cfg = ProtocolConfig(random_params(RNG), random_params(RNG))
-        stats = measure_control(cfg)
+        p1, p2 = random_params(RNG), random_params(RNG)
+        stats = measure_control(p1, p2)
         worst_prob = max(worst_prob, abs(stats.p_plus + stats.p_minus - 1.0))
 
-        r1, phi1 = cfg.params1.r, cfg.params1.phi
-        r2, phi2 = cfg.params2.r, cfg.params2.phi
+        r1, phi1 = p1.r, p1.phi
+        r2, phi2 = p2.r, p2.phi
         cc = math.cos(r1) * math.cos(r2)
         ss = math.sin(r1) * math.sin(r2)
         a = 3.0 + cc + math.cos(phi1 - phi2) * ss
@@ -124,12 +124,12 @@ def test_criterion_04_closed_form_negativities():
     worst = 0.0
     for r1 in rs:
         for r2 in rs:
-            cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
-            stats = measure_control(cfg)
+            p1, p2 = ChannelParams(r1), ChannelParams(r2)
+            stats = measure_control(p1, p2)
             numeric_avg, _, mixture = branch_measures(stats)
             numeric_mix = mixture.negativity_numeric
-            numeric_convex = 0.5 * metrics.negativity(single_channel(cfg.params1)) + (
-                0.5 * metrics.negativity(single_channel(cfg.params2))
+            numeric_convex = 0.5 * metrics.negativity(single_channel(p1)) + (
+                0.5 * metrics.negativity(single_channel(p2))
             )
             worst = max(
                 worst,
@@ -139,7 +139,7 @@ def test_criterion_04_closed_form_negativities():
             )
     phase_rs = np.linspace(0.0, math.pi / 2, 102)[:-1]
     for r in phase_rs:
-        stats = measure_control(ProtocolConfig(ChannelParams(r, 0.0), ChannelParams(r, math.pi)))
+        stats = measure_control(ChannelParams(r, 0.0), ChannelParams(r, math.pi))
         numeric = branch_measures(stats)[0]
         worst = max(worst, abs(numeric - metrics.negativity_avg_closed(r, r, math.pi)))
     check(4, "closed-form-negativities", worst <= 1e-10, f"worst gap {worst:.2e} (tol 1e-10)")
@@ -211,8 +211,7 @@ def test_criterion_07_coherent_information_grid():
     max_diagonal = 0.0
     for i, r1 in enumerate(rs):
         for j, r2 in enumerate(rs):
-            cfg = ProtocolConfig(ChannelParams(r1), ChannelParams(r2))
-            stats = measure_control(cfg)
+            stats = measure_control(ChannelParams(r1), ChannelParams(r2))
             _, ensemble, mixture = branch_measures(stats)
             diff = ensemble - mixture.coherent_information
             worst_floor = min(worst_floor, diff)

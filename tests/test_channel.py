@@ -18,7 +18,7 @@ from hawkchan.channel import (
     squeezing_from_geometry,
 )
 from hawkchan.oracle import apply_channel_dilated, cross_term_dilated, dilation_unitary, tensor
-from hawkchan.protocol import bell_state
+from hawkchan.protocol import BELL_STATE
 
 from helpers import geometry_r_oracle, random_density
 
@@ -170,13 +170,13 @@ class TestKrausOperators:
 
 class TestApplyChannel:
     def test_identity_at_zero_squeezing(self):
-        out = apply_channel(bell_state(), kraus_operators(ChannelParams(0.0))[0])
-        assert np.abs(out - bell_state()).max() < 1e-14
+        out = apply_channel(BELL_STATE, kraus_operators(ChannelParams(0.0))[0])
+        assert np.abs(out - BELL_STATE).max() < 1e-14
 
     def test_bell_output_matches_closed_form(self):
         for _ in range(20):
             p = random_params(RNG)
-            out = apply_channel(bell_state(), kraus_operators(p)[0])
+            out = apply_channel(BELL_STATE, kraus_operators(p)[0])
             assert np.abs(out - channel_output_closed_form(p)).max() < 1e-14
 
     def test_closed_form_entries(self):
@@ -224,7 +224,7 @@ class TestCrossTerm:
 
     def test_matches_dilation_cross_block(self):
         p1, p2 = ChannelParams(0.3), ChannelParams(0.7)
-        rho = bell_state()
+        rho = BELL_STATE
         got = cross_term(rho, *kraus_operators(p1, p2))
         assert np.abs(got - cross_term_dilated(rho, p1, p2)).max() < 1e-12
 
@@ -275,5 +275,5 @@ def test_high_frequency_mode_nearly_invariant():
     r_low = squeezing_from_geometry(base).r
     r_high = squeezing_from_geometry(boosted).r
     assert r_high < r_low * 1e-4
-    out = apply_channel(bell_state(), kraus_operators(ChannelParams(r_high))[0])
-    assert np.abs(out - bell_state()).max() < 1e-8
+    out = apply_channel(BELL_STATE, kraus_operators(ChannelParams(r_high))[0])
+    assert np.abs(out - BELL_STATE).max() < 1e-8

@@ -59,8 +59,7 @@ class TestProtocolCommand:
 
     def test_numbers_match_library_bit_for_bit(self):
         doc = run_json(["protocol", "--r1", "0.2", "--r2", "0.7"])
-        cfg = protocol.ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7))
-        stats = protocol.measure_control(cfg)
+        stats = protocol.measure_control(ChannelParams(0.2), ChannelParams(0.7))
         assert doc["p_plus"] == stats.p_plus
         assert doc["a_scalar"] == stats.a_scalar
         kept, _, mixture = branch_measures(stats)

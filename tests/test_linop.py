@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from hawkchan import linop, oracle
-from hawkchan.protocol import bell_state
+from hawkchan.protocol import BELL_STATE
 
 from helpers import (
     kron_oracle,
@@ -70,7 +70,7 @@ class TestPartialTrace:
             assert np.abs(reduced - rho_a).max() < 1e-12
 
     def test_bell_marginal_is_maximally_mixed(self):
-        reduced = oracle.partial_trace(bell_state(), (2, 2), keep=0)
+        reduced = oracle.partial_trace(BELL_STATE, (2, 2), keep=0)
         assert np.abs(reduced - np.eye(2) / 2).max() < 1e-14
 
     def test_matches_index_sum_oracle(self):
@@ -110,7 +110,7 @@ class TestPartialTranspose:
     def test_bell_spectrum(self):
         # Hand eigensolve: the transposed Bell projector has the standard
         # three +1/2 eigenvalues and a single -1/2.
-        pt = oracle.partial_transpose(bell_state(), (2, 2))
+        pt = oracle.partial_transpose(BELL_STATE, (2, 2))
         eigs = np.sort(np.linalg.eigvalsh(pt))
         assert np.abs(eigs - np.array([-0.5, 0.5, 0.5, 0.5])).max() < 1e-14
 
@@ -215,7 +215,7 @@ class TestStackedDensityMatrixChecks:
         bad = _bad_states()[kind]
         with pytest.raises(ValueError) as single:
             linop.check_density_matrix(bad, "middle")
-        stack = np.array([bell_state(), bad, random_density(RNG, 4)])
+        stack = np.array([BELL_STATE, bad, random_density(RNG, 4)])
         with pytest.raises(ValueError) as stacked:
             linop.check_density_matrix(stack, NAMES)
         assert str(stacked.value) == str(single.value)
@@ -224,7 +224,7 @@ class TestStackedDensityMatrixChecks:
     def test_first_failing_state_wins(self):
         """A state's later invariant fails before a later state's earlier one."""
         bad = _bad_states()
-        stack = np.array([bell_state(), bad["eigenvalue"], bad["non-hermitian"]])
+        stack = np.array([BELL_STATE, bad["eigenvalue"], bad["non-hermitian"]])
         with pytest.raises(ValueError, match="^middle has eigenvalue"):
             linop.check_density_matrix(stack, NAMES)
 
@@ -234,22 +234,22 @@ class TestStackedDensityMatrixChecks:
         with pytest.raises(ValueError, match="must be square"):
             linop.check_density_matrix(np.ones((2, 3)) / 2)
         with pytest.raises(ValueError, match="must be a stack of 3 matrices"):
-            linop.check_density_matrix(np.array([bell_state()] * 2), NAMES)
+            linop.check_density_matrix(np.array([BELL_STATE] * 2), NAMES)
         with pytest.raises(ValueError, match="must be a stack of 3 matrices"):
-            linop.check_density_matrix(bell_state(), NAMES)
+            linop.check_density_matrix(BELL_STATE, NAMES)
         with pytest.raises(ValueError, match="must be square"):
             linop.check_density_matrix(np.ones((3, 2, 3)) / 2, NAMES)
 
     def test_returns_the_same_array_and_its_spectrum(self):
         rho = random_density(RNG, 4)
-        stack = np.array([rho, bell_state(), np.eye(4, dtype=complex) / 4])
+        stack = np.array([rho, BELL_STATE, np.eye(4, dtype=complex) / 4])
         arr, eigs = linop.check_density_matrix(stack, NAMES)
         assert arr is stack and np.array_equal(eigs, np.linalg.eigvalsh(stack))
         arr, eigs = linop.check_density_matrix(rho, "state")
         assert arr is rho and np.array_equal(eigs, np.linalg.eigvalsh(rho))
 
     def test_two_qubit_check_takes_a_stack(self):
-        stack = np.array([bell_state(), np.eye(4, dtype=complex) / 4])
+        stack = np.array([BELL_STATE, np.eye(4, dtype=complex) / 4])
         arr, eigs, pt = linop.check_two_qubit(stack, NAMES[:2])
         assert arr is stack and eigs.shape == pt.shape == (2, 4)
         with pytest.raises(ValueError, match="first, middle must be a 4x4 two-qubit state"):
@@ -258,7 +258,7 @@ class TestStackedDensityMatrixChecks:
     def test_two_qubit_check_returns_the_partial_transpose_spectra(self):
         """Bit for bit those of `oracle.partial_transpose`, for a stack and for one
         state, though they come from the ``eigvalsh`` call that checks the states."""
-        stack = np.array([random_density(RNG, 4), bell_state(), np.eye(4, dtype=complex) / 4])
+        stack = np.array([random_density(RNG, 4), BELL_STATE, np.eye(4, dtype=complex) / 4])
         expected = [np.linalg.eigvalsh(oracle.partial_transpose(rho, (2, 2))) for rho in stack]
         arr, eigs, pt = linop.check_two_qubit(stack, NAMES)
         assert np.array_equal(eigs, np.linalg.eigvalsh(stack)) and np.array_equal(pt, expected)

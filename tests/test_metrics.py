@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hawkchan import linop, metrics
 from hawkchan.channel import ChannelParams
 from hawkchan.oracle import tensor
-from hawkchan.protocol import ProtocolConfig, bell_state, measure_control
+from hawkchan.protocol import BELL_STATE, measure_control
 from hawkchan.sweep import SweepSpec, run_sweep
 
 from helpers import (
@@ -29,7 +29,7 @@ RNG = np.random.default_rng(20240814)
 
 class TestNegativity:
     def test_bell_is_half(self):
-        assert abs(metrics.negativity(bell_state()) - 0.5) < 1e-12
+        assert abs(metrics.negativity(BELL_STATE) - 0.5) < 1e-12
 
     def test_maximally_mixed_is_zero(self):
         assert metrics.negativity(np.eye(4) / 4) == 0.0
@@ -64,7 +64,7 @@ class TestClosedFormNegativities:
             assert abs(metrics.negativity_convex_avg(r, r) - single) < 1e-14
 
     def test_avg_matches_numeric_protocol(self):
-        stats = measure_control(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7)))
+        stats = measure_control(ChannelParams(0.2), ChannelParams(0.7))
         numeric = branch_measures(stats)[0]
         assert abs(numeric - metrics.negativity_avg_closed(0.2, 0.7)) < 1e-10
 
@@ -72,13 +72,12 @@ class TestClosedFormNegativities:
         for _ in range(200):
             p1 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
             p2 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
-            numeric = branch_measures(measure_control(ProtocolConfig(p1, p2)))[0]
+            numeric = branch_measures(measure_control(p1, p2))[0]
             closed = metrics.negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)
             assert abs(numeric - closed) < 1e-10
 
     def test_mixture_matches_numeric(self):
-        cfg = ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7))
-        numeric = metrics.negativity(measure_control(cfg).rho_mixture)
+        numeric = metrics.negativity(measure_control(ChannelParams(0.2), ChannelParams(0.7)).rho_mixture)
         assert abs(numeric - metrics.negativity_mixture_closed(0.2, 0.7)) < 1e-10
 
     def test_convex_avg_example(self):
@@ -138,7 +137,7 @@ class TestConvexGapOracle:
 
 class TestEntropy:
     def test_pure_state(self):
-        assert metrics.von_neumann_entropy(bell_state()) < 1e-12
+        assert metrics.von_neumann_entropy(BELL_STATE) < 1e-12
 
     def test_maximally_mixed_qubit(self):
         assert abs(metrics.von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-14
@@ -163,7 +162,7 @@ class TestEntropy:
 
 class TestCoherentInformation:
     def test_bell_is_one_bit(self):
-        assert abs(metrics.report_for_state(bell_state()).coherent_information - 1.0) < 1e-12
+        assert abs(metrics.report_for_state(BELL_STATE).coherent_information - 1.0) < 1e-12
 
     def test_maximally_mixed_is_minus_one(self):
         assert abs(metrics.report_for_state(np.eye(4) / 4).coherent_information + 1.0) < 1e-12
@@ -177,14 +176,13 @@ class TestCoherentInformation:
         assert got <= 1e-12
 
     def test_superposition_beats_mixture(self):
-        cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6))
-        stats = measure_control(cfg)
+        stats = measure_control(ChannelParams(0.3), ChannelParams(0.6))
         _, ensemble, mixture = branch_measures(stats)
         assert ensemble - mixture.coherent_information > 0.0
 
 
 def numeric_coherent_info_diff(r1, r2):
-    stats = measure_control(ProtocolConfig(ChannelParams(r1), ChannelParams(r2)))
+    stats = measure_control(ChannelParams(r1), ChannelParams(r2))
     _, ensemble, mixture = branch_measures(stats)
     return ensemble - mixture.coherent_information
 
@@ -205,7 +203,7 @@ class TestCoherentInfoClosedForm:
 
 class TestPptSeparable:
     def test_bell_is_entangled(self):
-        assert not metrics.report_for_state(bell_state()).ppt
+        assert not metrics.report_for_state(BELL_STATE).ppt
 
     def test_diagonal_states_separable(self):
         probs = RNG.dirichlet(np.ones(4))
@@ -221,11 +219,10 @@ class TestPptSeparable:
 
     def test_minus_branch_always_separable(self):
         for _ in range(10):
-            cfg = ProtocolConfig(
+            stats = measure_control(
                 ChannelParams(RNG.uniform(0, math.pi / 2 - 1e-9), RNG.uniform(0, 2 * math.pi)),
                 ChannelParams(RNG.uniform(0, math.pi / 2 - 1e-9), RNG.uniform(0, 2 * math.pi)),
             )
-            stats = measure_control(cfg)
             if stats.rho_minus is not None:
                 assert metrics.report_for_state(stats.rho_minus).ppt
 
@@ -264,9 +261,8 @@ class TestMetricReport:
         metrics.check_closed_form("negativity", report.negativity_numeric, math.cos(0.4) ** 2 / 2)
 
     def test_validates_once_and_matches_public_measures(self, monkeypatch):
-        cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6, 1.0))
-        stats = measure_control(cfg)
-        states = [bell_state(), single_channel(ChannelParams(0.4)),
+        stats = measure_control(ChannelParams(0.3), ChannelParams(0.6, 1.0))
+        states = [BELL_STATE, single_channel(ChannelParams(0.4)),
                   stats.rho_mixture, stats.rho_plus, random_density(RNG, 4)]
         expected = reference_reports(*linop.check_two_qubit(
             np.array(states), [f"state {i}" for i in range(len(states))])[:2])
@@ -279,8 +275,7 @@ class TestMetricReport:
         assert len(calls) == len(states)
 
     def test_report_for_states_validates_the_stack_once(self, monkeypatch):
-        cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.6, 1.0))
-        stats = measure_control(cfg)
+        stats = measure_control(ChannelParams(0.3), ChannelParams(0.6, 1.0))
         stack = np.array([stats.rho_plus, stats.rho_minus, stats.rho_mixture])
         calls = []
         check = linop.check_density_matrix
@@ -295,15 +290,26 @@ class TestMetricReport:
         bad = np.eye(4, dtype=complex) / 4
         bad[0, 1] = 0.1
         with pytest.raises(ValueError, match="^second is not Hermitian"):
-            metrics.report_for_states(np.array([bell_state(), bad]), ["first", "second"])
+            metrics.report_for_states(np.array([BELL_STATE, bad]), ["first", "second"])
         with pytest.raises(ValueError, match="first, second must be a 4x4 two-qubit state"):
             metrics.report_for_states(np.array([np.eye(2) / 2] * 2), ["first", "second"])
 
     def test_rejects_inconsistent_closed_form(self):
-        report = metrics.report_for_state(bell_state())
+        report = metrics.report_for_state(BELL_STATE)
         message = "closed-form negativity differs from numeric by 2.500e-01"
         with pytest.raises(ValueError, match=message):
             metrics.check_closed_form("negativity", report.negativity_numeric, 0.25)
+
+    @pytest.mark.parametrize("numeric, closed", [
+        (math.nan, 0.25), (0.25, math.nan), (math.inf, math.inf),
+    ], ids=["nan-numeric", "nan-closed", "inf-inf"])
+    def test_closed_form_gate_refuses_non_finite_gaps(self, numeric, closed):
+        with pytest.raises(ValueError, match="^closed-form x differs from numeric by nan$"):
+            metrics.check_closed_form("x", numeric, closed)
+
+    def test_report_refuses_nan_negativity(self):
+        with pytest.raises(ValueError, match="^negativity nan below clip floor$"):
+            metrics.MetricReport(math.nan, 0.0, True)
 
 
 @st.composite
@@ -313,10 +319,9 @@ def two_qubit_states(draw):
     if kind == "random":
         return random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 4)
     if kind == "bell":
-        return bell_state()
+        return BELL_STATE
     r, phi = st.floats(0.0, math.pi / 2 - 1e-9), st.floats(0.0, 2 * math.pi, exclude_max=True)
-    stats = measure_control(ProtocolConfig(ChannelParams(draw(r), draw(phi)),
-                                           ChannelParams(draw(r), draw(phi))))
+    stats = measure_control(ChannelParams(draw(r), draw(phi)), ChannelParams(draw(r), draw(phi)))
     if kind == "minus" and stats.rho_minus is not None:
         return stats.rho_minus
     return stats.rho_mixture if kind == "mixture" else stats.rho_plus

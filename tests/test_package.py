@@ -3,6 +3,7 @@ public names are one pinned list with no retired route bound anywhere, and
 the README's library example and CLI lines run."""
 
 import ast
+import dataclasses
 import importlib
 import io
 import os
@@ -12,7 +13,7 @@ import shlex
 import pytest
 
 import hawkchan
-from hawkchan import cli, oracle
+from hawkchan import cli, oracle, protocol
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRODUCTION = ("channel", "protocol", "metrics", "linop", "sweep", "cli")
@@ -55,23 +56,28 @@ def test_production_module_does_not_import_the_oracles(module):
 
 
 PUBLIC = [
-    "BlackHoleGeometry", "BranchStatistics", "ChannelParams", "METRICS", "MetricReport",
-    "ProtocolConfig", "SweepGrid", "SweepSpec", "apply_channel", "apply_channel_dilated",
-    "bell_state", "channel_output_closed_form", "coherent_info_closed", "cross_term",
+    "BELL_STATE", "BlackHoleGeometry", "BranchStatistics", "ChannelParams", "METRICS",
+    "MetricReport", "SweepGrid", "SweepSpec", "apply_channel", "apply_channel_dilated",
+    "channel_output_closed_form", "coherent_info_closed", "cross_term",
     "cross_term_dilated", "dilation_unitary", "emit_csv", "emit_json", "measure_control",
     "negativity", "negativity_avg_closed", "negativity_convex_avg", "negativity_mixture_closed",
     "phase_protocol", "report_for_state", "report_for_states", "run_sweep",
     "squeezing_from_geometry", "superposed_state", "von_neumann_entropy",
 ]
-# Second routes to a measure or to the Kraus build; `report_for_state(s)` and
-# `kraus_operators` are the routes.
+# Second routes to a measure, to the Kraus build, to the Bell state or to a
+# channel pair; `report_for_state(s)`, `kraus_operators`, `BELL_STATE` and two
+# `ChannelParams` are the routes.
 RETIRED = ("KrausPair", "kraus_pair", "coherent_information", "ppt_separable",
-           "average_branch_negativity", "ensemble_coherent_information", "_branch_average")
+           "average_branch_negativity", "ensemble_coherent_information", "_branch_average",
+           "ProtocolConfig", "bell_state")
 
 
 def test_public_surface_is_pinned():
     assert hawkchan.__all__ == PUBLIC
-    assert not hasattr(hawkchan.BranchStatistics, "branches")
+    fields = {f.name for f in dataclasses.fields(hawkchan.BranchStatistics)}
+    assert not fields & {"branches", "blocks"}
+    assert hawkchan.BELL_STATE is protocol.BELL_STATE
+    assert not hawkchan.BELL_STATE.flags.writeable
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -3,7 +3,9 @@
 Squeezings range over [0, pi/2 - 1e-9] and phases over [0, 2 pi), with
 the edge values r in {0, pi/4, pi/2 - 1e-9}, equal squeezings, and phase
 differences at and next to 0 and pi drawn explicitly.  The Kraus route
-is checked against the unitary-dilation oracle on random input states.
+is checked against the unitary-dilation oracle on random input states,
+and the ``phase`` query's single-channel negativity against the
+``channel`` query's, bit for bit.
 Sweep properties check that a grid with equal axes is bitwise symmetric
 and run random small specs twice against the reference emitters.  The
 last property drives the CLI with any valid value set, as flags and as
@@ -33,7 +35,7 @@ from hawkchan.metrics import (
     report_for_states,
 )
 from hawkchan.oracle import apply_channel_dilated, cross_term_dilated, partial_trace, superposed_state
-from hawkchan.protocol import ProtocolConfig, measure_control
+from hawkchan.protocol import measure_control
 from hawkchan.sweep import METRICS, TWO_D_METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
 from helpers import (
@@ -60,22 +62,22 @@ phases = st.one_of(
 
 @st.composite
 def configs(draw):
-    """Two channels; the second phase is the first plus a drawn difference."""
+    """Two channels ``(params1, params2)``; the second phase is the first plus a drawn difference."""
     r1, phi1 = draw(squeezings), draw(phases)
     r2 = draw(st.one_of(st.just(r1), squeezings))
     phi2 = phi1 + draw(phases)
-    return ProtocolConfig(ChannelParams(r1, phi1), ChannelParams(r2, phi2))
+    return ChannelParams(r1, phi1), ChannelParams(r2, phi2)
 
 
 @given(configs())
 def test_probabilities_sum_to_one(cfg):
-    stats = measure_control(cfg)
+    stats = measure_control(*cfg)
     assert abs(stats.p_plus + stats.p_minus - 1.0) <= 1e-12
 
 
 @given(configs())
 def test_branches_average_to_the_mixture(cfg):
-    stats = measure_control(cfg)
+    stats = measure_control(*cfg)
     averaged = stats.p_plus * stats.rho_plus
     if stats.rho_minus is not None:
         averaged = averaged + stats.p_minus * stats.rho_minus
@@ -84,16 +86,16 @@ def test_branches_average_to_the_mixture(cfg):
 
 @given(configs())
 def test_control_trace_of_superposition_is_the_mixture(cfg):
-    reduced = partial_trace(superposed_state(cfg), (4, 2), keep=0)
-    assert np.abs(reduced - measure_control(cfg).rho_mixture).max() <= 1e-13
+    reduced = partial_trace(superposed_state(*cfg), (4, 2), keep=0)
+    assert np.abs(reduced - measure_control(*cfg).rho_mixture).max() <= 1e-13
 
 
 @given(configs())
-@example(ProtocolConfig(ChannelParams(0.4, 2.0), ChannelParams(0.4, 2.0)))
+@example((ChannelParams(0.4, 2.0), ChannelParams(0.4, 2.0)))
 def test_kept_reports_line_up_with_their_states(cfg):
     """The reports `measure_control` keeps are those of the states it hands out,
     in order: equal to reports that validate the states again."""
-    stats = measure_control(cfg)
+    stats = measure_control(*cfg)
     states = np.array([rho for rho in (stats.rho_plus, stats.rho_minus) if rho is not None]
                       + [stats.rho_mixture])
     assert np.array_equal(stats.states, states)
@@ -103,15 +105,15 @@ def test_kept_reports_line_up_with_their_states(cfg):
 
 @given(configs())
 def test_average_negativity_matches_closed_form(cfg):
-    p1, p2 = cfg.params1, cfg.params2
-    numeric = branch_measures(measure_control(cfg))[0]
+    p1, p2 = cfg
+    numeric = branch_measures(measure_control(*cfg))[0]
     assert abs(numeric - negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)) <= 1e-10
 
 
 @given(configs())
 def test_coherent_information_matches_closed_form(cfg):
-    p1, p2 = cfg.params1, cfg.params2
-    stats = measure_control(cfg)
+    p1, p2 = cfg
+    stats = measure_control(*cfg)
     ensemble, mixture = coherent_info_closed(p1.r, p2.r, p1.phi - p2.phi)
     _, numeric_ensemble, numeric_mixture = branch_measures(stats)
     assert abs(numeric_ensemble - ensemble) <= 1e-12
@@ -120,21 +122,42 @@ def test_coherent_information_matches_closed_form(cfg):
 
 @given(configs())
 def test_mixture_negativity_matches_closed_form(cfg):
-    numeric = negativity(measure_control(cfg).rho_mixture)
-    assert abs(numeric - negativity_mixture_closed(cfg.params1.r, cfg.params2.r)) <= 1e-12
+    p1, p2 = cfg
+    numeric = negativity(measure_control(p1, p2).rho_mixture)
+    assert abs(numeric - negativity_mixture_closed(p1.r, p2.r)) <= 1e-12
+
+
+@given(squeezings)
+@example(0.0)
+@example(1e-9)
+@example(math.pi / 4)
+@example(R_MAX)
+def test_phase_single_channel_negativity_is_the_channel_query(r):
+    """``phase`` takes the single channel's negativity from its classical mixture,
+    which with opposite phases is the single channel's output: bit for bit the
+    ``channel`` query's negativity, and cos^2 r / 2 within 1e-10."""
+    def query(subcommand):
+        out = io.StringIO()
+        assert cli.run([subcommand, "--r", repr(r), "--format", "json"], stdout=out) == 0
+        return json.loads(out.getvalue())
+
+    single = query("phase")["negativity_single_channel"]
+    assert single == query("channel")["negativity"]
+    assert abs(single - math.cos(r) ** 2 / 2.0) <= 1e-10
 
 
 @given(configs())
 def test_convex_average_matches_closed_form(cfg):
-    single = [negativity(single_channel(p)) for p in (cfg.params1, cfg.params2)]
-    closed = negativity_convex_avg(cfg.params1.r, cfg.params2.r)
+    p1, p2 = cfg
+    single = [negativity(single_channel(p)) for p in cfg]
+    closed = negativity_convex_avg(p1.r, p2.r)
     assert abs((single[0] + single[1]) / 2.0 - closed) <= 1e-12
 
 
 @given(configs(), st.integers(0, 2**32 - 1))
 def test_kraus_route_matches_the_dilation_oracle(cfg, seed):
     rho = random_density(np.random.default_rng(seed), 4)
-    p1, p2 = cfg.params1, cfg.params2
+    p1, p2 = cfg
     k1, k2 = kraus_operators(p1, p2)
     assert np.abs(apply_channel(rho, k1) - apply_channel_dilated(rho, p1)).max() <= 1e-10
     assert np.abs(apply_channel(rho, k2) - apply_channel_dilated(rho, p2)).max() <= 1e-10

@@ -17,7 +17,7 @@ from hawkchan.oracle import (
     superposed_state,
     tensor,
 )
-from hawkchan.protocol import ProtocolConfig, bell_state, measure_control, phase_protocol
+from hawkchan.protocol import BELL_STATE, _interference_blocks, measure_control, phase_protocol
 
 from helpers import single_channel
 
@@ -25,16 +25,17 @@ RNG = np.random.default_rng(20240813)
 
 
 def random_config(rng):
-    return ProtocolConfig(
+    """A random channel pair ``(params1, params2)``."""
+    return (
         ChannelParams(rng.uniform(0.0, math.pi / 2 - 1e-9), rng.uniform(0.0, 2 * math.pi)),
         ChannelParams(rng.uniform(0.0, math.pi / 2 - 1e-9), rng.uniform(0.0, 2 * math.pi)),
     )
 
 
-def closed_form_branches(cfg):
+def closed_form_branches(p1, p2):
     """The printed posterior matrices, rebuilt from the A/B/C scalars."""
-    r1, phi1 = cfg.params1.r, cfg.params1.phi
-    r2, phi2 = cfg.params2.r, cfg.params2.phi
+    r1, phi1 = p1.r, p1.phi
+    r2, phi2 = p2.r, p2.phi
     c1, c2, s1, s2 = math.cos(r1), math.cos(r2), math.sin(r1), math.sin(r2)
     dphi = phi1 - phi2
     a = 3.0 + c1 * c2 + math.cos(dphi) * s1 * s2
@@ -53,18 +54,18 @@ def closed_form_branches(cfg):
 
 class TestBellState:
     def test_entries(self):
-        rho = bell_state()
+        rho = BELL_STATE
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
         assert np.abs(rho - expected).max() < 1e-15
 
     def test_pure_unit_trace(self):
-        rho = bell_state()
+        rho = BELL_STATE
         assert abs(rho.trace() - 1.0) < 1e-15
         assert abs((rho @ rho).trace() - 1.0) < 1e-14
 
     def test_marginals_maximally_mixed(self):
-        rho = bell_state()
+        rho = BELL_STATE
         for side in (0, 1):
             marginal = partial_trace(rho, (2, 2), keep=side)
             assert np.abs(marginal - np.eye(2) / 2).max() < 1e-14
@@ -72,7 +73,7 @@ class TestBellState:
 
 class TestClassicalScenario:
     def test_zero_squeezing_is_identity(self):
-        assert np.abs(single_channel(ChannelParams(0.0)) - bell_state()).max() < 1e-14
+        assert np.abs(single_channel(ChannelParams(0.0)) - BELL_STATE).max() < 1e-14
 
     def test_quarter_pi_matrix(self):
         out = single_channel(ChannelParams(math.pi / 4))
@@ -97,7 +98,7 @@ class TestClassicalScenario:
 class TestSuperposedState:
     def test_identical_branches_factorize(self):
         p = ChannelParams(0.4, 0.9)
-        state = superposed_state(ProtocolConfig(p, p))
+        state = superposed_state(p, p)
         plus_proj = 0.5 * np.ones((2, 2), dtype=complex)
         expected = tensor(single_channel(p), plus_proj)
         assert np.abs(state - expected).max() < 1e-13
@@ -105,18 +106,18 @@ class TestSuperposedState:
     def test_control_marginal_is_mixture(self):
         for _ in range(5):
             cfg = random_config(RNG)
-            reduced = partial_trace(superposed_state(cfg), (4, 2), keep=0)
-            assert np.abs(reduced - measure_control(cfg).rho_mixture).max() < 1e-13
+            reduced = partial_trace(superposed_state(*cfg), (4, 2), keep=0)
+            assert np.abs(reduced - measure_control(*cfg).rho_mixture).max() < 1e-13
 
     def test_matches_dilated_purification(self):
         # Independent route on the 16-dim A x R x partner x control
         # space: branch unitaries entangle with the control, then the
         # hidden partner mode is traced out.
-        cfg = ProtocolConfig(ChannelParams(0.2), ChannelParams(0.6))
+        p1, p2 = ChannelParams(0.2), ChannelParams(0.6)
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0 / math.sqrt(2.0)
-        u1 = tensor(np.eye(2), dilation_unitary(cfg.params1))
-        u2 = tensor(np.eye(2), dilation_unitary(cfg.params2))
+        u1 = tensor(np.eye(2), dilation_unitary(p1))
+        u2 = tensor(np.eye(2), dilation_unitary(p2))
         ket0 = np.array([1.0, 0.0], dtype=complex)
         ket1 = np.array([0.0, 1.0], dtype=complex)
         base = np.kron(psi, ket0)  # A,R,partner with partner in vacuum
@@ -125,10 +126,10 @@ class TestSuperposedState:
         full = (branch1 + branch2) / math.sqrt(2.0)
         rho_full = np.outer(full, full.conj())
         got = partial_trace(rho_full, (2, 2, 2, 2), keep=(0, 1, 3))
-        assert np.abs(got - superposed_state(cfg)).max() < 1e-10
+        assert np.abs(got - superposed_state(p1, p2)).max() < 1e-10
 
     def test_valid_density_matrix(self):
-        state = superposed_state(random_config(RNG))
+        state = superposed_state(*random_config(RNG))
         assert state.shape == (8, 8)
         assert abs(state.trace() - 1.0) < 1e-12
         assert np.linalg.eigvalsh(state)[0] > -1e-12
@@ -137,14 +138,14 @@ class TestSuperposedState:
 class TestMeasureControl:
     def test_identical_branches_degenerate(self):
         p = ChannelParams(0.5, 1.0)
-        stats = measure_control(ProtocolConfig(p, p))
+        stats = measure_control(p, p)
         assert abs(stats.p_plus - 1.0) < 1e-12
         assert abs(stats.p_minus) < 1e-12
         assert stats.rho_minus is None
         assert np.abs(stats.rho_plus - single_channel(p)).max() < 1e-12
 
     def test_minus_branch_separable(self):
-        stats = measure_control(ProtocolConfig(ChannelParams(0.3), ChannelParams(0.7)))
+        stats = measure_control(ChannelParams(0.3), ChannelParams(0.7))
         assert stats.rho_minus is not None
         assert negativity(stats.rho_minus) < 1e-12
         assert report_for_state(stats.rho_minus).ppt
@@ -152,8 +153,8 @@ class TestMeasureControl:
     def test_matches_projection_of_superposed_state(self):
         for _ in range(10):
             cfg = random_config(RNG)
-            stats = measure_control(cfg)
-            state = superposed_state(cfg)
+            stats = measure_control(*cfg)
+            state = superposed_state(*cfg)
             for sign, prob, rho in (
                 (1.0, stats.p_plus, stats.rho_plus),
                 (-1.0, stats.p_minus, stats.rho_minus),
@@ -168,8 +169,8 @@ class TestMeasureControl:
     def test_matches_closed_form_matrices(self):
         for _ in range(10):
             cfg = random_config(RNG)
-            stats = measure_control(cfg)
-            a, b, c, plus, minus = closed_form_branches(cfg)
+            stats = measure_control(*cfg)
+            a, b, c, plus, minus = closed_form_branches(*cfg)
             assert abs(stats.a_scalar - a) < 1e-12
             assert abs(stats.b_scalar - b) < 1e-12
             assert abs(stats.c_scalar - c) < 1e-12
@@ -184,13 +185,12 @@ class TestMeasureControl:
 
     def test_probability_normalization(self):
         for _ in range(20):
-            stats = measure_control(random_config(RNG))
+            stats = measure_control(*random_config(RNG))
             assert abs(stats.p_plus + stats.p_minus - 1.0) < 1e-12
 
     def test_reconstructs_classical_mixture(self):
         for _ in range(10):
-            cfg = random_config(RNG)
-            stats = measure_control(cfg)
+            stats = measure_control(*random_config(RNG))
             rebuilt = stats.p_plus * stats.rho_plus
             if stats.rho_minus is not None:
                 rebuilt = rebuilt + stats.p_minus * stats.rho_minus
@@ -201,8 +201,7 @@ class TestMeasureControl:
         # blow roundoff up to ~1e-4 here; the closed-form route keeps
         # the state exactly diagonal and non-negative.
         for dr in (1e-4, 1e-6, 2e-7):
-            cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.3 + dr))
-            stats = measure_control(cfg)
+            stats = measure_control(ChannelParams(0.3), ChannelParams(0.3 + dr))
             assert stats.rho_minus is not None
             linop.check_density_matrix(stats.rho_minus)
             assert report_for_state(stats.rho_minus).ppt
@@ -210,15 +209,13 @@ class TestMeasureControl:
             assert ratio == pytest.approx(1.0 / math.tan(0.3) ** 2, rel=1e-3)
 
     def test_minus_branch_absent_below_threshold(self):
-        cfg = ProtocolConfig(ChannelParams(0.3), ChannelParams(0.3 + 1e-7))
-        stats = measure_control(cfg)
+        stats = measure_control(ChannelParams(0.3), ChannelParams(0.3 + 1e-7))
         assert stats.c_scalar < 1e-14
         assert stats.rho_minus is None
 
     def test_branch_swap_symmetry(self):
-        cfg = random_config(RNG)
-        swapped = ProtocolConfig(cfg.params2, cfg.params1)
-        s1, s2 = measure_control(cfg), measure_control(swapped)
+        p1, p2 = random_config(RNG)
+        s1, s2 = measure_control(p1, p2), measure_control(p2, p1)
         assert abs(s1.p_plus - s2.p_plus) < 1e-14
         assert abs(s1.p_minus - s2.p_minus) < 1e-14
         assert np.abs(s1.rho_plus - s2.rho_plus).max() < 1e-13
@@ -229,12 +226,11 @@ class TestMeasureControl:
 class TestClassicalMixture:
     def test_identical_branches(self):
         p = ChannelParams(0.6, 0.2)
-        out = measure_control(ProtocolConfig(p, p)).rho_mixture
+        out = measure_control(p, p).rho_mixture
         assert np.abs(out - single_channel(p)).max() < 1e-14
 
     def test_printed_matrix_at_zero_and_quarter_pi(self):
-        cfg = ProtocolConfig(ChannelParams(0.0), ChannelParams(math.pi / 4))
-        out = measure_control(cfg).rho_mixture
+        out = measure_control(ChannelParams(0.0), ChannelParams(math.pi / 4)).rho_mixture
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         expected = 0.25 * np.array(
             [
@@ -248,15 +244,15 @@ class TestClassicalMixture:
         assert np.abs(out - expected).max() < 1e-14
 
     def test_phase_independent(self):
-        cfg_a = ProtocolConfig(ChannelParams(0.3, 0.0), ChannelParams(0.8, 0.0))
-        cfg_b = ProtocolConfig(ChannelParams(0.3, 2.1), ChannelParams(0.8, 4.4))
-        mixture_a, mixture_b = (measure_control(cfg).rho_mixture for cfg in (cfg_a, cfg_b))
+        mixture_a = measure_control(ChannelParams(0.3, 0.0), ChannelParams(0.8, 0.0)).rho_mixture
+        mixture_b = measure_control(ChannelParams(0.3, 2.1), ChannelParams(0.8, 4.4)).rho_mixture
         assert np.abs(mixture_a - mixture_b).max() < 1e-14
 
 
 def mixture_oracle(cfg, apply=lambda rho, p: apply_channel(rho, kraus_operators(p)[0])):
     """The equal mixture built channel by channel, apart from the interference blocks."""
-    return 0.5 * (apply(bell_state(), cfg.params1) + apply(bell_state(), cfg.params2))
+    p1, p2 = cfg
+    return 0.5 * (apply(BELL_STATE, p1) + apply(BELL_STATE, p2))
 
 
 def oracle_configs():
@@ -264,7 +260,7 @@ def oracle_configs():
     configs = [random_config(rng) for _ in range(40)]
     same = [ChannelParams(rng.uniform(0.0, math.pi / 2 - 1e-9), rng.uniform(0.0, 2 * math.pi))
             for _ in range(5)]
-    return configs + [ProtocolConfig(p, p) for p in same + [ChannelParams(0.0)]]
+    return configs + [(p, p) for p in same + [ChannelParams(0.0)]]
 
 
 @pytest.fixture
@@ -315,14 +311,14 @@ def eigvalsh_calls(monkeypatch):
 class TestOneEvaluation:
     @pytest.mark.parametrize("cfg", oracle_configs())
     def test_mixture_matches_channel_by_channel_oracle(self, cfg):
-        mixture = measure_control(cfg).rho_mixture
+        mixture = measure_control(*cfg).rho_mixture
         assert np.array_equal(mixture, mixture_oracle(cfg))
         assert np.abs(mixture - mixture_oracle(cfg, apply_channel_dilated)).max() < 1e-12
 
     def test_branches_are_the_two_outcomes(self):
         """``states`` stacks the plus branch, the minus branch and the mixture, in
         that order, as views: the layout a `report_for_states` call relies on."""
-        stats = measure_control(ProtocolConfig(ChannelParams(0.2), ChannelParams(0.7, 1.0)))
+        stats = measure_control(ChannelParams(0.2), ChannelParams(0.7, 1.0))
         assert stats.rho_minus is not None
         for i, rho in enumerate((stats.rho_plus, stats.rho_minus, stats.rho_mixture)):
             assert rho.base is stats.states and np.array_equal(rho, stats.states[i])
@@ -330,7 +326,7 @@ class TestOneEvaluation:
 
     def test_identical_channels_have_no_minus_state(self):
         p = ChannelParams(0.4, 2.0)
-        stats = measure_control(ProtocolConfig(p, p))
+        stats = measure_control(p, p)
         assert (stats.p_minus, stats.rho_minus) == (0.0, None)
 
     def test_protocol_query_builds_two_kraus_pairs(self, kraus_calls):
@@ -357,28 +353,29 @@ class TestOneEvaluation:
         (["channel", "--r", "0.4", "--phi", "1.1"], 1,
          [["state"]], [(2,), (1,)]),
         (["phase", "--r", "0.5"], 2,
-         [["plus branch", "minus branch", "classical mixture"], ["channel output"]],
-         [(6,), (3,), (2,), (1,)]),
+         [["plus branch", "minus branch", "classical mixture"]], [(6,), (3,)]),
         (["phase", "--r", "0"], 2,
-         [["plus branch", "classical mixture"], ["channel output"]], [(4,), (2,), (2,), (1,)]),
+         [["plus branch", "classical mixture"]], [(4,), (2,)]),
     ], ids=["channel", "phase", "phase-r0"])
     def test_point_query_work(self, kraus_calls, validated, eigvalsh_calls,
                               argv, pairs, checks, eigvalsh):
         """``kraus_operators`` channels, ``check_density_matrix`` and ``eigvalsh`` calls per query
         (protocol: above).  The Bell state a ``channel`` query starts from is not
-        re-checked.  ``phase`` checks and reports its branches when they are built,
-        and its single-channel state, taken from the blocks, as a stack of one;
-        each check's ``eigvalsh`` also takes the partial transposes."""
+        re-checked.  ``phase`` checks and reports its branches and its mixture, the
+        single channel's output, when they are built; each check's ``eigvalsh`` also
+        takes the partial transposes."""
         assert cli.run(argv + ["--format", "json"], stdout=io.StringIO()) == 0
         assert (len(kraus_calls), validated, eigvalsh_calls) == (pairs, checks, eigvalsh)
 
     def test_blocks_match_per_block_oracle(self):
         """The stacked matmul gives each block bit for bit as m0 rho m0^dag + m1 rho m1^dag,
-        and within 1e-10 as the unitary dilation's block."""
-        rho = bell_state()
-        for cfg in oracle_configs():
-            xi = measure_control(cfg).blocks
-            params = (cfg.params1, cfg.params2)
+        and within 1e-10 as the unitary dilation's block.  ``measure_control`` builds
+        its mixture from these blocks."""
+        rho = BELL_STATE
+        for params in oracle_configs():
+            xi = _interference_blocks(*params)
+            mixture = measure_control(*params).rho_mixture
+            assert np.array_equal(mixture, 0.5 * (xi[0, 0] + xi[1, 1]))
             pairs = kraus_operators(*params)
             for i, (mi0, mi1) in enumerate(pairs):
                 for j, (mj0, mj1) in enumerate(pairs):
@@ -422,7 +419,7 @@ class TestPhaseProtocol:
         stats = phase_protocol(0.0)
         assert stats.p_plus == pytest.approx(1.0, abs=1e-15)
         assert stats.rho_minus is None
-        assert np.abs(stats.rho_plus - bell_state()).max() < 1e-14
+        assert np.abs(stats.rho_plus - BELL_STATE).max() < 1e-14
 
     def test_plus_branch_negativity(self):
         for r in (0.2, 0.6, 1.0, 1.4):
@@ -437,8 +434,7 @@ class TestPhaseProtocol:
     def test_agrees_with_general_path(self):
         # Only the phase difference matters: any pair phi, phi + pi gives the same branches.
         r = 0.5
-        cfg = ProtocolConfig(ChannelParams(r, 2.3), ChannelParams(r, 2.3 + math.pi))
-        general = measure_control(cfg)
+        general = measure_control(ChannelParams(r, 2.3), ChannelParams(r, 2.3 + math.pi))
         special = phase_protocol(r)
         assert abs(general.p_plus - special.p_plus) < 1e-12
         assert abs(general.p_minus - special.p_minus) < 1e-12
