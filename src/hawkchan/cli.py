@@ -65,26 +65,27 @@ _REPORT_FORMAT = (str, "human", False, ("human", "json"))
 
 # Per-subcommand parameter tables: name -> (type, default, required, choices).
 # Defaults and choices are applied after the config-file merge, so the parser
-# uses None for "not provided"; the library type that takes a value checks it.
+# uses None for "not provided"; the library type that takes a value checks it,
+# and a numeric default is read from that type.
 _PARAMS = {
     "geometry": {
         "mass": (float, None, True, None),
         "radius": (float, None, True, None),
         "k0": (float, None, True, None),
-        "hbar": (float, 1.0, False, None),
+        "hbar": (float, BlackHoleGeometry.hbar, False, None),
         "format": _REPORT_FORMAT,
     },
     "channel": {
         "r": (float, None, True, None),
-        "phi": (float, 0.0, False, None),
+        "phi": (float, ChannelParams.phi, False, None),
         "state": (str, "bell", False, ("bell",)),
         "format": _REPORT_FORMAT,
     },
     "protocol": {
         "r1": (float, None, True, None),
         "r2": (float, None, True, None),
-        "phi1": (float, 0.0, False, None),
-        "phi2": (float, 0.0, False, None),
+        "phi1": (float, ChannelParams.phi, False, None),
+        "phi2": (float, ChannelParams.phi, False, None),
         "format": _REPORT_FORMAT,
     },
     "phase": {
@@ -93,9 +94,9 @@ _PARAMS = {
     },
     "sweep": {
         "metric": (str, None, True, METRICS),
-        "resolution": (int, 101, False, None),
-        "min": (float, 0.0, False, None),
-        "max": (float, math.pi / 4, False, None),
+        "resolution": (int, SweepSpec.resolution, False, None),
+        "min": (float, SweepSpec.r_range[0], False, None),
+        "max": (float, SweepSpec.r_range[1], False, None),
         "out": (str, None, True, None),
         "format": (str, "csv", False, ("csv", "json")),
     },
@@ -281,17 +282,16 @@ def _run_protocol(cfg: dict) -> dict:
 
 
 def _run_phase(cfg: dict) -> dict:
-    stats = protocol.phase_protocol(cfg["r"])
+    # Equal squeezing, opposite phases: the classical mixture is the single channel's output.
+    stats = protocol.measure_control(ChannelParams(cfg["r"]), ChannelParams(cfg["r"], math.pi))
     payload, branches = _branch_reports(stats, cfg["r"], cfg["r"], math.pi)
     payload["negativity_plus"] = branches[0][1].negativity_numeric
-    # With opposite phases the classical mixture is the single channel's output.
     payload["negativity_single_channel"] = stats.reports[-1].negativity_numeric
     return payload
 
 
 def _run_sweep(cfg: dict, stream) -> None:
-    axis = (cfg["min"], cfg["max"])
-    grid = run_sweep(SweepSpec(cfg["metric"], axis, axis, cfg["resolution"]))
+    grid = run_sweep(SweepSpec(cfg["metric"], (cfg["min"], cfg["max"]), cfg["resolution"]))
     destination = stream if cfg["out"] == "-" else cfg["out"]
     try:
         if cfg["format"] == "csv":
@@ -348,9 +348,8 @@ def run(argv=None, stdout=None) -> int:
         stream.write(str(exc))
         return 0
     except DomainError as exc:  # a value the library refused, named by the flag it came from
-        flag = "min/--max" if exc.field in ("r1_range", "r2_range") else exc.field
-        message = re.sub(r"\br[12]_range\b", "range", str(exc))  # both axes take --min/--max
-        print(f"usage error: --{flag}: {message}", file=sys.stderr)
+        flag = "min/--max" if exc.field == "range" else exc.field
+        print(f"usage error: --{flag}: {exc}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

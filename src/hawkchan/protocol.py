@@ -9,10 +9,12 @@ evaluation, the incoherent equal mixture of the two channels
 produce.  The single channel alone is `channel.apply_channel` on the
 Bell state.
 
-`phase_protocol` is the superposition of two channels with equal
-squeezing and opposite phases, where the closed forms are simplest.  A
-channel's output on the Bell state does not depend on its phase, so
-there the mixture is the single channel's output.
+The closed forms are simplest for two channels with equal squeezing r
+and opposite phases (``hawkchan phase``): the plus branch has
+probability (1 + cos^2 r)/2 and negativity |cos r| / (1 + cos^2 r), the
+minus branch is the product state |0_A 1_R><0_A 1_R| (absent at r = 0),
+and, as a channel's output on the Bell state does not depend on its
+phase, the mixture is the single channel's output.
 
 `measure_control` takes the two `ChannelParams`, as `kraus_operators`
 does.  One call builds the branches and the mixture from one set of
@@ -135,13 +137,3 @@ def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchSta
     return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], states[1] if minus else None,
                             states[-1], states, report_for_states(states, names))
 
-
-def phase_protocol(r: float) -> BranchStatistics:
-    """Superposition of equal-squeezing channels with opposite phases.
-
-    For phi1 = phi2 + pi and common squeezing ``r`` the plus branch has
-    probability (1 + cos(r)^2)/2 and negativity |cos r| / (1 + cos^2 r),
-    and the minus branch is the product state |0_A 1_R><0_A 1_R|
-    (absent at r = 0).  ``rho_mixture`` is the single channel's output.
-    """
-    return measure_control(ChannelParams(r, 0.0), ChannelParams(r, math.pi))

@@ -1,8 +1,8 @@
 """Parameter-grid engine for the figure-reproduction sweeps.
 
 Each metric evaluates one comparison between the coherent superposition
-of two channels and its classical baseline, over a rectangular
-(r1, r2) grid or a 1-D squeezing scan:
+of two channels and its classical baseline, over a square (r1, r2)
+grid or a 1-D squeezing scan, both sampling one range of r:
 
 * ``neg_pct_diff_mixture``: percentage negativity gain over the equal
   classical mixture of the two channels,
@@ -19,11 +19,12 @@ their oracle in the tests.  Percentage differences use
 100 * (quantum - classical) / classical, so quantum advantage is
 positive; both baselines are at least 1/4 on [0, pi/4]^2.  Grids are
 evaluated a block of at most 4096 cells (or one r1 row) per closed-form
-call, so memory beyond the value array stays at one block; each cell is
-an elementwise expression of its own (r1, r2), so a grid with equal axes
-is bitwise symmetric.  Rows are emitted in a deterministic order (r1
-outer, r2 inner, ascending): identical specs give byte-identical files.
-The emitters also hold one row at a time: a CSV row is one %-template
+call, so memory beyond the value array stays at one block.  Both axes
+are the same samples of ``SweepSpec.r_range`` and each cell is an
+elementwise expression of its own (r1, r2), so every 2-D grid is bitwise
+symmetric.  Rows are emitted in a deterministic order (r1 outer, r2
+inner, ascending): identical specs give byte-identical files.  The
+emitters also hold one row at a time: a CSV row is one %-template
 over the preformatted axis texts, and a JSON row is one call of the C
 JSON encoder inside a hand-written ``{axes, spec, values}`` frame.  A
 grid of at least ``_PARALLEL_CELLS`` cells is formatted on every
@@ -68,14 +69,10 @@ Destination = Union[str, "IO[str]", None]
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description: metric name, axis ranges, and resolution.
-
-    1-D metrics scan ``r1_range`` and ignore ``r2_range``.
-    """
+    """Grid description: metric name, the range of r on each axis, and resolution."""
 
     metric: str
-    r1_range: tuple[float, float] = (0.0, MAX_R_2D)
-    r2_range: tuple[float, float] = (0.0, MAX_R_2D)
+    r_range: tuple[float, float] = (0.0, MAX_R_2D)
     resolution: int = 101
 
     def __post_init__(self):
@@ -89,18 +86,15 @@ class SweepSpec:
         if not 2 <= self.resolution <= MAX_RESOLUTION:
             raise DomainError("resolution",
                               f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
+        lo, hi = self.r_range
         r_max = MAX_R_1D if self.is_one_dimensional else MAX_R_2D
-        ranges = [self.r1_range] if self.is_one_dimensional else [self.r1_range, self.r2_range]
-        for label, (lo, hi) in zip(("r1_range", "r2_range"), ranges):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise DomainError(label, f"{label} must be finite, got ({lo}, {hi})")
-            if lo > hi:
-                raise DomainError(label, f"{label} is empty: ({lo}, {hi})")
-            if lo < 0.0 or hi > r_max or (self.is_one_dimensional and hi >= r_max):
-                raise DomainError(
-                    label, f"{label} ({lo}, {hi}) outside the metric domain [0, {r_max:.6g}"
-                    + (")" if self.is_one_dimensional else "]")
-                )
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError("range", f"range must be finite, got ({lo}, {hi})")
+        if lo > hi:
+            raise DomainError("range", f"range is empty: ({lo}, {hi})")
+        if lo < 0.0 or hi > r_max or (self.is_one_dimensional and hi >= r_max):
+            domain = f"[0, {r_max:.6g}" + (")" if self.is_one_dimensional else "]")
+            raise DomainError("range", f"range ({lo}, {hi}) outside the metric domain {domain}")
 
     @property
     def is_one_dimensional(self) -> bool:
@@ -140,15 +134,14 @@ def run_sweep(spec: SweepSpec) -> SweepGrid:
     2-D grids are row-major with r1 as the outer (slow) axis.  Cells
     are independent, and the output ordering is deterministic.
     """
-    r1s = np.linspace(spec.r1_range[0], spec.r1_range[1], spec.resolution)
+    rs = np.linspace(*spec.r_range, spec.resolution)
     if spec.is_one_dimensional:
-        return SweepGrid(spec, [r1s], _finite(metrics.negativity_avg_closed(r1s, r1s, math.pi)))
-    r2s = np.linspace(spec.r2_range[0], spec.r2_range[1], spec.resolution)
+        return SweepGrid(spec, [rs], _finite(metrics.negativity_avg_closed(rs, rs, math.pi)))
     values = np.empty((spec.resolution, spec.resolution))
     rows = max(1, _BLOCK_CELLS // spec.resolution)
     for i in range(0, spec.resolution, rows):
-        values[i:i + rows] = _finite(_row(spec.metric, r1s[i:i + rows, np.newaxis], r2s))
-    return SweepGrid(spec, [r1s, r2s], values)
+        values[i:i + rows] = _finite(_row(spec.metric, rs[i:i + rows, np.newaxis], rs))
+    return SweepGrid(spec, [rs, rs], values)
 
 
 # 12 significant digits, enough for 1e-11 round-trip on these scales.
@@ -274,8 +267,8 @@ def emit_json(grid: SweepGrid, destination: Destination = None) -> None:
     """
     spec = {
         "metric": grid.spec.metric,
-        "r1_range": list(grid.spec.r1_range),
-        "r2_range": list(grid.spec.r2_range),
+        "r1_range": list(grid.spec.r_range),  # both axes: the two pinned keys
+        "r2_range": list(grid.spec.r_range),
         "resolution": grid.spec.resolution,
     }
     one_d = grid.spec.is_one_dimensional

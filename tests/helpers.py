@@ -171,21 +171,20 @@ def _closed_form_cells(metric, r1, r2):
     return 100.0 * (metrics.negativity_avg_closed(r1, r2) - baseline) / baseline
 
 
-def _axes(spec):
-    return (np.linspace(spec.r1_range[0], spec.r1_range[1], spec.resolution),
-            np.linspace(spec.r2_range[0], spec.r2_range[1], spec.resolution))
+def _axis(spec):
+    return np.linspace(spec.r_range[0], spec.r_range[1], spec.resolution)
 
 
 def reference_grid_sweep(spec):
     """The values of a 2-D sweep from one closed-form call over the whole grid."""
-    r1s, r2s = _axes(spec)
-    return _closed_form_cells(spec.metric, r1s[:, np.newaxis], r2s)
+    rs = _axis(spec)
+    return _closed_form_cells(spec.metric, rs[:, np.newaxis], rs)
 
 
 def reference_row_sweep(spec):
     """The values of a 2-D sweep from one closed-form call per r1 row."""
-    r1s, r2s = _axes(spec)
-    return np.array([_closed_form_cells(spec.metric, r1, r2s) for r1 in r1s])
+    rs = _axis(spec)
+    return np.array([_closed_form_cells(spec.metric, r1, rs) for r1 in rs])
 
 
 # Reference sweep emitters: the cell-by-cell CSV writer and the whole-document
@@ -234,8 +233,8 @@ def reference_emit_json(grid, destination=None) -> None:
     document = {
         "spec": {
             "metric": grid.spec.metric,
-            "r1_range": list(grid.spec.r1_range),
-            "r2_range": list(grid.spec.r2_range),
+            "r1_range": list(grid.spec.r_range),
+            "r2_range": list(grid.spec.r_range),
             "resolution": grid.spec.resolution,
         },
         "axes": [axis.tolist() for axis in grid.axes],

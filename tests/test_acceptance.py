@@ -30,7 +30,7 @@ from hawkchan.channel import (
     squeezing_from_geometry,
 )
 from hawkchan.oracle import apply_channel_dilated, cross_term_dilated
-from hawkchan.protocol import BELL_STATE, measure_control, phase_protocol
+from hawkchan.protocol import BELL_STATE, measure_control
 from hawkchan.sweep import SweepSpec, emit_csv, emit_json, run_sweep
 
 from helpers import branch_measures, convex_gap_oracle, geometry_r_oracle, single_channel
@@ -278,7 +278,7 @@ def test_criterion_10_sweep_determinism():
         SweepSpec("neg_pct_diff_mixture", resolution=41),
         SweepSpec("neg_pct_diff_convex", resolution=41),
         SweepSpec("coherent_info_diff", resolution=21),
-        SweepSpec("phase_curve", r1_range=(0.0, 1.5), resolution=101),
+        SweepSpec("phase_curve", r_range=(0.0, 1.5), resolution=101),
     ]
     ok = True
     details = []

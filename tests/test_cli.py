@@ -13,8 +13,8 @@ import pytest
 
 import hawkchan
 from hawkchan import cli, linop, metrics, protocol
-from hawkchan.channel import ChannelParams
-from hawkchan.sweep import SweepSpec, run_sweep
+from hawkchan.channel import BlackHoleGeometry, ChannelParams
+from hawkchan.sweep import METRICS, SweepSpec, emit_csv, run_sweep
 
 from helpers import branch_measures, emitted, geometry_r_oracle, reference_emit_csv, reference_emit_json
 
@@ -212,7 +212,7 @@ class TestGeometryCommand:
 class TestPhaseCommand:
     def test_quantities(self):
         doc = run_json(["phase", "--r", "0.5"])
-        stats = protocol.phase_protocol(0.5)
+        stats = protocol.measure_control(ChannelParams(0.5), ChannelParams(0.5, math.pi))
         assert doc["p_plus"] == stats.p_plus
         assert doc["negativity_avg_closed"] == abs(math.cos(0.5)) / 2
         assert abs(doc["negativity_avg"] - abs(math.cos(0.5)) / 2) < 1e-12
@@ -275,6 +275,27 @@ class TestUsageErrors:
         assert named in err
         assert not any(flag in err for flag in not_named), err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["neg_pct_diff_mixture", "--min", "0.5", "--max", "0.2"],
+             "range is empty: (0.5, 0.2)"),
+            (["neg_pct_diff_mixture", "--min", "nan"],
+             "range must be finite, got (nan, 0.7853981633974483)"),
+            (["coherent_info_diff", "--max", "1.2"],
+             "range (0.0, 1.2) outside the metric domain [0, 0.785398]"),
+            (["phase_curve", "--max", repr(math.pi / 2)],
+             "range (0.0, 1.5707963267948966) outside the metric domain [0, 1.5708)"),
+        ],
+        ids=["empty", "nan", "2d-domain", "1d-half-pi"],
+    )
+    def test_range_refusal_is_one_line_naming_min_max(self, capsys, flags, message):
+        argv = ["sweep", "--metric", *flags, "--out", "-"]
+        out = io.StringIO()
+        assert cli.run(argv, stdout=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == f"usage error: --min/--max: {message}\n"
+
 
 # argv that name their subcommand first take one parse by that subcommand's
 # parser; the rest go through the two-level parser.  Both must agree on all.
@@ -331,7 +352,19 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text("{}")
         doc = run_json(["channel", "--r", "0.4", "--config", str(path)])
-        assert doc["config"]["phi"] == 0.0
+        assert doc["config"]["phi"] == ChannelParams.phi == 0.0
+        doc = run_json(["protocol", "--r1", "0.2", "--r2", "0.7", "--config", str(path)])
+        assert doc["config"]["phi1"] == doc["config"]["phi2"] == ChannelParams.phi
+        doc = run_json(["geometry", "--mass", "1", "--radius", "2.02", "--k0", "0.05",
+                        "--config", str(path)])
+        assert doc["config"]["hbar"] == BlackHoleGeometry.hbar == 1.0
+        # A sweep echoes its range and resolution in the JSON document's spec.
+        out = io.StringIO()
+        argv = ["sweep", "--metric", "coherent_info_diff", "--format", "json", "--out", "-"]
+        assert cli.run(argv + ["--config", str(path)], stdout=out) == 0
+        spec = json.loads(out.getvalue())["spec"]
+        assert spec["r1_range"] == spec["r2_range"] == list(SweepSpec.r_range) == [0.0, math.pi / 4]
+        assert spec["resolution"] == SweepSpec.resolution == 101
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -442,6 +475,12 @@ class TestSweepCommand:
         assert code == 0
         doc = json.loads(target.read_text())
         assert set(doc) == {"spec", "axes", "values"}
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_no_optional_flag_sweeps_the_library_default(self, metric):
+        out = io.StringIO()
+        assert cli.run(["sweep", "--metric", metric, "--out", "-"], stdout=out) == 0
+        assert out.getvalue() == emitted(emit_csv, run_sweep(SweepSpec(metric)))
 
     def test_stdout_dash(self, capsys):
         code = cli.run(["sweep", "--metric", "neg_pct_diff_mixture", "--resolution", "2", "--out", "-"])

@@ -17,7 +17,7 @@ from hawkchan.oracle import (
     superposed_state,
     tensor,
 )
-from hawkchan.protocol import BELL_STATE, _interference_blocks, measure_control, phase_protocol
+from hawkchan.protocol import BELL_STATE, _interference_blocks, measure_control
 
 from helpers import single_channel
 
@@ -404,10 +404,15 @@ def opposite_phase_oracle(r):
     return (1.0 + c * c) / 2.0, rho_plus / (1.0 + c * c), np.diag([0.0, 1.0, 0.0, 0.0])
 
 
+def opposite_phases(r):
+    """The pair ``hawkchan phase`` measures: squeezing ``r`` on both channels, phases 0 and pi."""
+    return measure_control(ChannelParams(r), ChannelParams(r, math.pi))
+
+
 class TestPhaseProtocol:
     def test_matches_closed_form_oracle(self):
         for r in np.linspace(0.0, math.pi / 2, 40, endpoint=False):
-            stats = phase_protocol(r)
+            stats = opposite_phases(r)
             p_plus, rho_plus, rho_minus = opposite_phase_oracle(r)
             assert abs(stats.p_plus - p_plus) < 1e-12
             assert abs(stats.p_minus - (1.0 - p_plus)) < 1e-12
@@ -416,26 +421,26 @@ class TestPhaseProtocol:
                 assert np.abs(stats.rho_minus - rho_minus).max() < 1e-12
 
     def test_zero_squeezing(self):
-        stats = phase_protocol(0.0)
+        stats = opposite_phases(0.0)
         assert stats.p_plus == pytest.approx(1.0, abs=1e-15)
         assert stats.rho_minus is None
         assert np.abs(stats.rho_plus - BELL_STATE).max() < 1e-14
 
     def test_plus_branch_negativity(self):
         for r in (0.2, 0.6, 1.0, 1.4):
-            stats = phase_protocol(r)
+            stats = opposite_phases(r)
             expected = abs(math.cos(r)) / (1.0 + math.cos(r) ** 2)
             assert abs(negativity(stats.rho_plus) - expected) < 1e-12
 
     def test_minus_branch_is_single_particle_state(self):
-        stats = phase_protocol(0.8)
+        stats = opposite_phases(0.8)
         assert np.array_equal(stats.rho_minus, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_agrees_with_general_path(self):
         # Only the phase difference matters: any pair phi, phi + pi gives the same branches.
         r = 0.5
         general = measure_control(ChannelParams(r, 2.3), ChannelParams(r, 2.3 + math.pi))
-        special = phase_protocol(r)
+        special = opposite_phases(r)
         assert abs(general.p_plus - special.p_plus) < 1e-12
         assert abs(general.p_minus - special.p_minus) < 1e-12
         assert np.abs(general.rho_plus - special.rho_plus).max() < 1e-12
@@ -443,4 +448,4 @@ class TestPhaseProtocol:
 
     def test_domain(self):
         with pytest.raises(ValueError, match="squeezing"):
-            phase_protocol(math.pi / 2)
+            opposite_phases(math.pi / 2)

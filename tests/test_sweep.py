@@ -34,11 +34,13 @@ class TestSweepSpec:
         [
             ({"metric": "negativity"}, "metric"),
             ({"resolution": 2002}, "resolution"),
-            ({"r1_range": (math.nan, 0.5)}, "r1_range"),
-            ({"r2_range": (0.5, 0.2)}, "r2_range"),
-            ({"r2_range": (0.0, 1.0)}, "r2_range"),
+            ({"r_range": (math.nan, 0.5)}, "range"),
+            ({"r_range": (0.5, 0.2)}, "range"),
+            ({"r_range": (0.0, 1.0)}, "range"),
+            ({"metric": "phase_curve", "r_range": (0.0, math.pi / 2)}, "range"),
         ],
-        ids=["metric", "resolution", "r1-nan", "r2-empty", "r2-domain"],
+        ids=["metric", "resolution", "range-nan", "range-empty", "range-domain",
+             "range-domain-1d"],
     )
     def test_refused_value_names_its_field(self, kwargs, field):
         with pytest.raises(DomainError) as refused:
@@ -55,13 +57,13 @@ class TestSweepSpec:
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError, match="empty"):
-            SweepSpec("neg_pct_diff_mixture", r1_range=(0.5, 0.2))
+            SweepSpec("neg_pct_diff_mixture", r_range=(0.5, 0.2))
 
     def test_rejects_out_of_domain_2d(self):
         with pytest.raises(ValueError, match="domain"):
-            SweepSpec("neg_pct_diff_mixture", r2_range=(0.0, 1.0))
+            SweepSpec("neg_pct_diff_mixture", r_range=(0.0, 1.0))
         with pytest.raises(ValueError, match="domain"):
-            SweepSpec("neg_pct_diff_convex", r1_range=(-0.1, 0.5))
+            SweepSpec("neg_pct_diff_convex", r_range=(-0.1, 0.5))
 
     def test_resolution_cap(self):
         # A spec only records the resolution; neither call allocates a grid.
@@ -85,9 +87,9 @@ class TestSweepSpec:
             assert emitted(emit, grid) == emitted(emit, expected)
 
     def test_phase_curve_wider_domain(self):
-        SweepSpec("phase_curve", r1_range=(0.0, 1.5), resolution=11)
+        SweepSpec("phase_curve", r_range=(0.0, 1.5), resolution=11)
         with pytest.raises(ValueError, match="domain"):
-            SweepSpec("phase_curve", r1_range=(0.0, math.pi / 2), resolution=11)
+            SweepSpec("phase_curve", r_range=(0.0, math.pi / 2), resolution=11)
 
 
 class TestRunSweep:
@@ -103,14 +105,21 @@ class TestRunSweep:
         off_diag = ~np.eye(21, dtype=bool) & mask
         assert (grid.values[off_diag] > 0.0).all()
 
+    # Both axes sample one range, so every 2-D grid is its own transpose, bit for bit.
+    RANGES = [(0.0, math.pi / 4), (0.1, 0.7), (0.75, 0.7500001), (0.3, 0.3)]
+
     def test_grid_symmetry(self):
         for metric in ("neg_pct_diff_mixture", "neg_pct_diff_convex"):
-            grid = run_sweep(SweepSpec(metric, resolution=15))
-            assert np.array_equal(grid.values, grid.values.T)
+            for r_range in self.RANGES:
+                grid = run_sweep(SweepSpec(metric, r_range, resolution=15))
+                assert grid.axes[0] is grid.axes[1]
+                assert np.array_equal(grid.values, grid.values.T), r_range
 
     def test_coherent_grid_symmetry(self):
-        grid = run_sweep(SweepSpec("coherent_info_diff", resolution=7))
-        assert np.array_equal(grid.values, grid.values.T)
+        for r_range in self.RANGES:
+            grid = run_sweep(SweepSpec("coherent_info_diff", r_range, resolution=7))
+            assert grid.axes[0] is grid.axes[1]
+            assert np.array_equal(grid.values, grid.values.T), r_range
 
     # 51: one block; 401: 41 blocks, the last a single row; 409: a ragged last block.
     @pytest.mark.parametrize("resolution", [51, 401, 409])
@@ -160,7 +169,7 @@ class TestRunSweep:
                 assert abs(grid.values[i, j] - 100.0 * (avg - base) / base) <= 1e-12
 
     def test_phase_curve_values(self):
-        grid = run_sweep(SweepSpec("phase_curve", r1_range=(0.0, 1.5), resolution=301))
+        grid = run_sweep(SweepSpec("phase_curve", r_range=(0.0, 1.5), resolution=301))
         assert grid.values[0] == 0.5
         # The advantage over the single channel peaks where the gap's
         # derivative vanishes, at cos(r) = 1/2.
@@ -208,7 +217,7 @@ class TestEmitCsv:
         assert r2s[:3] == sorted(r2s[:3])
 
     def test_phase_curve_header(self):
-        grid = run_sweep(SweepSpec("phase_curve", r1_range=(0.0, 0.5), resolution=4))
+        grid = run_sweep(SweepSpec("phase_curve", r_range=(0.0, 0.5), resolution=4))
         buf = io.StringIO()
         emit_csv(grid, buf)
         lines = buf.getvalue().splitlines()
@@ -245,7 +254,7 @@ class TestEmitJson:
         assert doc["spec"]["resolution"] == 5
 
     def test_deterministic_bytes(self):
-        spec = SweepSpec("phase_curve", r1_range=(0.0, 1.2), resolution=17)
+        spec = SweepSpec("phase_curve", r_range=(0.0, 1.2), resolution=17)
         outputs = []
         for _ in range(2):
             buf = io.StringIO()

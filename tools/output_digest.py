@@ -15,14 +15,18 @@ sends (that module is imported, not changed):
   ``phase_curve`` at 401, ``coherent_info_diff`` at 51; the seed draws
   each sweep's range), at ``--resolution`` when given;
 * the first CSV and the first JSON ``grid-closed`` sweep again with
-  ``--out -``, written to stdout.
+  ``--out -``, written to stdout;
+* the ``defaults`` group: one query per point-query subcommand and one
+  ``--out -`` sweep per metric, each giving only its required flags
+  (and ``--format json`` for a query's JSON twin), so that a moved
+  default changes this line.
 
 It prints one line ``GROUP SHA256`` per point-query format, per sweep
-file and per stdout sweep, over each op's argv, exit code, stdout and
-stderr, plus the file bytes for a sweep file.  Each call's stdout is
-captured both as the ``stdout=`` stream of ``cli.run`` and as the
-redirected ``sys.stdout``, so a checkout that writes ``--out -`` to
-either one gives the same digest.  Two checkouts give byte-identical
+file, per stdout sweep and for the defaults group, over each op's argv,
+exit code, stdout and stderr, plus the file bytes for a sweep file.
+Each call's stdout is captured both as the ``stdout=`` stream of
+``cli.run`` and as the redirected ``sys.stdout``, so a checkout that
+writes ``--out -`` to either one gives the same digest.  Two checkouts give byte-identical
 outputs when the printed lines are equal::
 
     diff <(python tools/output_digest.py OLD) <(python tools/output_digest.py NEW)
@@ -102,6 +106,25 @@ def sweep_digests(cli, seed: int, resolution=None) -> dict:
     return digests
 
 
+# Each point query with its required flags only; sweeps add --metric and --out -.
+DEFAULT_QUERIES = [
+    ["geometry", "--mass", "1", "--radius", "2.02", "--k0", "0.05"],
+    ["channel", "--r", "0.4"],
+    ["protocol", "--r1", "0.2", "--r2", "0.7"],
+    ["phase", "--r", "0.5"],
+]
+
+
+def defaults_digest(cli) -> dict:
+    digest = hashlib.sha256()
+    for argv in DEFAULT_QUERIES:
+        digest.update(_run(cli, argv + ["--format", "json"]))
+        digest.update(_run(cli, argv))
+    for metric in cli.METRICS:
+        digest.update(_run(cli, ["sweep", "--metric", metric, "--out", "-"]))
+    return {"defaults": digest.hexdigest()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", help="source tree whose src/hawkchan is run")
@@ -112,7 +135,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cli = _load_cli(args.checkout)
     digests = {**point_query_digests(cli, args.seed, args.blocks),
-               **sweep_digests(cli, args.seed, args.resolution)}
+               **sweep_digests(cli, args.seed, args.resolution),
+               **defaults_digest(cli)}
     for group, hexdigest in digests.items():
         print(group, hexdigest)
     return 0
