@@ -21,6 +21,7 @@ two routes agreeing is the main correctness check of this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,17 @@ class DomainError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def real_number(field: str, value) -> float:
+    """``value``, a real number of any type (numpy's included), as a float, where an
+    integer beyond the float range reads as infinite; anything else is `DomainError`."""
+    if not isinstance(value, (float, numbers.Real)):  # float first: the ABC check is slow
+        raise DomainError(field, f"{field} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,8 @@ class BlackHoleGeometry:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for field in ("mass", "radius", "k0", "hbar"):
+            object.__setattr__(self, field, real_number(field, getattr(self, field)))
         for field in ("mass", "k0", "hbar"):
             value = getattr(self, field)
             if not (value > 0 and math.isfinite(value)):
@@ -97,20 +111,22 @@ class ChannelParams:
     """Squeezing angle ``r`` and phase ``phi`` of one channel, in radians.
 
     ``r`` must lie in [0, pi/2); geometry-derived values always land in
-    [0, pi/4].  ``phi`` is reduced into [0, 2*pi).
+    [0, pi/4].  Both are stored as floats, ``phi`` reduced into [0, 2*pi).
     """
 
     r: float
     phi: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.r):
-            raise DomainError("r", f"squeezing r must be finite, got {self.r}")
-        if not 0.0 <= self.r < math.pi / 2:
-            raise DomainError("r", f"squeezing r must be in [0, pi/2), got {self.r}")
-        if not math.isfinite(self.phi):
-            raise DomainError("phi", f"phase phi must be finite, got {self.phi}")
-        phi = self.phi % (2.0 * math.pi)
+        r, phi = real_number("r", self.r), real_number("phi", self.phi)
+        if not math.isfinite(r):
+            raise DomainError("r", f"squeezing r must be finite, got {r}")
+        if not 0.0 <= r < math.pi / 2:
+            raise DomainError("r", f"squeezing r must be in [0, pi/2), got {r}")
+        if not math.isfinite(phi):
+            raise DomainError("phi", f"phase phi must be finite, got {phi}")
+        phi %= 2.0 * math.pi
+        object.__setattr__(self, "r", r)
         # A tiny negative phase reduces to 2*pi - eps, which rounds to 2*pi.
         object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)
 

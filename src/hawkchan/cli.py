@@ -4,7 +4,8 @@ Subcommands: ``geometry`` (geometry -> squeezing), ``channel``
 (single-channel evaluation), ``protocol`` (superposition vs classical
 mixture), ``phase`` (opposite-phase superposition, whose classical
 mixture is the single channel's output), ``sweep`` (figure-reproduction
-grids to CSV/JSON).  Each point query checks its states once.
+grids to CSV/JSON).  Each point query checks its states once; ``protocol``
+and ``phase`` check the branch averages they print against closed forms.
 
 Values may come from a JSON config file (``--config``); explicit flags
 override it.  Reports print as human-readable text or, with
@@ -61,44 +62,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Report format row shared by the subcommands that print one report.
-_REPORT_FORMAT = (str, "human", False, ("human", "json"))
+_REPORT_FORMAT = (str, "human", ("human", "json"))
 
-# Per-subcommand parameter tables: name -> (type, default, required, choices).
-# Defaults and choices are applied after the config-file merge, so the parser
-# uses None for "not provided"; the library type that takes a value checks it,
-# and a numeric default is read from that type.
+# Per-subcommand parameter tables: name -> (type, default, choices); a flag
+# without a default is required.  Defaults and choices are applied after the
+# config-file merge, so the parser uses None for "not provided"; the library
+# type that takes a value checks it, and a numeric default is read from that type.
 _PARAMS = {
     "geometry": {
-        "mass": (float, None, True, None),
-        "radius": (float, None, True, None),
-        "k0": (float, None, True, None),
-        "hbar": (float, BlackHoleGeometry.hbar, False, None),
+        "mass": (float, None, None),
+        "radius": (float, None, None),
+        "k0": (float, None, None),
+        "hbar": (float, BlackHoleGeometry.hbar, None),
         "format": _REPORT_FORMAT,
     },
     "channel": {
-        "r": (float, None, True, None),
-        "phi": (float, ChannelParams.phi, False, None),
-        "state": (str, "bell", False, ("bell",)),
+        "r": (float, None, None),
+        "phi": (float, ChannelParams.phi, None),
+        "state": (str, "bell", ("bell",)),
         "format": _REPORT_FORMAT,
     },
     "protocol": {
-        "r1": (float, None, True, None),
-        "r2": (float, None, True, None),
-        "phi1": (float, ChannelParams.phi, False, None),
-        "phi2": (float, ChannelParams.phi, False, None),
+        "r1": (float, None, None),
+        "r2": (float, None, None),
+        "phi1": (float, ChannelParams.phi, None),
+        "phi2": (float, ChannelParams.phi, None),
         "format": _REPORT_FORMAT,
     },
     "phase": {
-        "r": (float, None, True, None),
+        "r": (float, None, None),
         "format": _REPORT_FORMAT,
     },
     "sweep": {
-        "metric": (str, None, True, METRICS),
-        "resolution": (int, SweepSpec.resolution, False, None),
-        "min": (float, SweepSpec.r_range[0], False, None),
-        "max": (float, SweepSpec.r_range[1], False, None),
-        "out": (str, None, True, None),
-        "format": (str, "csv", False, ("csv", "json")),
+        "metric": (str, None, METRICS),
+        "resolution": (int, SweepSpec.resolution, None),
+        "min": (float, SweepSpec.r_range[0], None),
+        "max": (float, SweepSpec.r_range[1], None),
+        "out": (str, None, None),
+        "format": (str, "csv", ("csv", "json")),
     },
 }
 
@@ -112,7 +113,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, params in _PARAMS.items():
         p = sub.add_parser(name, prog=f"hawkchan {name}")
-        for flag, (ftype, _, _, choices) in params.items():
+        for flag, (ftype, _, choices) in params.items():
             shown = "{" + ",".join(choices) + "}" if choices else None
             p.add_argument(f"--{flag}", type=ftype, default=None, metavar=shown)
         p.add_argument("--config", type=str, default=None)
@@ -171,7 +172,7 @@ def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
             raise UsageError(f"--config: unknown key {key!r} for subcommand {subcommand!r}")
 
     effective = {"subcommand": subcommand}
-    for flag, (ftype, default, required, choices) in params.items():
+    for flag, (ftype, default, choices) in params.items():
         value = getattr(args, flag)
         if value is None and flag in config:
             raw = config[flag]
@@ -183,7 +184,7 @@ def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
                 raise UsageError(f"--config: key {flag!r}: {exc}")
         if value is None:
             value = default
-        if value is None and required:
+        if value is None:
             raise UsageError(f"--{flag} is required for {subcommand!r}")
         if choices is not None and value not in choices:
             raise UsageError(f"--{flag}: expected one of {', '.join(choices)}, got {value!r}")
@@ -229,22 +230,19 @@ def _run_channel(cfg: dict) -> dict:
     }
 
 
-def _branch_reports(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float):
-    """The branch fields `protocol` and `phase` both print, and the ``(probability,
-    MetricReport)`` pairs of the branches that occur, from ``stats.reports``.
-    Branch averages keep the order 0.0 + plus + minus."""
-    branches = list(zip((stats.p_plus, stats.p_minus), stats.reports[:-1]))
-    average = sum((p * r.negativity_numeric for p, r in branches), 0.0)
+def _branch_fields(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float) -> dict:
+    """The branch fields `protocol` and `phase` both print, with the average
+    negativity checked against its closed form."""
     closed = metrics.negativity_avg_closed(r1, r2, dphi)
-    metrics.check_closed_form("negativity_avg", average, closed)
+    metrics.check_closed_form("negativity_avg", stats.negativity_avg, closed)
     return {
         "p_plus": stats.p_plus,
         "p_minus": stats.p_minus,
         "rho_plus": _matrix_payload(stats.rho_plus),
         "rho_minus": _matrix_payload(stats.rho_minus),
-        "negativity_avg": average,
+        "negativity_avg": stats.negativity_avg,
         "negativity_avg_closed": closed,
-    }, branches
+    }
 
 
 def _channel_params(cfg: dict, suffix: str) -> ChannelParams:
@@ -260,15 +258,15 @@ def _run_protocol(cfg: dict) -> dict:
     p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
     dphi = p1.phi - p2.phi
     stats = protocol.measure_control(p1, p2)
-    payload, branches = _branch_reports(stats, p1.r, p2.r, dphi)
-    *_, mixture = stats.reports
+    payload = _branch_fields(stats, p1.r, p2.r, dphi)
+    plus, *_, mixture = stats.reports
     payload.update({
         "a_scalar": stats.a_scalar,
         "b_scalar": stats.b_scalar,
         "c_scalar": stats.c_scalar,
-        "coherent_info_ensemble": sum((p * r.coherent_information for p, r in branches), 0.0),
+        "coherent_info_ensemble": stats.coherent_info_ensemble,
         "coherent_info_mixture": mixture.coherent_information,
-        "coherent_info_plus_branch": branches[0][1].coherent_information,
+        "coherent_info_plus_branch": plus.coherent_information,
         "negativity_mixture": mixture.negativity_numeric,
         "negativity_mixture_closed": metrics.negativity_mixture_closed(p1.r, p2.r),
         "negativity_convex_avg": metrics.negativity_convex_avg(p1.r, p2.r),
@@ -284,8 +282,8 @@ def _run_protocol(cfg: dict) -> dict:
 def _run_phase(cfg: dict) -> dict:
     # Equal squeezing, opposite phases: the classical mixture is the single channel's output.
     stats = protocol.measure_control(ChannelParams(cfg["r"]), ChannelParams(cfg["r"], math.pi))
-    payload, branches = _branch_reports(stats, cfg["r"], cfg["r"], math.pi)
-    payload["negativity_plus"] = branches[0][1].negativity_numeric
+    payload = _branch_fields(stats, cfg["r"], cfg["r"], math.pi)
+    payload["negativity_plus"] = stats.reports[0].negativity_numeric
     payload["negativity_single_channel"] = stats.reports[-1].negativity_numeric
     return payload
 

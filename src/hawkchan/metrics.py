@@ -8,9 +8,9 @@ it validates a stack once, reuses that call's spectra of the states (as
 S(AB)) and of their partial transposes, takes Rob's reduced states in one
 more ``eigvalsh`` and reduces them to every measure at once.
 `report_for_state` is its call on one state, and `BranchStatistics.reports`
-holds the reports of the states `measure_control` hands out.  Branch
-averages are probability-weighted sums of the reports.  The closed
-forms take floats or arrays that broadcast together.
+holds the reports of the states `measure_control` hands out, which it also
+sums into the branch averages.  The closed forms take floats or arrays
+that broadcast together.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def negativity_avg_closed(r1, r2, dphi=0.0):
 
     ``(-|w|^2 + sqrt(|w|^4 + 16 (c1 + c2)^2)) / 16`` with
     ``|w|^2 = (s1 + s2)^2 - 4 s1 s2 sin^2(dphi/2)`` and ``dphi = phi1 - phi2``;
-    equals ``p_plus`` times the ``negativity_numeric`` of ``rho_plus`` from
-    the numeric protocol path within 1e-10.  At r1 = r2 and dphi = pi it is exactly |cos r|/2.
+    equals `measure_control`'s ``negativity_avg`` (``p_plus`` times the plus
+    branch's negativity; the minus branch is separable) within 1e-10.  At r1 = r2 and dphi = pi it is exactly |cos r|/2.
     """
     w_sq, c_sum = _plus_branch_terms(r1, r2, dphi)
     return (-w_sq + np.sqrt(16.0 * c_sum**2 + w_sq**2)) / 16.0

@@ -18,11 +18,11 @@ phase, the mixture is the single channel's output.
 
 `measure_control` takes the two `ChannelParams`, as `kraus_operators`
 does.  One call builds the branches and the mixture from one set of
-interference blocks, in one stacked matmul, and validates and reports
-them in one `metrics.report_for_states` call.  States are validated
-where they leave this module; the Bell state and the Kraus blocks are
-trusted in between.  The 8x8 superposed state is an oracle
-for these branches (`oracle.superposed_state`).
+interference blocks, in one stacked matmul, validates and reports them
+in one `metrics.report_for_states` call and adds the branch averages
+from those reports.  States are validated where they leave this module;
+the Bell state and the Kraus blocks are trusted in between.  The 8x8
+superposed state is an oracle for these branches (`oracle.superposed_state`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ class BranchStatistics:
     mixture, the same state with the measurement record discarded:
     ``p_plus rho_plus + p_minus rho_minus``.  ``states`` is the checked
     ``(k, 4, 4)`` stack of which they are views (mixture last) and
-    ``reports`` its `MetricReport` list, in that order.
+    ``reports`` its `MetricReport` list, in that order.  ``negativity_avg``
+    and ``coherent_info_ensemble`` are the averages over the branches that
+    occur, ``sum_k p_k report_k``, added as ``0.0 + plus + minus``.
     """
 
     a_scalar: float
@@ -71,6 +73,8 @@ class BranchStatistics:
     rho_mixture: np.ndarray
     states: np.ndarray
     reports: list[MetricReport]
+    negativity_avg: float
+    coherent_info_ensemble: float
 
 
 _PSI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -134,6 +138,10 @@ def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchSta
         states[1] /= vac + excited
     states[-1] = 0.5 * (xi[0, 0] + xi[1, 1])  # the control's diagonal
     names = ["plus branch"] + ["minus branch"] * minus + ["classical mixture"]
+    reports = report_for_states(states, names)
+    branches = list(zip((p_plus, c / 4.0), reports[:-1]))
     return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], states[1] if minus else None,
-                            states[-1], states, report_for_states(states, names))
+                            states[-1], states, reports,
+                            sum((p * r.negativity_numeric for p, r in branches), 0.0),
+                            sum((p * r.coherent_information for p, r in branches), 0.0))
 

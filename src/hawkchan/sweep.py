@@ -48,7 +48,7 @@ from typing import IO, Callable, Union
 import numpy as np
 
 from . import metrics
-from .channel import DomainError
+from .channel import DomainError, real_number
 # Not called here: perfbench's tracer test still looks this binding up.
 from .protocol import measure_control  # noqa: F401
 
@@ -86,7 +86,12 @@ class SweepSpec:
         if not 2 <= self.resolution <= MAX_RESOLUTION:
             raise DomainError("resolution",
                               f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
-        lo, hi = self.r_range
+        try:  # a pair of real numbers of any type, stored as a tuple of floats
+            lo, hi = r_range = tuple(real_number("range", x) for x in self.r_range)
+        except (TypeError, ValueError):  # not iterable, not two items, or not real
+            raise DomainError("range", f"range must be a pair of real numbers, "
+                                       f"got {self.r_range!r}") from None
+        object.__setattr__(self, "r_range", r_range)
         r_max = MAX_R_1D if self.is_one_dimensional else MAX_R_2D
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("range", f"range must be finite, got ({lo}, {hi})")

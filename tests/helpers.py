@@ -8,7 +8,9 @@ sweeps evaluate the whole grid in one call or one r1 row per call, and
 the reference sweep emitters format one cell at a time and encode the
 whole document with ``json.dump``, and the reference reports take one
 state at a time through the partial transpose and partial trace of
-``hawkchan.oracle``.
+``hawkchan.oracle``.  Branch averages are not re-added here: the tests
+read ``negativity_avg`` and ``coherent_info_ensemble`` of a
+`measure_control` result and check them against the closed forms.
 """
 
 import contextlib
@@ -28,20 +30,6 @@ from hawkchan.protocol import BELL_STATE
 def single_channel(p):
     """The single channel on the Bell state: criterion 01's route."""
     return apply_channel(BELL_STATE, kraus_operators(p)[0])
-
-
-def branch_measures(stats):
-    """``(kept negativity, ensemble coherent information, mixture report)`` of a
-    `measure_control` result, from `metrics.report_for_states` of its stack.
-
-    Both branch averages are probability-weighted sums over the branches
-    that occur, in the order 0.0 + plus + minus, as the CLI adds them.
-    """
-    names = ["plus branch"] + ["minus branch"] * (stats.rho_minus is not None)
-    *branches, mixture = metrics.report_for_states(stats.states, names + ["classical mixture"])
-    weighted = list(zip((stats.p_plus, stats.p_minus), branches))
-    return (sum((p * r.negativity_numeric for p, r in weighted), 0.0),
-            sum((p * r.coherent_information for p, r in weighted), 0.0), mixture)
 
 
 def random_density(rng, dim):

@@ -33,7 +33,7 @@ from hawkchan.oracle import apply_channel_dilated, cross_term_dilated
 from hawkchan.protocol import BELL_STATE, measure_control
 from hawkchan.sweep import SweepSpec, emit_csv, emit_json, run_sweep
 
-from helpers import branch_measures, convex_gap_oracle, geometry_r_oracle, single_channel
+from helpers import convex_gap_oracle, geometry_r_oracle, single_channel
 
 RNG = np.random.default_rng(20240815)
 
@@ -126,8 +126,7 @@ def test_criterion_04_closed_form_negativities():
         for r2 in rs:
             p1, p2 = ChannelParams(r1), ChannelParams(r2)
             stats = measure_control(p1, p2)
-            numeric_avg, _, mixture = branch_measures(stats)
-            numeric_mix = mixture.negativity_numeric
+            numeric_avg, numeric_mix = stats.negativity_avg, stats.reports[-1].negativity_numeric
             numeric_convex = 0.5 * metrics.negativity(single_channel(p1)) + (
                 0.5 * metrics.negativity(single_channel(p2))
             )
@@ -140,8 +139,7 @@ def test_criterion_04_closed_form_negativities():
     phase_rs = np.linspace(0.0, math.pi / 2, 102)[:-1]
     for r in phase_rs:
         stats = measure_control(ChannelParams(r, 0.0), ChannelParams(r, math.pi))
-        numeric = branch_measures(stats)[0]
-        worst = max(worst, abs(numeric - metrics.negativity_avg_closed(r, r, math.pi)))
+        worst = max(worst, abs(stats.negativity_avg - metrics.negativity_avg_closed(r, r, math.pi)))
     check(4, "closed-form-negativities", worst <= 1e-10, f"worst gap {worst:.2e} (tol 1e-10)")
 
 
@@ -212,8 +210,7 @@ def test_criterion_07_coherent_information_grid():
     for i, r1 in enumerate(rs):
         for j, r2 in enumerate(rs):
             stats = measure_control(ChannelParams(r1), ChannelParams(r2))
-            _, ensemble, mixture = branch_measures(stats)
-            diff = ensemble - mixture.coherent_information
+            diff = stats.coherent_info_ensemble - stats.reports[-1].coherent_information
             worst_floor = min(worst_floor, diff)
             if i == j:
                 # Identical channels make the two scenarios coincide, so

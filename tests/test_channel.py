@@ -81,13 +81,30 @@ class TestGeometry:
         (lambda: ChannelParams(r=math.nan), "r", "squeezing r must be finite, got nan"),
         (lambda: ChannelParams(r=2.0), "r", r"squeezing r must be in \[0, pi/2\), got 2.0"),
         (lambda: ChannelParams(r=0.1, phi=-math.inf), "phi", "phase phi must be finite"),
+        (lambda: ChannelParams("0.5"), "r", "r must be a real number, got '0.5'"),
+        (lambda: ChannelParams(None), "r", "r must be a real number, got None"),
+        (lambda: ChannelParams(0.1, phi=1j), "phi", "phi must be a real number"),
+        (lambda: ChannelParams(10**400), "r", "squeezing r must be finite, got inf"),
+        (lambda: BlackHoleGeometry("1", 3, 0.1), "mass", "mass must be a real number, got '1'"),
+        (lambda: BlackHoleGeometry(1.0, [3.0], 0.1), "radius", "radius must be a real number"),
+        (lambda: BlackHoleGeometry(1.0, 3.0, 0.1, hbar=-10**400), "hbar", "hbar must be positive"),
     ],
-    ids=["mass-nan", "radius-inf", "radius-inside", "hbar-inf", "r-nan", "r-range", "phi-inf"],
+    ids=["mass-nan", "radius-inf", "radius-inside", "hbar-inf", "r-nan", "r-range", "phi-inf",
+         "r-string", "r-none", "phi-complex", "r-huge-int", "mass-string", "radius-list",
+         "hbar-huge-int"],
 )
 def test_refused_value_names_its_field(make, field, message):
     with pytest.raises(DomainError, match=message) as refused:
         make()
     assert refused.value.field == field
+
+
+def test_numpy_scalars_are_accepted_and_stored_as_floats():
+    params = ChannelParams(np.float32(0.25), np.int64(1))
+    geometry = BlackHoleGeometry(np.int64(1), np.float32(3.0), np.float64(0.1))
+    assert (params.r, params.phi) == (0.25, 1.0)
+    assert all(type(x) is float for x in (params.r, params.phi, geometry.mass, geometry.radius,
+                                          geometry.k0, geometry.hbar))
 
 
 class TestChannelParams:

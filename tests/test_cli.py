@@ -16,7 +16,7 @@ from hawkchan import cli, linop, metrics, protocol
 from hawkchan.channel import BlackHoleGeometry, ChannelParams
 from hawkchan.sweep import METRICS, SweepSpec, emit_csv, run_sweep
 
-from helpers import branch_measures, emitted, geometry_r_oracle, reference_emit_csv, reference_emit_json
+from helpers import emitted, geometry_r_oracle, reference_emit_csv, reference_emit_json
 
 
 def run_json(argv):
@@ -62,8 +62,8 @@ class TestProtocolCommand:
         stats = protocol.measure_control(ChannelParams(0.2), ChannelParams(0.7))
         assert doc["p_plus"] == stats.p_plus
         assert doc["a_scalar"] == stats.a_scalar
-        kept, _, mixture = branch_measures(stats)
-        assert doc["negativity_avg"] == kept
+        mixture = stats.reports[-1]
+        assert doc["negativity_avg"] == stats.negativity_avg
         assert doc["negativity_avg_closed"] == metrics.negativity_avg_closed(0.2, 0.7)
         assert doc["negativity_mixture"] == mixture.negativity_numeric
         assert doc["coherent_info_mixture"] == mixture.coherent_information

@@ -15,7 +15,6 @@ from hawkchan.protocol import BELL_STATE, measure_control
 from hawkchan.sweep import SweepSpec, run_sweep
 
 from helpers import (
-    branch_measures,
     convex_gap_oracle,
     random_density,
     random_unitary,
@@ -65,14 +64,13 @@ class TestClosedFormNegativities:
 
     def test_avg_matches_numeric_protocol(self):
         stats = measure_control(ChannelParams(0.2), ChannelParams(0.7))
-        numeric = branch_measures(stats)[0]
-        assert abs(numeric - metrics.negativity_avg_closed(0.2, 0.7)) < 1e-10
+        assert abs(stats.negativity_avg - metrics.negativity_avg_closed(0.2, 0.7)) < 1e-10
 
     def test_avg_matches_numeric_protocol_for_any_phases(self):
         for _ in range(200):
             p1 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
             p2 = ChannelParams(RNG.uniform(0.0, math.pi / 2 - 1e-9), RNG.uniform(0.0, 2 * math.pi))
-            numeric = branch_measures(measure_control(p1, p2))[0]
+            numeric = measure_control(p1, p2).negativity_avg
             closed = metrics.negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)
             assert abs(numeric - closed) < 1e-10
 
@@ -177,14 +175,12 @@ class TestCoherentInformation:
 
     def test_superposition_beats_mixture(self):
         stats = measure_control(ChannelParams(0.3), ChannelParams(0.6))
-        _, ensemble, mixture = branch_measures(stats)
-        assert ensemble - mixture.coherent_information > 0.0
+        assert stats.coherent_info_ensemble - stats.reports[-1].coherent_information > 0.0
 
 
 def numeric_coherent_info_diff(r1, r2):
     stats = measure_control(ChannelParams(r1), ChannelParams(r2))
-    _, ensemble, mixture = branch_measures(stats)
-    return ensemble - mixture.coherent_information
+    return stats.coherent_info_ensemble - stats.reports[-1].coherent_information
 
 
 class TestCoherentInfoClosedForm:

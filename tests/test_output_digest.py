@@ -20,6 +20,7 @@ GROUPS = [
     "sweep-stdout.neg_pct_diff_mixture.csv",
     "sweep-stdout.neg_pct_diff_mixture.json",
     "defaults",
+    "refusals",
 ]
 
 
@@ -41,7 +42,7 @@ def test_a_second_seed_gives_other_sweep_digests():
     default, seed_7, seed_1 = digest_lines(), digest_lines("--seed", "7"), digest_lines("--seed", "1")
     assert seed_7 == default
     sweeps = [(a, b) for a, b in zip(seed_7, seed_1) if a.startswith("sweep")]
-    assert len(sweeps) == len(GROUPS) - 3
+    assert len(sweeps) == len(GROUPS) - 4
     assert all(a.split()[0] == b.split()[0] and a != b for a, b in sweeps)
-    # The defaults group draws nothing from the seed.
-    assert seed_7[-1] == seed_1[-1]
+    # The defaults and refusals groups draw nothing from the seed.
+    assert seed_7[-2:] == seed_1[-2:]

@@ -39,7 +39,6 @@ from hawkchan.protocol import measure_control
 from hawkchan.sweep import METRICS, TWO_D_METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
 from helpers import (
-    branch_measures,
     emitted,
     random_density,
     reference_emit_csv,
@@ -103,21 +102,35 @@ def test_kept_reports_line_up_with_their_states(cfg):
     assert stats.reports == report_for_states(stats.states, names)
 
 
+# Identical channels (no minus branch), opposite phases, and r next to pi/2.
+AVERAGE_EDGES = [(ChannelParams(0.4, 2.0), ChannelParams(0.4, 2.0)),
+                 (ChannelParams(0.5), ChannelParams(0.5, math.pi)),
+                 (ChannelParams(R_MAX), ChannelParams(R_MAX, math.pi)),
+                 (ChannelParams(0.3), ChannelParams(R_MAX, 1.0))]
+
+
+def with_average_edges(test):
+    for cfg in AVERAGE_EDGES:
+        test = example(cfg)(test)
+    return test
+
+
 @given(configs())
+@with_average_edges
 def test_average_negativity_matches_closed_form(cfg):
     p1, p2 = cfg
-    numeric = branch_measures(measure_control(*cfg))[0]
+    numeric = measure_control(*cfg).negativity_avg
     assert abs(numeric - negativity_avg_closed(p1.r, p2.r, p1.phi - p2.phi)) <= 1e-10
 
 
 @given(configs())
+@with_average_edges
 def test_coherent_information_matches_closed_form(cfg):
     p1, p2 = cfg
     stats = measure_control(*cfg)
     ensemble, mixture = coherent_info_closed(p1.r, p2.r, p1.phi - p2.phi)
-    _, numeric_ensemble, numeric_mixture = branch_measures(stats)
-    assert abs(numeric_ensemble - ensemble) <= 1e-12
-    assert abs(numeric_mixture.coherent_information - mixture) <= 1e-12
+    assert abs(stats.coherent_info_ensemble - ensemble) <= 1e-12
+    assert abs(stats.reports[-1].coherent_information - mixture) <= 1e-12
 
 
 @given(configs())

@@ -213,6 +213,24 @@ class TestMeasureControl:
         assert stats.c_scalar < 1e-14
         assert stats.rho_minus is None
 
+    def test_branch_averages_add_the_branch_reports_bit_for_bit(self):
+        rng = np.random.default_rng(7)  # the module RNG's draws stay those of the other tests
+        for _ in range(20):
+            stats = measure_control(*random_config(rng))
+            plus, minus, _ = stats.reports
+            assert stats.negativity_avg == (0.0 + stats.p_plus * plus.negativity_numeric
+                                            + stats.p_minus * minus.negativity_numeric)
+            assert stats.coherent_info_ensemble == (0.0 + stats.p_plus * plus.coherent_information
+                                                    + stats.p_minus * minus.coherent_information)
+
+    def test_branch_averages_without_a_minus_branch_are_the_plus_branch(self):
+        # p_minus = C/4 is not zero here, but the branch does not occur.
+        stats = measure_control(ChannelParams(0.3), ChannelParams(0.3 + 1e-7))
+        plus, _ = stats.reports
+        assert stats.p_minus > 0.0
+        assert stats.negativity_avg == 0.0 + stats.p_plus * plus.negativity_numeric
+        assert stats.coherent_info_ensemble == 0.0 + stats.p_plus * plus.coherent_information
+
     def test_branch_swap_symmetry(self):
         p1, p2 = random_config(RNG)
         s1, s2 = measure_control(p1, p2), measure_control(p2, p1)

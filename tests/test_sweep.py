@@ -38,9 +38,16 @@ class TestSweepSpec:
             ({"r_range": (0.5, 0.2)}, "range"),
             ({"r_range": (0.0, 1.0)}, "range"),
             ({"metric": "phase_curve", "r_range": (0.0, math.pi / 2)}, "range"),
+            ({"r_range": (0.5,)}, "range"),
+            ({"r_range": (0.0, 0.2, 0.4)}, "range"),
+            ({"r_range": "0.5"}, "range"),
+            ({"r_range": ("0", "0.5")}, "range"),
+            ({"r_range": None}, "range"),
+            ({"r_range": (0.0, 10**400)}, "range"),
         ],
         ids=["metric", "resolution", "range-nan", "range-empty", "range-domain",
-             "range-domain-1d"],
+             "range-domain-1d", "range-one-item", "range-three-items", "range-string",
+             "range-strings", "range-none", "range-huge-int"],
     )
     def test_refused_value_names_its_field(self, kwargs, field):
         with pytest.raises(DomainError) as refused:
@@ -77,6 +84,13 @@ class TestSweepSpec:
         with pytest.raises(DomainError, match="resolution must be an integer") as refused:
             SweepSpec("neg_pct_diff_mixture", resolution=resolution)
         assert refused.value.field == "resolution"
+
+    @pytest.mark.parametrize("r_range", [[0.0, 0.5], (0, 0.5), (np.float32(0.0), np.float64(0.5))])
+    def test_range_is_stored_as_a_tuple_of_floats(self, r_range):
+        spec = SweepSpec("neg_pct_diff_mixture", r_range)
+        expected = SweepSpec("neg_pct_diff_mixture", (0.0, 0.5))
+        assert spec.r_range == (0.0, 0.5) and all(type(x) is float for x in spec.r_range)
+        assert spec == expected and hash(spec) == hash(expected)
 
     @pytest.mark.parametrize("metric", ["neg_pct_diff_mixture", "phase_curve"])
     def test_numpy_integer_resolution_sweeps_as_its_int(self, metric):

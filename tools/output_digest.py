@@ -19,11 +19,16 @@ sends (that module is imported, not changed):
 * the ``defaults`` group: one query per point-query subcommand and one
   ``--out -`` sweep per metric, each giving only its required flags
   (and ``--format json`` for a query's JSON twin), so that a moved
-  default changes this line.
+  default changes this line;
+* the ``refusals`` group: one op per usage error, namely each of those
+  queries and sweeps with one required flag left out, a bad ``--format``,
+  a bad ``--metric``, a value that is not a number, and an unknown key and
+  a non-string value for a string flag in a temporary ``--config`` file.
 
 It prints one line ``GROUP SHA256`` per point-query format, per sweep
-file, per stdout sweep and for the defaults group, over each op's argv,
-exit code, stdout and stderr, plus the file bytes for a sweep file.
+file, per stdout sweep and for the defaults and refusals groups, over
+each op's argv, exit code, stdout and stderr, plus the file bytes for a
+sweep file.
 Each call's stdout is captured both as the ``stdout=`` stream of
 ``cli.run`` and as the redirected ``sys.stdout``, so a checkout that
 writes ``--out -`` to either one gives the same digest.  Two checkouts give byte-identical
@@ -42,6 +47,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -125,6 +131,34 @@ def defaults_digest(cli) -> dict:
     return {"defaults": digest.hexdigest()}
 
 
+# Usage errors beside the missing flags; each exits 2 with its message on stderr.
+BAD_QUERIES = [
+    ["channel", "--r", "0.4", "--format", "xml"],
+    ["sweep", "--metric", "negativity", "--out", "-"],
+    ["phase", "--r", "half"],
+]
+# Config files for ``channel --r 0.4``: an unknown key, and a number for the string flag --format.
+BAD_CONFIGS = [{"bogus": 1}, {"format": 1}]
+
+
+def refusals_digest(cli) -> dict:
+    digest = hashlib.sha256()
+    sweep = ["sweep", "--metric", "phase_curve", "--out", "-"]
+    for argv in DEFAULT_QUERIES + [sweep]:
+        for i in range(1, len(argv), 2):  # leave out one flag and its value
+            digest.update(_run(cli, argv[:i] + argv[i + 2:]))
+    for argv in BAD_QUERIES:
+        digest.update(_run(cli, argv))
+    with tempfile.TemporaryDirectory(prefix="output-digest-") as work:
+        for index, config in enumerate(BAD_CONFIGS):
+            path = os.path.join(work, f"config-{index}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = ["channel", "--r", "0.4", "--config"]
+            digest.update(_run(cli, argv + [path], argv + [json.dumps(config)]))
+    return {"refusals": digest.hexdigest()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", help="source tree whose src/hawkchan is run")
@@ -136,7 +170,8 @@ def main(argv=None) -> int:
     cli = _load_cli(args.checkout)
     digests = {**point_query_digests(cli, args.seed, args.blocks),
                **sweep_digests(cli, args.seed, args.resolution),
-               **defaults_digest(cli)}
+               **defaults_digest(cli),
+               **refusals_digest(cli)}
     for group, hexdigest in digests.items():
         print(group, hexdigest)
     return 0
