@@ -154,6 +154,8 @@ def kraus_operators(*params: ChannelParams) -> np.ndarray:
     ``exp(-i phi) sin(r)``.  One check over the stack confirms
     ``m0^dag m0 + m1^dag m1 = I`` for every channel.
     """
+    if not params:
+        raise ValueError("kraus_operators needs at least one channel, got none")
     ks = np.zeros((len(params), 2, 4, 4), dtype=complex)
     for k, p in zip(ks, params):
         k[0, 0, 0] = k[0, 2, 2] = math.cos(p.r)

@@ -48,6 +48,8 @@ def check_density_matrix(rho, name="state", *, two_qubit=False):
     names = [name] if single else list(name)
     label = ", ".join(names)
     arr = np.asarray(rho, dtype=complex)
+    if not names:
+        raise ValueError(f"no states to check: no names for a stack of shape {arr.shape}")
     if single and arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not single and (arr.ndim != 3 or arr.shape[0] != len(names)):

@@ -16,11 +16,13 @@ minus branch is the product state |0_A 1_R><0_A 1_R| (absent at r = 0),
 and, as a channel's output on the Bell state does not depend on its
 phase, the mixture is the single channel's output.
 
-`measure_control` takes the two `ChannelParams`, as `kraus_operators`
-does.  One call builds the branches and the mixture from one set of
-interference blocks, in one stacked matmul, validates and reports them
-in one `metrics.report_for_states` call and adds the branch averages
-from those reports.  States are validated where they leave this module;
+`measure_control`, the module's one function, takes the two
+`ChannelParams`, as `kraus_operators` does.  From top to bottom it
+computes the scalars B and C, builds the interference blocks of both
+channels in one `kraus_block` matmul, fills the branches and the mixture
+into one stack, validates and reports them in one
+`metrics.report_for_states` call and adds the branch averages from those
+reports.  States are validated where they leave this module;
 the Bell state and the Kraus blocks are trusted in between.  The 8x8
 superposed state is an oracle for these branches (`oracle.superposed_state`).
 """
@@ -56,9 +58,9 @@ class BranchStatistics:
     ``rho_minus`` is ``None`` when the minus branch cannot occur
     (identical channels, C = 0).  ``rho_mixture`` is the classical
     mixture, the same state with the measurement record discarded:
-    ``p_plus rho_plus + p_minus rho_minus``.  ``states`` is the checked
-    ``(k, 4, 4)`` stack of which they are views (mixture last) and
-    ``reports`` its `MetricReport` list, in that order.  ``negativity_avg``
+    ``p_plus rho_plus + p_minus rho_minus``.  The three are views of one
+    checked ``(k, 4, 4)`` stack, and ``reports`` holds their `MetricReport`s
+    in the order plus, minus (when it occurs), mixture.  ``negativity_avg``
     and ``coherent_info_ensemble`` are the averages over the branches that
     occur, ``sum_k p_k report_k``, added as ``0.0 + plus + minus``.
     """
@@ -71,7 +73,6 @@ class BranchStatistics:
     rho_plus: np.ndarray
     rho_minus: Optional[np.ndarray]
     rho_mixture: np.ndarray
-    states: np.ndarray
     reports: list[MetricReport]
     negativity_avg: float
     coherent_info_ensemble: float
@@ -80,31 +81,6 @@ class BranchStatistics:
 _PSI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 BELL_STATE = np.outer(_PSI, _PSI.conj())
 BELL_STATE.flags.writeable = False
-
-
-def _interference_blocks(params1: ChannelParams, params2: ChannelParams) -> np.ndarray:
-    """The blocks ``xi[i, j]`` of |i><j| on the control, a (2, 2, 4, 4) array.
-
-    ``xi[i, j] = sum_n M_in bell M_jn^dag`` for the channels of
-    ``params1`` (i = 0) and ``params2`` (i = 1), from one `kraus_block`
-    over their `kraus_operators` array.  Every state this module hands out
-    is derived from one such array.
-    """
-    ks = kraus_operators(params1, params2)
-    return kraus_block(BELL_STATE, ks[:, None], ks[None, :])
-
-
-def branch_scalars(params1: ChannelParams, params2: ChannelParams) -> tuple[float, float, float]:
-    """Closed-form scalars (A, B, C) for the given channel pair.
-
-    C is evaluated as 2 sin^2((r1 - r2)/2) + 2 B, a sum of
-    non-negatives; the textbook form 1 - c1 c2 - cos(dphi) s1 s2
-    cancels catastrophically for near-identical channels.  A = 4 - C.
-    """
-    r1, r2 = params1.r, params2.r
-    b = math.sin((params1.phi - params2.phi) / 2.0) ** 2 * math.sin(r1) * math.sin(r2)
-    c = 2.0 * math.sin((r1 - r2) / 2.0) ** 2 + 2.0 * b
-    return 4.0 - c, b, c
 
 
 def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchStatistics:
@@ -124,24 +100,28 @@ def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchSta
     diagonal, from the same blocks.  The plus branch, the minus branch
     (when it occurs) and the mixture are validated and reported in one call.
     """
-    a, b, c = branch_scalars(params1, params2)
-    xi = _interference_blocks(params1, params2)
+    r1, r2 = params1.r, params2.r
+    b = math.sin((params1.phi - params2.phi) / 2.0) ** 2 * math.sin(r1) * math.sin(r2)
+    # 2 sin^2((r1 - r2)/2) + 2B, a sum of non-negatives: the textbook form of C
+    # cancels catastrophically for near-identical channels.
+    c = 2.0 * math.sin((r1 - r2) / 2.0) ** 2 + 2.0 * b
+    ks = kraus_operators(params1, params2)
+    xi = kraus_block(BELL_STATE, ks[:, None], ks[None, :])  # xi[i, j]: |i><j| on the control
     minus = c >= ABSENT_BRANCH_TOL
     states = np.zeros((3 if minus else 2, 4, 4), dtype=complex)
     plus_un = 0.25 * (xi[0, 0] + xi[1, 1] + xi[0, 1] + xi[1, 0])
     p_plus = float(plus_un.trace().real)
     np.divide(plus_un, p_plus, out=states[0])
     if minus:
-        vac = (math.cos(params1.r) - math.cos(params2.r)) ** 2
-        excited = (math.sin(params1.r) - math.sin(params2.r)) ** 2 + 4.0 * b
+        vac = (math.cos(r1) - math.cos(r2)) ** 2
+        excited = (math.sin(r1) - math.sin(r2)) ** 2 + 4.0 * b
         states[1, 0, 0], states[1, 1, 1] = vac, excited
         states[1] /= vac + excited
     states[-1] = 0.5 * (xi[0, 0] + xi[1, 1])  # the control's diagonal
     names = ["plus branch"] + ["minus branch"] * minus + ["classical mixture"]
     reports = report_for_states(states, names)
     branches = list(zip((p_plus, c / 4.0), reports[:-1]))
-    return BranchStatistics(a, b, c, p_plus, c / 4.0, states[0], states[1] if minus else None,
-                            states[-1], states, reports,
+    return BranchStatistics(4.0 - c, b, c, p_plus, c / 4.0, states[0],
+                            states[1] if minus else None, states[-1], reports,
                             sum((p * r.negativity_numeric for p, r in branches), 0.0),
                             sum((p * r.coherent_information for p, r in branches), 0.0))
-

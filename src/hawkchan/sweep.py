@@ -40,7 +40,6 @@ import json
 import math
 import operator
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
 from typing import IO, Callable, Union
@@ -64,7 +63,7 @@ MAX_R_1D = math.pi / 2
 MAX_RESOLUTION = 2001
 _BLOCK_CELLS = 4096  # cells per closed-form call: each float64 temporary is 32 KB
 
-Destination = Union[str, "IO[str]", None]
+Destination = Union[str, "IO[str]"]
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,8 @@ _COPY_CHARS = 1 << 16  # a child's part is spliced in chunks of this many charac
 
 def _open_destination(destination: Destination):
     """A context manager over the output stream; it closes only a file it opened."""
-    if destination is None or hasattr(destination, "write"):
-        return contextlib.nullcontext(sys.stdout if destination is None else destination)
+    if hasattr(destination, "write"):
+        return contextlib.nullcontext(destination)
     try:
         return open(destination, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -239,8 +238,8 @@ def _write_rows(stream: IO[str], values: np.ndarray, row_text: Callable[[int], s
             part.close()
 
 
-def emit_csv(grid: SweepGrid, destination: Destination = None) -> None:
-    """Write the grid as CSV to a path, a text stream, or stdout.
+def emit_csv(grid: SweepGrid, destination: Destination) -> None:
+    """Write the grid as CSV to a path or a text stream.
 
     2-D grids use the header ``r1,r2,value``; the 1-D phase curve uses
     ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.  The
@@ -263,8 +262,8 @@ def emit_csv(grid: SweepGrid, destination: Destination = None) -> None:
         _write_rows(stream, grid.values, row_text)
 
 
-def emit_json(grid: SweepGrid, destination: Destination = None) -> None:
-    """Write the grid as a JSON object with keys {spec, axes, values}.
+def emit_json(grid: SweepGrid, destination: Destination) -> None:
+    """Write the grid as a JSON object {spec, axes, values} to a path or a text stream.
 
     The bytes are ``json.dumps(document, sort_keys=True,
     separators=(",", ":"))`` plus a newline, written one row of

@@ -17,7 +17,6 @@ import contextlib
 import io
 import json
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -187,16 +186,16 @@ def _format(x: float) -> str:
 
 def _open_destination(destination):
     """A context manager over the output stream; it closes only a file it opened."""
-    if destination is None or hasattr(destination, "write"):
-        return contextlib.nullcontext(sys.stdout if destination is None else destination)
+    if hasattr(destination, "write"):
+        return contextlib.nullcontext(destination)
     try:
         return open(destination, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
 
 
-def reference_emit_csv(grid, destination=None) -> None:
-    """Write the grid as CSV to a path, a text stream, or stdout.
+def reference_emit_csv(grid, destination) -> None:
+    """Write the grid as CSV to a path or a text stream.
 
     2-D grids use the header ``r1,r2,value``; the 1-D phase curve uses
     ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.
@@ -216,8 +215,8 @@ def reference_emit_csv(grid, destination=None) -> None:
                 )
 
 
-def reference_emit_json(grid, destination=None) -> None:
-    """Write the grid as a JSON object with keys {spec, axes, values}."""
+def reference_emit_json(grid, destination) -> None:
+    """Write the grid as a JSON object {spec, axes, values} to a path or a text stream."""
     document = {
         "spec": {
             "metric": grid.spec.metric,

@@ -124,6 +124,8 @@ class TestChannelParams:
 
 
 class TestKrausPair:
+    """Rows of `kraus_operators`: the (m0, m1) pair of one channel."""
+
     def test_identity_channel_at_zero(self):
         m0, m1 = kraus_operators(ChannelParams(0.0))[0]
         assert np.array_equal(m0, np.eye(4))
@@ -183,6 +185,10 @@ class TestKrausOperators:
         kraus_operators(good)
         with pytest.raises(ValueError, match="^Kraus completeness violated by 1.9"):
             kraus_operators(good, bad)
+
+    def test_no_channels_is_refused(self):
+        with pytest.raises(ValueError, match="^kraus_operators needs at least one channel"):
+            kraus_operators()
 
 
 class TestApplyChannel:

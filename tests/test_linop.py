@@ -239,6 +239,8 @@ class TestStackedDensityMatrixChecks:
             linop.check_density_matrix(BELL_STATE, NAMES)
         with pytest.raises(ValueError, match="must be square"):
             linop.check_density_matrix(np.ones((3, 2, 3)) / 2, NAMES)
+        with pytest.raises(ValueError, match=r"^no states to check: .* shape \(0, 4, 4\)$"):
+            linop.check_density_matrix(np.zeros((0, 4, 4)), [])
 
     def test_returns_the_same_array_and_its_spectrum(self):
         rho = random_density(RNG, 4)

@@ -198,6 +198,8 @@ class TestCoherentInfoClosedForm:
 
 
 class TestPptSeparable:
+    """The report's PPT flag."""
+
     def test_bell_is_entangled(self):
         assert not metrics.report_for_state(BELL_STATE).ppt
 

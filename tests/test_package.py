@@ -65,10 +65,12 @@ PUBLIC = [
 ]
 # Second routes to a measure, to the Kraus build, to the Bell state or to a
 # channel pair; `report_for_state(s)`, `kraus_operators`, `BELL_STATE` and two
-# `ChannelParams` are the routes.
+# `ChannelParams` are the routes.  The last two were one-caller helpers that
+# `measure_control` now spells out inline.
 RETIRED = ("KrausPair", "kraus_pair", "coherent_information", "ppt_separable",
            "average_branch_negativity", "ensemble_coherent_information", "_branch_average",
-           "ProtocolConfig", "bell_state", "phase_protocol")
+           "ProtocolConfig", "bell_state", "phase_protocol", "_interference_blocks",
+           "branch_scalars")
 # Oracles that the top level no longer re-exports: they are read from `hawkchan.oracle`.
 ORACLE_ONLY = ("apply_channel_dilated", "dilation_unitary", "superposed_state")
 
@@ -77,7 +79,7 @@ def test_public_surface_is_pinned():
     assert hawkchan.__all__ == PUBLIC
     assert [f.name for f in dataclasses.fields(hawkchan.BranchStatistics)] == [
         "a_scalar", "b_scalar", "c_scalar", "p_plus", "p_minus", "rho_plus", "rho_minus",
-        "rho_mixture", "states", "reports", "negativity_avg", "coherent_info_ensemble"]
+        "rho_mixture", "reports", "negativity_avg", "coherent_info_ensemble"]
     assert hawkchan.BELL_STATE is protocol.BELL_STATE
     assert not hawkchan.BELL_STATE.flags.writeable
 

@@ -97,9 +97,9 @@ def test_kept_reports_line_up_with_their_states(cfg):
     stats = measure_control(*cfg)
     states = np.array([rho for rho in (stats.rho_plus, stats.rho_minus) if rho is not None]
                       + [stats.rho_mixture])
-    assert np.array_equal(stats.states, states)
+    assert np.array_equal(stats.rho_plus.base, states)
     names = ["plus branch", "minus branch"][:len(states) - 1] + ["classical mixture"]
-    assert stats.reports == report_for_states(stats.states, names)
+    assert stats.reports == report_for_states(states, names)
 
 
 # Identical channels (no minus branch), opposite phases, and r next to pi/2.

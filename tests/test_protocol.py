@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hawkchan import channel, cli, linop, protocol, sweep
-from hawkchan.channel import ChannelParams, apply_channel, kraus_operators
+from hawkchan.channel import ChannelParams, apply_channel, kraus_block, kraus_operators
 from hawkchan.metrics import negativity, report_for_state
 from hawkchan.oracle import (
     apply_channel_dilated,
@@ -17,7 +17,7 @@ from hawkchan.oracle import (
     superposed_state,
     tensor,
 )
-from hawkchan.protocol import BELL_STATE, _interference_blocks, measure_control
+from hawkchan.protocol import BELL_STATE, measure_control
 
 from helpers import single_channel
 
@@ -72,6 +72,8 @@ class TestBellState:
 
 
 class TestClassicalScenario:
+    """The single channel's output on the Bell state."""
+
     def test_zero_squeezing_is_identity(self):
         assert np.abs(single_channel(ChannelParams(0.0)) - BELL_STATE).max() < 1e-14
 
@@ -334,13 +336,16 @@ class TestOneEvaluation:
         assert np.abs(mixture - mixture_oracle(cfg, apply_channel_dilated)).max() < 1e-12
 
     def test_branches_are_the_two_outcomes(self):
-        """``states`` stacks the plus branch, the minus branch and the mixture, in
-        that order, as views: the layout a `report_for_states` call relies on."""
+        """The plus branch, the minus branch and the mixture are views of one
+        three-state stack, in that order: the layout a `report_for_states` call
+        relies on."""
         stats = measure_control(ChannelParams(0.2), ChannelParams(0.7, 1.0))
         assert stats.rho_minus is not None
-        for i, rho in enumerate((stats.rho_plus, stats.rho_minus, stats.rho_mixture)):
-            assert rho.base is stats.states and np.array_equal(rho, stats.states[i])
-        assert len(stats.states) == 3
+        views = (stats.rho_plus, stats.rho_minus, stats.rho_mixture)
+        stack = stats.rho_plus.base
+        assert stack.shape == (3, 4, 4) and all(rho.base is stack for rho in views)
+        for i, rho in enumerate(views):
+            assert np.array_equal(rho, stack[i])
 
     def test_identical_channels_have_no_minus_state(self):
         p = ChannelParams(0.4, 2.0)
@@ -391,10 +396,10 @@ class TestOneEvaluation:
         its mixture from these blocks."""
         rho = BELL_STATE
         for params in oracle_configs():
-            xi = _interference_blocks(*params)
+            pairs = kraus_operators(*params)
+            xi = kraus_block(rho, pairs[:, None], pairs[None, :])
             mixture = measure_control(*params).rho_mixture
             assert np.array_equal(mixture, 0.5 * (xi[0, 0] + xi[1, 1]))
-            pairs = kraus_operators(*params)
             for i, (mi0, mi1) in enumerate(pairs):
                 for j, (mj0, mj1) in enumerate(pairs):
                     expected = mi0 @ rho @ mj0.conj().T + mi1 @ rho @ mj1.conj().T
