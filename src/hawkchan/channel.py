@@ -30,6 +30,8 @@ from . import linop
 
 # Allowed deviation of sum_n M_n^dag M_n from the identity.
 COMPLETENESS_TOL = 1e-12
+_IDENTITY = np.eye(4)
+_IDENTITY.flags.writeable = False
 
 
 class DomainError(ValueError):
@@ -162,7 +164,7 @@ def kraus_operators(*params: ChannelParams) -> np.ndarray:
         k[0, 1, 1] = k[0, 3, 3] = 1.0
         k[1, 1, 0] = k[1, 3, 2] = np.exp(-1j * p.phi) * math.sin(p.r)
     stacked = ks.reshape(-1, 8, 4)  # [m0; m1], so stacked^dag stacked = m0^dag m0 + m1^dag m1
-    defect = np.abs(stacked.conj().swapaxes(-1, -2) @ stacked - np.eye(4)).max()
+    defect = np.abs(stacked.conj().swapaxes(-1, -2) @ stacked - _IDENTITY).max()
     if defect > COMPLETENESS_TOL:
         raise ValueError(f"Kraus completeness violated by {defect:.3e}")
     return ks

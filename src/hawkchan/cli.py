@@ -233,7 +233,7 @@ def _run_channel(cfg: dict) -> dict:
 def _branch_fields(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float) -> dict:
     """The branch fields `protocol` and `phase` both print, with the average
     negativity checked against its closed form."""
-    closed = metrics.negativity_avg_closed(r1, r2, dphi)
+    closed = float(metrics.negativity_avg_closed(r1, r2, dphi))
     metrics.check_closed_form("negativity_avg", stats.negativity_avg, closed)
     return {
         "p_plus": stats.p_plus,
@@ -268,10 +268,10 @@ def _run_protocol(cfg: dict) -> dict:
         "coherent_info_mixture": mixture.coherent_information,
         "coherent_info_plus_branch": plus.coherent_information,
         "negativity_mixture": mixture.negativity_numeric,
-        "negativity_mixture_closed": metrics.negativity_mixture_closed(p1.r, p2.r),
-        "negativity_convex_avg": metrics.negativity_convex_avg(p1.r, p2.r),
+        "negativity_mixture_closed": float(metrics.negativity_mixture_closed(p1.r, p2.r)),
+        "negativity_convex_avg": float(metrics.negativity_convex_avg(p1.r, p2.r)),
     })
-    ensemble, mixture_closed = metrics.coherent_info_closed(p1.r, p2.r, dphi)
+    ensemble, mixture_closed = map(float, metrics.coherent_info_closed(p1.r, p2.r, dphi))
     for key, closed in [("negativity_mixture", payload["negativity_mixture_closed"]),
                         ("coherent_info_ensemble", ensemble),
                         ("coherent_info_mixture", mixture_closed)]:
@@ -308,13 +308,13 @@ def _print_human(payload: dict, stream) -> None:
             for row in value:
                 cells = ", ".join(f"{re!r}{im:+}j" for re, im in row)
                 stream.write(f"  [{cells}]\n")
-        elif isinstance(value, float):  # numpy scalars print as plain floats
-            stream.write(f"{key} = {float(value)!r}\n")
         else:
             stream.write(f"{key} = {value}\n")
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(..., sort_keys=True)
+# The bytes of json.dumps(..., sort_keys=True).  The cycle check is off: each payload
+# is a fresh tree of dicts, lists and scalars that its handler built, with no cycle.
+_ENCODE = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 _HANDLERS = {
     "geometry": _run_geometry,

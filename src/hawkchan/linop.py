@@ -6,8 +6,9 @@ Hermitian within ``HERMITIAN_TOL``, has trace within ``TRACE_TOL`` of 1
 and has smallest eigenvalue >= ``EIGENVALUE_FLOOR``.  One call checks
 one state or a ``(k, n, n)`` stack with one ``eigvalsh`` and hands back
 that spectrum; `check_two_qubit` adds the 4x4 shape, and the same
-``eigvalsh`` also takes the partial transposes, so the metrics reuse
-both spectra.  The dense helpers of the oracles live in `oracle`.
+``eigvalsh`` also takes the partial transposes and Rob's reduced states,
+so a report needs no ``eigvalsh`` of its own.  The dense helpers of the
+oracles live in `oracle`.
 """
 
 from __future__ import annotations
@@ -42,31 +43,40 @@ def check_density_matrix(rho, name="state", *, two_qubit=False):
     each state, ``(k, n)``.  ``two_qubit=True`` is `check_two_qubit`, kept in
     this one function so that every check passes through this name: the states
     must also be 4x4 (checked last), the same ``eigvalsh`` takes their partial
-    transposes on A, and those spectra come third.
+    transposes on A and Rob's reduced states, and those spectra come third and
+    fourth.
     """
     single = isinstance(name, str)
     names = [name] if single else list(name)
-    label = ", ".join(names)
     arr = np.asarray(rho, dtype=complex)
     if not names:
         raise ValueError(f"no states to check: no names for a stack of shape {arr.shape}")
     if single and arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not single and (arr.ndim != 3 or arr.shape[0] != len(names)):
-        raise ValueError(f"{label} must be a stack of {len(names)} matrices, got shape {arr.shape}")
+        raise ValueError(
+            f"{', '.join(names)} must be a stack of {len(names)} matrices, got shape {arr.shape}")
     if arr.size == 0:
-        raise ValueError(f"{label} must be non-empty, got shape {arr.shape}")
-    states = arr.reshape((len(names),) + arr.shape[-2:])
-    finite = np.isfinite(states).all(axis=(1, 2))
-    if not finite.all():
+        raise ValueError(f"{', '.join(names)} must be non-empty, got shape {arr.shape}")
+    k = len(names)
+    states = arr.reshape((k,) + arr.shape[-2:])
+    if not np.isfinite(states).all():
+        finite = np.isfinite(states).all(axis=(1, 2))
         raise ValueError(f"{names[int(finite.argmin())]} contains non-finite entries")
     if arr.shape[-2] != arr.shape[-1]:
-        raise ValueError(f"{label} must be square, got shape {arr.shape}")
+        raise ValueError(f"{', '.join(names)} must be square, got shape {arr.shape}")
     defects = hermiticity_defect(states).tolist()
     traces = states.trace(axis1=1, axis2=2).tolist()
-    if two_qubit and states.shape[1:] == (4, 4):  # the partial transposes on A join the eigvalsh
-        pt = states.reshape(-1, 2, 2, 2, 2).swapaxes(1, 3).reshape(-1, 4, 4)
-        states = np.concatenate((states, pt))
+    if two_qubit and states.shape[1:] == (4, 4):
+        # The partial transposes on A, then Rob's reduced states as the upper-left
+        # block of zero 4x4s, join the eigvalsh: the embedding adds two exact zeros
+        # to Rob's spectrum and leaves the bits of its 2x2 eigenvalues unchanged, a
+        # property of the LAPACK routine that tests/test_metrics.py pins.
+        stack = np.zeros((3 * k, 4, 4), dtype=complex)
+        stack[:k] = states
+        stack[k:2 * k].reshape(k, 2, 2, 2, 2)[...] = states.reshape(k, 2, 2, 2, 2).swapaxes(1, 3)
+        np.add(states[:, :2, :2], states[:, 2:, 2:], out=stack[2 * k:, :2, :2])
+        states = stack
     eigs = np.linalg.eigvalsh(states)
     for state, defect, tr, smallest in zip(names, defects, traces, eigs[:, 0].tolist()):
         if defect > HERMITIAN_TOL:
@@ -78,12 +88,13 @@ def check_density_matrix(rho, name="state", *, two_qubit=False):
             raise ValueError(
                 f"{state} has eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR:.3e}")
     if two_qubit and arr.shape[-2:] != (4, 4):
-        raise ValueError(f"{label} must be a 4x4 two-qubit state, got shape {arr.shape}")
-    return (arr, *eigs.reshape((1 + two_qubit,) + arr.shape[:-1]))  # states', then pts' spectra
+        raise ValueError(f"{', '.join(names)} must be a 4x4 two-qubit state, got shape {arr.shape}")
+    return (arr, *eigs.reshape((1 + 2 * two_qubit,) + arr.shape[:-1]))  # states', pts', Rob's
 
 
-def check_two_qubit(rho, name="state") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def check_two_qubit(rho, name="state") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`check_density_matrix` of one 4x4 two-qubit state or a ``(k, 4, 4)`` stack:
-    its pair, then the ascending spectra of the partial transposes on A, ``(4,)``
-    or ``(k, 4)``, from the same ``eigvalsh`` call that checks the states."""
+    its pair, then the ascending spectra of the partial transposes on A and of
+    Rob's reduced states (the 2x2 spectrum plus two exact zeros), each ``(4,)``
+    or ``(k, 4)``, all from the same ``eigvalsh`` call that checks the states."""
     return check_density_matrix(rho, name, two_qubit=True)

@@ -5,8 +5,8 @@ forms for the protocol scenarios, so every closed form can be checked
 against the fully numeric pipeline.  All entropies are in bits.
 `report_for_states` is the one numeric route to every measure of a state:
 it validates a stack once, reuses that call's spectra of the states (as
-S(AB)) and of their partial transposes, takes Rob's reduced states in one
-more ``eigvalsh`` and reduces them to every measure at once.
+S(AB)), of their partial transposes and of Rob's reduced states (as S(B)),
+calls no ``eigvalsh`` of its own and reduces them to every measure at once.
 `report_for_state` is its call on one state, and `BranchStatistics.reports`
 holds the reports of the states `measure_control` hands out, which it also
 sums into the branch averages.  The closed forms take floats or arrays
@@ -146,21 +146,21 @@ def report_for_states(states, names) -> list[MetricReport]:
     """One `MetricReport` per state of a ``(k, 4, 4)`` stack named ``names``, or of
     one 4x4 state named by the string ``names``.
 
-    The states are validated in one `linop.check_two_qubit` call, whose
-    ``eigvalsh`` also takes their partial transposes and whose spectra of the
-    states serve as S(AB); Rob's reduced states, from one reshape, take one more
-    ``eigvalsh``.  Each measure is then one reduction over the spectra.
-    `MetricReport` defines each measure.
+    The states are validated in one `linop.check_two_qubit` call, whose one
+    ``eigvalsh`` also takes their partial transposes and Rob's reduced states;
+    its spectra of the states serve as S(AB) and Rob's as S(B).  Each measure
+    is then one reduction over the spectra, both entropies one reduction over
+    the two stacked.  `MetricReport` defines each measure.
     """
-    arr, eigs, pt = linop.check_two_qubit(states, names)
-    eigs, pt = eigs.reshape(-1, 4), pt.reshape(-1, 4)
-    rob = np.linalg.eigvalsh(np.trace(arr.reshape(-1, 2, 2, 2, 2), axis1=1, axis2=3))
+    _, eigs, pt, rob = linop.check_two_qubit(states, names)
+    pt = pt.reshape(-1, 4)
+    s_ab, s_b = _entropies(np.concatenate((eigs, rob)).reshape(2, -1, 4))
     negativities = (np.abs(pt).sum(axis=-1) - 1.0) / 2.0
     if negativities.min() < -NEGATIVITY_CLIP:
         raise ValueError(f"negativity {negativities.min()} below clip floor {-NEGATIVITY_CLIP}")
     return [MetricReport(*report) for report in zip(
         np.maximum(negativities, 0.0).tolist(),
-        (_entropies(rob) - _entropies(eigs)).tolist(),
+        (s_b - s_ab).tolist(),
         (pt[:, 0] >= PPT_TOL).tolist())]
 
 

@@ -109,7 +109,8 @@ def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchSta
     xi = kraus_block(BELL_STATE, ks[:, None], ks[None, :])  # xi[i, j]: |i><j| on the control
     minus = c >= ABSENT_BRANCH_TOL
     states = np.zeros((3 if minus else 2, 4, 4), dtype=complex)
-    plus_un = 0.25 * (xi[0, 0] + xi[1, 1] + xi[0, 1] + xi[1, 0])
+    diagonal = xi[0, 0] + xi[1, 1]  # the control's diagonal
+    plus_un = 0.25 * (diagonal + xi[0, 1] + xi[1, 0])
     p_plus = float(plus_un.trace().real)
     np.divide(plus_un, p_plus, out=states[0])
     if minus:
@@ -117,7 +118,7 @@ def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchSta
         excited = (math.sin(r1) - math.sin(r2)) ** 2 + 4.0 * b
         states[1, 0, 0], states[1, 1, 1] = vac, excited
         states[1] /= vac + excited
-    states[-1] = 0.5 * (xi[0, 0] + xi[1, 1])  # the control's diagonal
+    np.multiply(diagonal, 0.5, out=states[-1])
     names = ["plus branch"] + ["minus branch"] * minus + ["classical mixture"]
     reports = report_for_states(states, names)
     branches = list(zip((p_plus, c / 4.0), reports[:-1]))

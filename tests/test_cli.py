@@ -118,6 +118,21 @@ class TestProtocolCommand:
         text = buf.getvalue()
         assert "p_plus = " in text and "rho_plus:" in text
 
+    @pytest.mark.parametrize("argv", [
+        PROTOCOL_QUERY, ["phase", "--r", "0.5"], ["channel", "--r", "0.4"],
+        ["geometry", "--mass", "1", "--radius", "3", "--k0", "0.1"],
+    ], ids=["protocol", "phase", "channel", "geometry"])
+    def test_human_scalars_are_their_json_values(self, argv):
+        """Every scalar of a payload is a plain Python value, so its human line
+        reads ``key = str(value)`` of its JSON twin; a numpy scalar would print
+        as ``np.float64(...)``."""
+        doc = run_json(argv)
+        buf = io.StringIO()
+        assert cli.run(argv, stdout=buf) == 0
+        lines = dict(line.split(" = ") for line in buf.getvalue().splitlines() if " = " in line)
+        assert lines == {key: str(value) for key, value in doc.items()
+                         if not isinstance(value, (list, dict))}
+
 
 class TestChannelCommand:
     def test_negativity_closed_form(self):

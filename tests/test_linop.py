@@ -252,21 +252,29 @@ class TestStackedDensityMatrixChecks:
 
     def test_two_qubit_check_takes_a_stack(self):
         stack = np.array([BELL_STATE, np.eye(4, dtype=complex) / 4])
-        arr, eigs, pt = linop.check_two_qubit(stack, NAMES[:2])
-        assert arr is stack and eigs.shape == pt.shape == (2, 4)
+        arr, eigs, pt, rob = linop.check_two_qubit(stack, NAMES[:2])
+        assert arr is stack and eigs.shape == pt.shape == rob.shape == (2, 4)
         with pytest.raises(ValueError, match="first, middle must be a 4x4 two-qubit state"):
             linop.check_two_qubit(np.array([np.eye(2) / 2] * 2), NAMES[:2])
 
     def test_two_qubit_check_returns_the_partial_transpose_spectra(self):
-        """Bit for bit those of `oracle.partial_transpose`, for a stack and for one
-        state, though they come from the ``eigvalsh`` call that checks the states."""
-        stack = np.array([random_density(RNG, 4), BELL_STATE, np.eye(4, dtype=complex) / 4])
+        """Bit for bit those of `oracle.partial_transpose` and of Rob's 2x2
+        `oracle.partial_trace` (plus two exact zeros, in ascending order), for a
+        stack and for one state, though they come from the ``eigvalsh`` call that
+        checks the states."""
+        stack = np.array([random_density(RNG, 4), BELL_STATE, np.eye(4, dtype=complex) / 4,
+                          np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)])
+        names = NAMES + ("fourth",)
         expected = [np.linalg.eigvalsh(oracle.partial_transpose(rho, (2, 2))) for rho in stack]
-        arr, eigs, pt = linop.check_two_qubit(stack, NAMES)
+        robs = [np.sort(np.append(np.linalg.eigvalsh(oracle.partial_trace(rho, (2, 2), keep=1)),
+                                  [0.0, 0.0])) for rho in stack]
+        arr, eigs, pt, rob = linop.check_two_qubit(stack, names)
         assert np.array_equal(eigs, np.linalg.eigvalsh(stack)) and np.array_equal(pt, expected)
-        for rho, want in zip(stack, expected):
-            arr, eigs, pt = linop.check_two_qubit(rho)
+        assert np.array_equal(rob, robs) and (rob == 0.0).sum(axis=1).min() >= 2
+        for rho, want, want_rob in zip(stack, expected, robs):
+            arr, eigs, pt, rob = linop.check_two_qubit(rho)
             assert np.array_equal(eigs, np.linalg.eigvalsh(rho)) and np.array_equal(pt, want)
+            assert np.array_equal(rob, want_rob)
 
     def test_tensor_and_exponential_take_one_matrix(self):
         stack = np.zeros((2, 2, 2))

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -343,6 +344,32 @@ def test_stacked_eigvalsh_is_per_matrix_eigvalsh(dim):
     assert all(np.array_equal(stacked[i], np.linalg.eigvalsh(h)) for i, h in enumerate(stack))
 
 
+
+def test_embedded_2x2_eigvalsh_is_the_2x2_eigvalsh_plus_two_zeros():
+    """`linop.check_two_qubit` takes Rob's spectrum from his reduced state
+    embedded as the upper-left block of a 4x4 that is zero elsewhere, in the
+    one stacked ``eigvalsh`` that checks the states.  The reports keep the bits
+    of a separate 2x2 call only because the embedded spectrum is that call's,
+    bit for bit and signs of zero included, plus two ``+0.0``.  It is compared
+    as a multiset: a ``-0.0`` eigenvalue and a ``+0.0`` sort as equals."""
+    rng = np.random.default_rng(20261020)
+    g = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+    psd = g @ g.conj().swapaxes(1, 2)
+    psd /= psd.trace(axis1=1, axis2=2).real[:, None, None]
+    hermitian = g + g.conj().swapaxes(1, 2)  # complex off-diagonals, eigenvalues of both signs
+    weights = rng.choice([0.0, -0.0, -1e-17, 1e-17, 0.25, 1.0], (400, 2))
+    diagonal = np.zeros((400, 2, 2), dtype=complex)
+    diagonal[:, [0, 1], [0, 1]] = weights
+    tiny = diagonal.copy()  # -1e-17 and exact zeros beside complex off-diagonals
+    tiny[:, 1, 0] = rng.choice([0.0, 1e-17, -1e-17j, 0.3 - 0.1j], 400)
+    tiny[:, 0, 1] = tiny[:, 1, 0].conj()
+    blocks = np.concatenate((psd, hermitian, diagonal, tiny))
+    embedded = np.zeros((len(blocks), 4, 4), dtype=complex)
+    embedded[:, :2, :2] = blocks
+    for small, big in zip(np.linalg.eigvalsh(blocks), np.linalg.eigvalsh(embedded)):
+        padded = Counter(x.hex() for x in small.tolist()) + Counter({(0.0).hex(): 2})
+        assert Counter(x.hex() for x in big.tolist()) == padded
+
 @st.composite
 def pure_states(draw):
     """A random pure state: its spectrum is 1 and three roundoff values around 0."""
@@ -372,7 +399,7 @@ def test_stacked_reports_equal_the_per_state_reference(states):
     stack are the per-state route's (public partial transpose and partial trace,
     entropies summed over the positive eigenvalues only)."""
     names = [f"state {i}" for i in range(len(states))]
-    arr, eigs, _ = linop.check_two_qubit(np.array(states), names)
+    arr, eigs, _, _ = linop.check_two_qubit(np.array(states), names)
     assert _bits(metrics.report_for_states(arr, names)) == _bits(reference_reports(arr, eigs))
 
 

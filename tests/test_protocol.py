@@ -364,29 +364,29 @@ class TestOneEvaluation:
     def test_protocol_query_validates_each_state_once(self, validated, eigvalsh_calls,
                                                       r2, phi2, built):
         """Each protocol state is checked once, when it is built, in one stacked
-        call over all of them.  Two ``eigvalsh`` calls in all: the build check,
-        which also takes the partial transposes (its spectra of the states serve
-        as S(AB)), and the report's reduced states."""
+        call over all of them.  One ``eigvalsh`` call in all: the build check's,
+        which also takes the partial transposes and Rob's reduced states (its
+        spectra of the states serve as S(AB))."""
         argv = ["protocol", "--r1", "0.2", "--r2", r2, "--phi2", phi2, "--format", "json"]
         assert cli.run(argv, stdout=io.StringIO()) == 0
         assert validated == [built]
-        assert eigvalsh_calls == [(2 * len(built),), (len(built),)]
+        assert eigvalsh_calls == [(3 * len(built),)]
 
     @pytest.mark.parametrize("argv, pairs, checks, eigvalsh", [
         (["channel", "--r", "0.4", "--phi", "1.1"], 1,
-         [["state"]], [(2,), (1,)]),
+         [["state"]], [(3,)]),
         (["phase", "--r", "0.5"], 2,
-         [["plus branch", "minus branch", "classical mixture"]], [(6,), (3,)]),
+         [["plus branch", "minus branch", "classical mixture"]], [(9,)]),
         (["phase", "--r", "0"], 2,
-         [["plus branch", "classical mixture"]], [(4,), (2,)]),
+         [["plus branch", "classical mixture"]], [(6,)]),
     ], ids=["channel", "phase", "phase-r0"])
     def test_point_query_work(self, kraus_calls, validated, eigvalsh_calls,
                               argv, pairs, checks, eigvalsh):
         """``kraus_operators`` channels, ``check_density_matrix`` and ``eigvalsh`` calls per query
         (protocol: above).  The Bell state a ``channel`` query starts from is not
         re-checked.  ``phase`` checks and reports its branches and its mixture, the
-        single channel's output, when they are built; each check's ``eigvalsh`` also
-        takes the partial transposes."""
+        single channel's output, when they are built; each check's one ``eigvalsh``
+        also takes the partial transposes and Rob's reduced states."""
         assert cli.run(argv + ["--format", "json"], stdout=io.StringIO()) == 0
         assert (len(kraus_calls), validated, eigvalsh_calls) == (pairs, checks, eigvalsh)
 
