@@ -18,7 +18,6 @@ All angles are radians.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
@@ -46,19 +45,6 @@ class UsageError(Exception):
 
 class _Help(Exception):
     """``-h``/``--help``: the help text, which `run` prints to its output stream."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse reads "-1e-17" as a flag; take any negative float literal as a value.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-    def error(self, message):
-        raise UsageError(message)
-
-    def print_help(self, file=None):
-        raise _Help(self.format_help())  # in place of printing to sys.stdout and exiting
 
 
 # Report format row shared by the subcommands that print one report.
@@ -104,35 +90,99 @@ _PARAMS = {
 }
 
 
-def _build_parser() -> tuple[_Parser, dict]:
-    # --format and --config are accepted both before and after the
-    # subcommand; the post-subcommand occurrence wins.
-    parser = _Parser(prog="hawkchan", description=__doc__.splitlines()[0])
-    parser.add_argument("--format", type=str, default=None, dest="global_format")
-    parser.add_argument("--config", type=str, default=None, dest="global_config")
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name, params in _PARAMS.items():
-        p = sub.add_parser(name, prog=f"hawkchan {name}")
-        for flag, (ftype, _, choices) in params.items():
-            shown = "{" + ",".join(choices) + "}" if choices else None
-            p.add_argument(f"--{flag}", type=ftype, default=None, metavar=shown)
-        p.add_argument("--config", type=str, default=None)
-    return parser, sub.choices  # choices: subcommand name -> its parser
+# Flag word -> (key, type) of each parse level: the global flags under None, then each
+# subcommand's; help maps to None.  An ambiguous prefix lists its matches in this order.
+_FLAGS = {
+    level: {"-h": None, "--help": None,
+            **{f"--{key}": (key, ftype) for key, (ftype, *_) in {**params, "config": (str,)}.items()}}
+    for level, params in {None: {"format": _REPORT_FORMAT}, **_PARAMS}.items()
+}
+# A word that starts with "-" and names no flag is still a value if it is a negative number.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$").match
 
 
-# Parsing leaves the parsers unchanged, so one instance of each serves every call.
-_PARSER, _SUBPARSERS = _build_parser()
+def _resolve(word: str, flags: dict):
+    """The flag ``word`` names, exactly or by a unique prefix, as (flag, the value joined
+    to it or None); None for a value.  A word like a flag that names none is returned as
+    its own flag, and ``-hX`` is ``-h`` with ``X`` joined."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in flags:
+        return word, None
+    name, eq, joined = word.partition("=")
+    if eq and name in flags:
+        return name, joined
+    if word[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {word} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], joined if eq else None
+    elif word[:2] == "-h":
+        return "-h", word[2:]
+    return None if _NEGATIVE_NUMBER(word) or " " in word else (word, None)
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """`_PARSER.parse_args`, in one pass when ``argv[0]`` names a subcommand: `_PARSER`
-    hands all that follows it to that subcommand's parser, so the result is the same."""
-    argv = sys.argv[1:] if argv is None else argv
-    if not argv or argv[0] not in _SUBPARSERS:
-        return _PARSER.parse_args(argv)
-    args = _SUBPARSERS[argv[0]].parse_args(argv[1:])
-    args.subcommand, args.global_format, args.global_config = argv[0], None, None
-    return args
+def _parse(argv: list) -> tuple[Optional[str], dict]:
+    """The subcommand (None if there is none) and the given flag values by key, in one pass.
+
+    Before the subcommand only the global flags count; a flag after it wins over its
+    global twin, and a repeated flag's last value wins.  A flag's value is the next word
+    unless that is a flag or the first ``--``, after which every word is a plain word.
+    The first plain word is the subcommand; any later one is unrecognized."""
+    subcommand, flags, given, extras = None, _FLAGS[None], {}, []
+    start = i = 0
+    end = [*argv, "--"].index("--")
+    try:
+        while i < len(argv):
+            word = argv[i]
+            found = _resolve(word, flags) if i < end else None
+            i += 1
+            if found is None and subcommand is None:
+                if word not in _PARAMS:
+                    choices = ", ".join(map(repr, _PARAMS))
+                    raise UsageError(f"argument SUBCOMMAND: invalid choice: {word!r} "
+                                     f"(choose from {choices})")
+                subcommand, flags, start = word, _FLAGS[word], i
+                end = [*argv, "--"].index("--", i)
+            elif found is None or found[0] not in flags:
+                extras.append(word)
+            else:
+                flag, value = found
+                if flags[flag] is None:  # -h, --help
+                    if value is not None:
+                        raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+                    raise _Help(_usage(subcommand))
+                if value is None and i < end and _resolve(argv[i], flags) is None:
+                    value, i = argv[i], i + 1
+                if value is None or value == "--":
+                    raise UsageError(f"argument {flag}: expected one argument")
+                key, ftype = flags[flag]
+                try:
+                    given[key] = ftype(value)
+                except ValueError:
+                    raise UsageError(f"argument {flag}: invalid {ftype.__name__} value: {value!r}")
+    except (UsageError, _Help):
+        for word in argv[start:end]:  # an ambiguous prefix anywhere in the level comes first
+            _resolve(word, flags)
+        raise
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return subcommand, given
+
+
+def _usage(subcommand: Optional[str]) -> str:
+    """The --help text: each flag of ``subcommand`` (of every subcommand if None)
+    with its type and its default, or "required"."""
+    lines = [f"usage: hawkchan {subcommand or 'SUBCOMMAND'} [--FLAG VALUE ...]",
+             "--format and --config may also come before the subcommand; --config PATH reads "
+             "a JSON object of flag values, which the flags given override."]
+    for name in [subcommand] if subcommand else _PARAMS:
+        lines.append(f"{name}:")
+        lines += [f"  --{flag} " + ("{" + ",".join(choices) + "}" if choices else ftype.__name__)
+                  + ("  required" if default is None else f"  default {default}")
+                  for flag, (ftype, default, choices) in _PARAMS[name].items()]
+    return "\n".join(lines) + "\n"
 
 
 def load_config(path: str) -> dict:
@@ -153,12 +203,10 @@ def load_config(path: str) -> dict:
     return data
 
 
-def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
+def _merge_config(subcommand: str, given: dict) -> dict:
     """Resolve effective values: explicit flag > config file > default."""
     params = _PARAMS[subcommand]
-    if args.format is None:
-        args.format = args.global_format
-    config_path = args.config if args.config is not None else args.global_config
+    config_path = given.get("config")
     config = load_config(config_path) if config_path is not None else {}
 
     for key in config:
@@ -173,7 +221,7 @@ def _merge_config(subcommand: str, args: argparse.Namespace) -> dict:
 
     effective = {"subcommand": subcommand}
     for flag, (ftype, default, choices) in params.items():
-        value = getattr(args, flag)
+        value = given.get(flag)
         if value is None and flag in config:
             raw = config[flag]
             if ftype is str and not isinstance(raw, str):
@@ -328,14 +376,14 @@ def run(argv=None, stdout=None) -> int:
     """Parse ``argv``, execute the subcommand, and return the exit code."""
     stream = stdout if stdout is not None else sys.stdout
     try:
-        args = _parse_args(argv)
-        if args.subcommand is None:
+        subcommand, given = _parse(sys.argv[1:] if argv is None else argv)
+        if subcommand is None:
             raise UsageError(f"a subcommand is required ({', '.join(_PARAMS)})")
-        effective = _merge_config(args.subcommand, args)
-        if args.subcommand == "sweep":  # the one command that writes its own output
+        effective = _merge_config(subcommand, given)
+        if subcommand == "sweep":  # the one command that writes its own output
             _run_sweep(effective, stream)
             return 0
-        payload = _HANDLERS[args.subcommand](effective)
+        payload = _HANDLERS[subcommand](effective)
         if effective["format"] == "json":
             payload["config"] = effective
             stream.write(_ENCODE(payload) + "\n")

@@ -13,15 +13,17 @@ read ``negativity_avg`` and ``coherent_info_ensemble`` of a
 `measure_control` result and check them against the closed forms.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
 
-from hawkchan import metrics, oracle
+from hawkchan import cli, metrics, oracle
 from hawkchan.channel import apply_channel, kraus_operators
 from hawkchan.protocol import BELL_STATE
 
@@ -267,3 +269,56 @@ def reference_reports(states, spectra):
 def reference_weight_entropy(*weights):
     """``sum(-x log2 x)`` with the zero weights masked to ``log2 1`` by ``np.where``."""
     return sum(-x * np.log2(np.where(x > 0.0, x, 1.0)) for x in weights)
+
+
+# Reference parse: the argparse parsers that ``cli._parse`` replaced, built from the
+# same ``cli._PARAMS``.  An argv that starts with its subcommand was parsed by that
+# subcommand's parser alone, any other by the two-level parser; both raise the
+# CLI's own exceptions, so ``cli.run`` with this parse prints what it printed then.
+
+
+class ReferenceParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-17" as a flag; take any negative float literal as a value.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        raise cli.UsageError(message)
+
+    def print_help(self, file=None):
+        raise cli._Help(self.format_help())
+
+
+def _reference_parsers():
+    # --format and --config are accepted both before and after the
+    # subcommand; the post-subcommand occurrence wins.
+    parser = ReferenceParser(prog="hawkchan", description=cli.__doc__.splitlines()[0])
+    parser.add_argument("--format", type=str, default=None, dest="global_format")
+    parser.add_argument("--config", type=str, default=None, dest="global_config")
+    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    for name, params in cli._PARAMS.items():
+        p = sub.add_parser(name, prog=f"hawkchan {name}")
+        for flag, (ftype, _, choices) in params.items():
+            shown = "{" + ",".join(choices) + "}" if choices else None
+            p.add_argument(f"--{flag}", type=ftype, default=None, metavar=shown)
+        p.add_argument("--config", type=str, default=None)
+    return parser, sub.choices
+
+
+_REFERENCE_PARSER, _REFERENCE_SUBPARSERS = _reference_parsers()
+
+
+def reference_parse(argv):
+    """``cli._parse(argv)`` by argparse: the subcommand and the given values by key,
+    a flag after the subcommand winning over its global twin."""
+    argv = list(argv)
+    if argv and argv[0] in _REFERENCE_SUBPARSERS:
+        values = vars(_REFERENCE_SUBPARSERS[argv[0]].parse_args(argv[1:]))
+        values.update(subcommand=argv[0], global_format=None, global_config=None)
+    else:
+        values = vars(_REFERENCE_PARSER.parse_args(argv))
+    given = {"format": values.pop("global_format"), "config": values.pop("global_config")}
+    subcommand = values.pop("subcommand")
+    given.update({key: value for key, value in values.items() if value is not None})
+    return subcommand, {key: value for key, value in given.items() if value is not None}

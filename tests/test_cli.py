@@ -1,5 +1,7 @@
 """Tests for the command-line frontend."""
 
+import contextlib
+import functools
 import io
 import json
 import math
@@ -7,16 +9,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import hawkchan
 from hawkchan import cli, linop, metrics, protocol
 from hawkchan.channel import BlackHoleGeometry, ChannelParams
 from hawkchan.sweep import METRICS, SweepSpec, emit_csv, run_sweep
 
-from helpers import emitted, geometry_r_oracle, reference_emit_csv, reference_emit_json
+from helpers import (emitted, geometry_r_oracle, reference_emit_csv, reference_emit_json,
+                     reference_parse)
 
 
 def run_json(argv):
@@ -312,54 +319,230 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"usage error: --min/--max: {message}\n"
 
 
-# argv that name their subcommand first take one parse by that subcommand's
-# parser; the rest go through the two-level parser.  Both must agree on all.
+# Each argv with what the argparse parse that `cli._parse` replaced gave, recorded as
+# literals: the exit code and stderr of `cli.run`, and the parse (the subcommand and the
+# given values by key) where it succeeded.  The argvs also seed the oracle property below.
+SUBCOMMAND_CHOICES = "(choose from 'geometry', 'channel', 'protocol', 'phase', 'sweep')"
 PARSE_TABLE = [
-    ["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0", "--format", "json"],
-    ["protocol", "--r1=0.2", "--r2=0.7", "--format=json"],
-    ["channel", "--r", "0.4", "--phi", "-1e-17", "--format", "json"],
-    ["sweep", "--metric", "phase_curve", "--res", "5", "--out", "-"],
-    ["channel", "--r", "0.4", "--bogus", "1"],
-    ["channel", "--r", "0.4", "extra"],
-    ["protocol", "--r1"],
-    ["channel", "--r", "abc"],
-    ["sweep", "--metric", "no_such_metric", "--out", "-"],
-    ["protocol", "-h"],
-    ["protocol", "--r1", "0.2", "--help"],
-    ["-h"],
-    ["--format", "json", "channel", "--r", "0.4"],
-    ["--config", "missing.json", "geometry"],
-    [],
-    ["teleport", "--r", "0.4"],
+    (["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0", "--format", "json"], 0, "",
+     ("protocol", {"r1": 0.2, "r2": 0.7, "phi2": 1.0, "format": "json"})),
+    (["protocol", "--r1=0.2", "--r2=0.7", "--format=json"], 0, "",
+     ("protocol", {"r1": 0.2, "r2": 0.7, "format": "json"})),
+    (["channel", "--r", "0.4", "--phi", "-1e-17", "--format", "json"], 0, "",
+     ("channel", {"r": 0.4, "phi": -1e-17, "format": "json"})),
+    (["sweep", "--metric", "phase_curve", "--res", "5", "--out", "-"], 0, "",
+     ("sweep", {"metric": "phase_curve", "resolution": 5, "out": "-"})),
+    (["channel", "--r", "0.4", "--bogus", "1"], 2,
+     "usage error: unrecognized arguments: --bogus 1\n", None),
+    (["channel", "--r", "0.4", "extra"], 2, "usage error: unrecognized arguments: extra\n", None),
+    (["protocol", "--r1"], 2, "usage error: argument --r1: expected one argument\n", None),
+    (["channel", "--r", "abc"], 2, "usage error: argument --r: invalid float value: 'abc'\n", None),
+    (["sweep", "--metric", "no_such_metric", "--out", "-"], 2,
+     "usage error: --metric: expected one of neg_pct_diff_mixture, neg_pct_diff_convex, "
+     "coherent_info_diff, phase_curve, got 'no_such_metric'\n",
+     ("sweep", {"metric": "no_such_metric", "out": "-"})),
+    (["protocol", "-h"], 0, "", None),
+    (["protocol", "--r1", "0.2", "--help"], 0, "", None),
+    (["-h"], 0, "", None),
+    (["--format", "json", "channel", "--r", "0.4"], 0, "", ("channel", {"format": "json", "r": 0.4})),
+    (["--config", "missing.json", "geometry"], 2,
+     "usage error: --config: cannot read 'missing.json': [Errno 2] No such file or directory: "
+     "'missing.json'\n", ("geometry", {"config": "missing.json"})),
+    ([], 2, "usage error: a subcommand is required (geometry, channel, protocol, phase, sweep)\n",
+     (None, {})),
+    (["teleport", "--r", "0.4"], 2,
+     f"usage error: argument SUBCOMMAND: invalid choice: 'teleport' {SUBCOMMAND_CHOICES}\n", None),
 ]
 
 
 def parse_outcome(parse, argv):
-    """The namespace that ``parse`` returns, or the type and text of what it raises."""
+    """What ``parse`` returns, the text of the usage error it raises, or "help" (a help
+    text is exempt: its words are the parser's own)."""
     try:
-        return vars(parse(list(argv)))
-    except (cli.UsageError, cli._Help) as exc:
-        return type(exc).__name__, str(exc)
+        return parse(list(argv))
+    except cli._Help:
+        return "help"
+    except cli.UsageError as exc:
+        return str(exc)
 
 
-def run_outcome(argv, capsys):
-    out = io.StringIO()
-    code = cli.run(list(argv), stdout=out)
-    return code, out.getvalue(), capsys.readouterr().err
+def run_outcome(argv):
+    """The exit code, stdout and stderr of ``cli.run(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(list(argv), stdout=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+def help_level(text):
+    """The subcommand whose help ``text`` is (None for the command's), or "no help"."""
+    words = text.split()
+    if words[:2] != ["usage:", "hawkchan"]:
+        return "no help"
+    return words[2] if words[2] in cli._PARAMS else None
 
 
 class TestOneParsePass:
-    @pytest.mark.parametrize("argv", PARSE_TABLE, ids=" ".join)
-    def test_same_parse_either_way(self, argv, capsys, monkeypatch):
-        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._PARSER.parse_args, argv)
-        one_pass = run_outcome(argv, capsys)
-        monkeypatch.setattr(cli, "_parse_args", cli._PARSER.parse_args)
-        assert one_pass == run_outcome(argv, capsys)
+    @pytest.mark.parametrize("argv, code, stderr, parsed", PARSE_TABLE,
+                             ids=[" ".join(row[0]) for row in PARSE_TABLE])
+    def test_same_parse_either_way(self, argv, code, stderr, parsed):
+        """The table-driven parse and the argparse oracle agree, and both give the literals."""
+        assert parse_outcome(cli._parse, argv) == parse_outcome(reference_parse, argv)
+        if parsed is not None:
+            assert cli._parse(list(argv)) == parsed
+        run_code, out, err = run_outcome(argv)
+        assert (run_code, err) == (code, stderr)
+        if "-h" in argv or "--help" in argv:
+            assert help_level(out) == (argv[0] if argv[0] in cli._PARAMS else None)
 
     def test_subcommand_first_takes_one_pass(self, monkeypatch):
-        monkeypatch.setattr(cli._PARSER, "parse_args", lambda *args: pytest.fail("two passes"))
-        argv = ["channel", "--r", "0.4", "--format", "json"]
+        """Each word of a query is read once: a flag's value is the next word."""
+        resolved = []
+        resolve = cli._resolve
+        monkeypatch.setattr(cli, "_resolve", lambda word, flags: resolved.append(word) or resolve(word, flags))
+        argv = ["channel", "--r", "0.4", "--phi=-1e-17", "--format", "json"]
         assert cli.run(argv, stdout=io.StringIO()) == 0
+        assert resolved == argv
+
+
+# Words a drawn flag may take as its value, or that stand alone: numbers (negative ones
+# too), the choices of the table, a dash, an empty word and words that look like flags.
+VALUES = ["0.4", "0.2", "-1e-17", "-.5", "3", "1.5", "half", "nan", "-inf", "", "-", "--", "json",
+          "human", "csv", "bell", "phase_curve", "cfg.json", "missing.json", "-1 2", "extra"]
+LONE_WORDS = ["-h", "--help", "-hx", "-h=", "--", "--bogus", "-x", "extra", "-1e-17", "-", "channel"]
+GLOBAL_FLAGS = ["--format", "--config"]
+SUBCOMMAND_FLAGS = {sub: [f"--{flag}" for flag in params] + ["--config"] for sub, params in cli._PARAMS.items()}
+
+
+def prefixes(flags, shortest):
+    """A flag of ``flags`` or a prefix of it at least ``shortest`` characters long."""
+    return st.sampled_from(flags).flatmap(lambda f: st.integers(shortest, len(f)).map(lambda n: f[:n]))
+
+
+def level_words(flags):
+    """The words of one parse level: flags (exact or a prefix) with a value, ``=`` forms
+    (an empty name or value included), lone flags, help, ``--`` and stray words."""
+    flag = st.one_of(st.sampled_from(flags), prefixes(flags, 3))
+    value = st.sampled_from(VALUES)
+    token = st.one_of(  # a flag and its value twice as often as each other kind
+        st.tuples(flag, value).map(list),
+        st.tuples(flag, value).map(list),
+        st.tuples(prefixes(flags + ["--help"], 2), value).map(lambda pair: ["=".join(pair)]),
+        prefixes(flags + ["--help"], 3).map(lambda word: [word]),
+        st.sampled_from(LONE_WORDS).map(lambda word: [word]),
+    )
+    return st.lists(token, max_size=4).map(lambda tokens: [word for t in tokens for word in t])
+
+
+@st.composite
+def argvs(draw):
+    """Global words, a subcommand (an unknown one, or none), then that subcommand's words,
+    often after the flags it requires."""
+    head = draw(level_words(GLOBAL_FLAGS)) if draw(st.booleans()) else []
+    subcommand = draw(st.sampled_from([*cli._PARAMS, "teleport", None]))
+    if subcommand not in cli._PARAMS:
+        return head + ([subcommand] if subcommand else []) + draw(level_words(GLOBAL_FLAGS))
+    required = [word for flag, value in VALID[subcommand].items() for word in (f"--{flag}", str(value))]
+    return (head + [subcommand] + (required if draw(st.booleans()) else [])
+            + draw(level_words(SUBCOMMAND_FLAGS[subcommand])))
+
+
+def refused_quirk(argv):
+    """Whether ``argv`` holds an argparse quirk that `cli._parse` refuses in its own words
+    (CHANGES.md lists each with its old and new message): a ``--FLAG=--`` (argparse took an
+    empty list as the value), ``-hh`` or ``-h=h`` (argparse read ``-h`` twice), a last
+    ``--`` (argparse left it unrecognized where it found no subcommand), or a ``--=`` word
+    after global words (argparse matched it against the global flags too)."""
+    return (any(w.startswith("-") and w.endswith("=--") for w in argv)
+            or any(re.match(r"-h=?h", w) for w in argv)
+            or argv[-1:] == ["--"]
+            or (argv[:1] != [] and argv[0] not in cli._PARAMS and any(w.startswith("--=") for w in argv)))
+
+
+def table_examples(test):
+    """``test`` with each argv of `PARSE_TABLE` as an explicit example."""
+    return functools.reduce(lambda t, row: hypothesis.example(row[0])(t), PARSE_TABLE, test)
+
+
+class TestArgparseOracle:
+    @table_examples
+    @hypothesis.settings(max_examples=500)
+    @hypothesis.given(argvs())
+    def test_run_is_what_the_argparse_parse_gave(self, argv):
+        """`cli.run` with the table-driven parse prints what it printed with argparse, but
+        the help text, and refuses each quirk it does not copy."""
+        with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+            with open("cfg.json", "w", encoding="utf-8") as fh:
+                fh.write("{}")
+            new = run_outcome(argv)
+            with mock.patch.object(cli, "_parse", reference_parse):
+                old = run_outcome(argv)
+        if help_level(old[1]) != "no help":
+            assert new == (0, new[1], "") and help_level(new[1]) == help_level(old[1])
+        elif new != old:
+            assert refused_quirk(argv) and new[0] == 2 and new[2].startswith("usage error: "), (new, old)
+
+    @pytest.mark.parametrize("argv", [row[0] for row in PARSE_TABLE], ids=[" ".join(row[0]) for row in PARSE_TABLE])
+    def test_the_table_rows_are_no_quirks(self, argv):
+        assert not refused_quirk(argv)
+
+    # Each refused quirk: the argv, what argparse gave (exit code and stderr, or "help"), and the refusal.
+    QUIRKS = [
+        (["channel", "--r", "0.4", "--format=--"],
+         (2, "usage error: --format: expected one of human, json, got []\n"),
+         "argument --format: expected one argument"),
+        (["channel", "--r=--"], (2, "usage error: --r: r must be a real number, got []\n"),
+         "argument --r: expected one argument"),
+        (["sweep", "--metric", "phase_curve", "--out=--"],
+         (1, "internal error: expected str, bytes or os.PathLike object, not list\n"),
+         "argument --out: expected one argument"),
+        (["channel", "-hh"], "help", "argument -h/--help: ignored explicit argument 'h'"),
+        (["channel", "-h=h"], "help", "argument -h/--help: ignored explicit argument 'h'"),
+        (["--"], (2, "usage error: unrecognized arguments: --\n"),
+         f"argument SUBCOMMAND: invalid choice: '--' {SUBCOMMAND_CHOICES}"),
+        (["--format", "json", "channel", "--r", "0.4", "--=x"],
+         (2, "usage error: ambiguous option: --=x could match --help, --format, --config\n"),
+         "ambiguous option: --=x could match --help, --r, --phi, --state, --format, --config"),
+    ]
+
+    @pytest.mark.parametrize("argv, old, new", QUIRKS, ids=[" ".join(row[0]) for row in QUIRKS])
+    def test_each_quirk_is_refused_in_its_own_words(self, argv, old, new):
+        assert refused_quirk(argv)
+        with mock.patch.object(cli, "_parse", reference_parse):
+            code, out, err = run_outcome(argv)
+        assert ("help" if help_level(out) != "no help" else (code, err)) == old
+        assert run_outcome(argv) == (2, "", f"usage error: {new}\n")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["protocol", "-h"], ["--format", "json", "-h"]])
+    def test_help_starts_with_its_usage_line(self, argv):
+        code, out, err = run_outcome(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: hawkchan ")
+
+    @pytest.mark.parametrize("subcommand", cli._PARAMS)
+    def test_help_names_every_flag_and_marks_the_required_ones(self, subcommand):
+        _, out, _ = run_outcome([subcommand, "--help"])
+        lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
+        assert list(lines) == [f"--{flag}" for flag in cli._PARAMS[subcommand]]
+        for flag, (_, default, choices) in cli._PARAMS[subcommand].items():
+            assert lines[f"--{flag}"].endswith("required") == (default is None)
+            assert all(choice in lines[f"--{flag}"] for choice in choices or ())
+        assert "--config" in out
+
+    def test_the_command_help_lists_every_subcommand(self):
+        _, out, _ = run_outcome(["--help"])
+        assert all(f"\n{subcommand}:\n" in out for subcommand in cli._PARAMS)
+
+    def test_importing_the_cli_loads_no_argparse(self):
+        src = os.path.dirname(os.path.dirname(hawkchan.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, hawkchan.cli; print('argparse' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestConfigFile:
@@ -589,7 +772,7 @@ class TestRepeatedRuns:
 
     @pytest.mark.parametrize("argv", [["--help"], ["protocol", "-h"]], ids=["help", "protocol-h"])
     def test_help_is_written_to_the_output_stream(self, monkeypatch, capsys, argv):
-        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to this width in both processes
+        monkeypatch.setenv("COLUMNS", "20")  # the help text does not depend on the terminal width
         out = io.StringIO()
         assert cli.run(argv, stdout=out) == 0
         assert capsys.readouterr() == ("", "")

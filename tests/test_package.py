@@ -66,11 +66,13 @@ PUBLIC = [
 # Second routes to a measure, to the Kraus build, to the Bell state or to a
 # channel pair; `report_for_state(s)`, `kraus_operators`, `BELL_STATE` and two
 # `ChannelParams` are the routes.  The last two were one-caller helpers that
-# `measure_control` now spells out inline.
+# `measure_control` now spells out inline.  The last six are the argparse parsers
+# that `cli._parse` replaced; they live on only as the test oracle in `tests/helpers.py`.
 RETIRED = ("KrausPair", "kraus_pair", "coherent_information", "ppt_separable",
            "average_branch_negativity", "ensemble_coherent_information", "_branch_average",
            "ProtocolConfig", "bell_state", "phase_protocol", "_interference_blocks",
-           "branch_scalars")
+           "branch_scalars", "argparse", "_Parser", "_build_parser", "_PARSER", "_SUBPARSERS",
+           "_parse_args")
 # Oracles that the top level no longer re-exports: they are read from `hawkchan.oracle`.
 ORACLE_ONLY = ("apply_channel_dilated", "dilation_unitary", "superposed_state")
 

@@ -22,8 +22,10 @@ sends (that module is imported, not changed):
   default changes this line;
 * the ``refusals`` group: one op per usage error, namely each of those
   queries and sweeps with one required flag left out, a bad ``--format``,
-  a bad ``--metric``, a value that is not a number, and an unknown key and
-  a non-string value for a string flag in a temporary ``--config`` file.
+  a bad ``--metric``, a value that is not a number, an ambiguous flag
+  prefix, a flag without its value, an unrecognized word, an unknown
+  subcommand, and an unknown key and a non-string value for a string flag
+  in a temporary ``--config`` file.
 
 It prints one line ``GROUP SHA256`` per point-query format, per sweep
 file, per stdout sweep and for the defaults and refusals groups, over
@@ -131,11 +133,17 @@ def defaults_digest(cli) -> dict:
     return {"defaults": digest.hexdigest()}
 
 
-# Usage errors beside the missing flags; each exits 2 with its message on stderr.
+# Usage errors beside the missing flags; each exits 2 with its message on stderr.  The
+# last four are refused by the parse itself: an ambiguous prefix, a flag without its
+# value, an unrecognized word and an unknown subcommand.
 BAD_QUERIES = [
     ["channel", "--r", "0.4", "--format", "xml"],
     ["sweep", "--metric", "negativity", "--out", "-"],
     ["phase", "--r", "half"],
+    ["protocol", "--r", "0.2", "--r2", "0.7"],
+    ["channel", "--r"],
+    ["channel", "--r", "0.4", "extra"],
+    ["teleport", "--r", "0.4"],
 ]
 # Config files for ``channel --r 0.4``: an unknown key, and a number for the string flag --format.
 BAD_CONFIGS = [{"bogus": 1}, {"format": 1}]
