@@ -11,7 +11,7 @@ excitation, which is what truncates the channel to two Kraus operators.
 
 `kraus_operators` is the one Kraus build, and `kraus_block` the one
 production route to every channel output and interference block:
-`apply_channel`, `cross_term`, the `channel` query and
+`apply_channel`, `cross_term`, `protocol.measure_channel` and
 `protocol.measure_control` all call it.  `oracle.dilation_unitary`
 builds the same map independently, as a two-mode unitary on Rob's mode
 plus a hidden partner mode followed by a trace over the partner; the

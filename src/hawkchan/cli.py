@@ -4,8 +4,8 @@ Subcommands: ``geometry`` (geometry -> squeezing), ``channel``
 (single-channel evaluation), ``protocol`` (superposition vs classical
 mixture), ``phase`` (opposite-phase superposition, whose classical
 mixture is the single channel's output), ``sweep`` (figure-reproduction
-grids to CSV/JSON).  Each point query checks its states once; ``protocol``
-and ``phase`` check the branch averages they print against closed forms.
+grids to CSV/JSON).  Each point query copies the fields of one checked library
+call, `protocol.measure_channel` or `protocol.measure_control`.
 
 Values may come from a JSON config file (``--config``); explicit flags
 override it.  Reports print as human-readable text or, with
@@ -26,16 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import metrics, protocol
-from .channel import (
-    BlackHoleGeometry,
-    ChannelParams,
-    DomainError,
-    channel_output_closed_form,
-    kraus_block,
-    kraus_operators,
-    squeezing_from_geometry,
-)
+from . import protocol
+from .channel import BlackHoleGeometry, ChannelParams, DomainError, squeezing_from_geometry
 from .sweep import METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
 
@@ -185,19 +177,27 @@ def _usage(subcommand: Optional[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The longest --config file, in characters; reading one more bounds an endless file.
+CONFIG_MAX_CHARS = 1 << 20
+
+
 def load_config(path: str) -> dict:
     """Read a JSON config file; returns a flat flag-name -> value mapping."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(CONFIG_MAX_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"--config: cannot read {path!r}: {exc}")
+    if len(text) > CONFIG_MAX_CHARS:
+        raise UsageError(f"--config: {path!r} is longer than {CONFIG_MAX_CHARS} characters")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"--config: malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except (RecursionError, ValueError) as exc:  # nested too deep; an integer too long
+        raise UsageError(f"--config: malformed JSON in {path!r}: {exc}")
     if not isinstance(data, dict):
         raise UsageError(f"--config: {path!r} must contain a JSON object")
     return data
@@ -209,14 +209,10 @@ def _merge_config(subcommand: str, given: dict) -> dict:
     config_path = given.get("config")
     config = load_config(config_path) if config_path is not None else {}
 
-    for key in config:
-        if key == "subcommand":
-            if config[key] != subcommand:
-                raise UsageError(
-                    f"--config: subcommand {config[key]!r} does not match {subcommand!r}"
-                )
-            continue
-        if key not in params:
+    for key, value in config.items():
+        if key == "subcommand" and value != subcommand:
+            raise UsageError(f"--config: subcommand {value!r} does not match {subcommand!r}")
+        if key not in params and key != "subcommand":
             raise UsageError(f"--config: unknown key {key!r} for subcommand {subcommand!r}")
 
     effective = {"subcommand": subcommand}
@@ -240,11 +236,16 @@ def _merge_config(subcommand: str, given: dict) -> dict:
     return effective
 
 
-def _matrix_payload(arr: Optional[np.ndarray]):
-    """Complex matrix as nested [real, imag] pairs (JSON has no complex type)."""
-    if arr is None:
-        return None
-    return np.ascontiguousarray(arr).view(float).reshape(arr.shape + (2,)).tolist()
+def _matrix_payload(value):
+    """A complex matrix as nested [real, imag] pairs (JSON has no complex type), else ``value``."""
+    if not isinstance(value, np.ndarray):
+        return value
+    return np.ascontiguousarray(value).view(float).reshape(value.shape + (2,)).tolist()
+
+
+def _fields(stats, names) -> dict:
+    """The fields ``names`` of a library result, each under its own name."""
+    return {name: _matrix_payload(getattr(stats, name)) for name in names}
 
 
 def _run_geometry(cfg: dict) -> dict:
@@ -259,38 +260,22 @@ def _run_geometry(cfg: dict) -> dict:
 
 
 def _run_channel(cfg: dict) -> dict:
-    params = ChannelParams(r=cfg["r"], phi=cfg["phi"])
-    pair = kraus_operators(params)[0]
-    # The library's Bell state needs no input check; the report validates the output state.
-    output = kraus_block(protocol.BELL_STATE, pair, pair)
-    report = metrics.report_for_state(output)
-    closed = math.cos(params.r) ** 2 / 2.0
-    metrics.check_closed_form("negativity", report.negativity_numeric, closed)
+    stats = protocol.measure_channel(ChannelParams(r=cfg["r"], phi=cfg["phi"]))
     return {
-        "kraus_m0": _matrix_payload(pair[0]),
-        "kraus_m1": _matrix_payload(pair[1]),
-        "output_state": _matrix_payload(output),
-        "closed_form_state": _matrix_payload(channel_output_closed_form(params)),
-        "negativity": report.negativity_numeric,
-        "negativity_closed_form": closed,
-        "coherent_information": report.coherent_information,
-        "ppt": report.ppt,
+        **_fields(stats, ("output_state", "closed_form_state", "negativity_closed_form")),
+        "kraus_m0": _matrix_payload(stats.kraus[0]),
+        "kraus_m1": _matrix_payload(stats.kraus[1]),
+        "negativity": stats.report.negativity_numeric,
+        "coherent_information": stats.report.coherent_information,
+        "ppt": stats.report.ppt,
     }
 
 
-def _branch_fields(stats: protocol.BranchStatistics, r1: float, r2: float, dphi: float) -> dict:
-    """The branch fields `protocol` and `phase` both print, with the average
-    negativity checked against its closed form."""
-    closed = float(metrics.negativity_avg_closed(r1, r2, dphi))
-    metrics.check_closed_form("negativity_avg", stats.negativity_avg, closed)
-    return {
-        "p_plus": stats.p_plus,
-        "p_minus": stats.p_minus,
-        "rho_plus": _matrix_payload(stats.rho_plus),
-        "rho_minus": _matrix_payload(stats.rho_minus),
-        "negativity_avg": stats.negativity_avg,
-        "negativity_avg_closed": closed,
-    }
+# The `BranchStatistics` fields that `phase` and `protocol` print under their own names.
+_PHASE_FIELDS = ("p_plus", "p_minus", "rho_plus", "rho_minus", "negativity_avg",
+                 "negativity_avg_closed")
+_PROTOCOL_FIELDS = _PHASE_FIELDS + ("a_scalar", "b_scalar", "c_scalar", "coherent_info_ensemble",
+                                    "negativity_mixture_closed", "negativity_convex_avg")
 
 
 def _channel_params(cfg: dict, suffix: str) -> ChannelParams:
@@ -303,37 +288,24 @@ def _channel_params(cfg: dict, suffix: str) -> ChannelParams:
 
 
 def _run_protocol(cfg: dict) -> dict:
-    p1, p2 = _channel_params(cfg, "1"), _channel_params(cfg, "2")
-    dphi = p1.phi - p2.phi
-    stats = protocol.measure_control(p1, p2)
-    payload = _branch_fields(stats, p1.r, p2.r, dphi)
+    stats = protocol.measure_control(_channel_params(cfg, "1"), _channel_params(cfg, "2"))
     plus, *_, mixture = stats.reports
-    payload.update({
-        "a_scalar": stats.a_scalar,
-        "b_scalar": stats.b_scalar,
-        "c_scalar": stats.c_scalar,
-        "coherent_info_ensemble": stats.coherent_info_ensemble,
+    return {
+        **_fields(stats, _PROTOCOL_FIELDS),
         "coherent_info_mixture": mixture.coherent_information,
         "coherent_info_plus_branch": plus.coherent_information,
         "negativity_mixture": mixture.negativity_numeric,
-        "negativity_mixture_closed": float(metrics.negativity_mixture_closed(p1.r, p2.r)),
-        "negativity_convex_avg": float(metrics.negativity_convex_avg(p1.r, p2.r)),
-    })
-    ensemble, mixture_closed = map(float, metrics.coherent_info_closed(p1.r, p2.r, dphi))
-    for key, closed in [("negativity_mixture", payload["negativity_mixture_closed"]),
-                        ("coherent_info_ensemble", ensemble),
-                        ("coherent_info_mixture", mixture_closed)]:
-        metrics.check_closed_form(key, payload[key], closed)
-    return payload
+    }
 
 
 def _run_phase(cfg: dict) -> dict:
     # Equal squeezing, opposite phases: the classical mixture is the single channel's output.
     stats = protocol.measure_control(ChannelParams(cfg["r"]), ChannelParams(cfg["r"], math.pi))
-    payload = _branch_fields(stats, cfg["r"], cfg["r"], math.pi)
-    payload["negativity_plus"] = stats.reports[0].negativity_numeric
-    payload["negativity_single_channel"] = stats.reports[-1].negativity_numeric
-    return payload
+    return {
+        **_fields(stats, _PHASE_FIELDS),
+        "negativity_plus": stats.reports[0].negativity_numeric,
+        "negativity_single_channel": stats.reports[-1].negativity_numeric,
+    }
 
 
 def _run_sweep(cfg: dict, stream) -> None:

@@ -3,14 +3,9 @@
 Numeric negativity and coherent information sit next to the closed
 forms for the protocol scenarios, so every closed form can be checked
 against the fully numeric pipeline.  All entropies are in bits.
-`report_for_states` is the one numeric route to every measure of a state:
-it validates a stack once, reuses that call's spectra of the states (as
-S(AB)), of their partial transposes and of Rob's reduced states (as S(B)),
-calls no ``eigvalsh`` of its own and reduces them to every measure at once.
-`report_for_state` is its call on one state, and `BranchStatistics.reports`
-holds the reports of the states `measure_control` hands out, which it also
-sums into the branch averages.  The closed forms take floats or arrays
-that broadcast together.
+`report_for_states` is the one numeric route to every measure of a state.
+The closed forms take floats or arrays that broadcast together; the
+`protocol` functions check their numbers against them (`check_closed_form`).
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ with a control qubit that is finally measured in the |+>/|-> basis.
 `measure_control` returns both measured branches and, from the same
 evaluation, the incoherent equal mixture of the two channels
 (`rho_mixture`): the baseline a stochastic classical field would
-produce.  The single channel alone is `channel.apply_channel` on the
-Bell state.
+produce.  `measure_channel` is one channel alone on the Bell state.
 
 The closed forms are simplest for two channels with equal squeezing r
 and opposite phases (``hawkchan phase``): the plus branch has
@@ -16,15 +15,10 @@ minus branch is the product state |0_A 1_R><0_A 1_R| (absent at r = 0),
 and, as a channel's output on the Bell state does not depend on its
 phase, the mixture is the single channel's output.
 
-`measure_control`, the module's one function, takes the two
-`ChannelParams`, as `kraus_operators` does.  From top to bottom it
-computes the scalars B and C, builds the interference blocks of both
-channels in one `kraus_block` matmul, fills the branches and the mixture
-into one stack, validates and reports them in one
-`metrics.report_for_states` call and adds the branch averages from those
-reports.  States are validated where they leave this module;
-the Bell state and the Kraus blocks are trusted in between.  The 8x8
-superposed state is an oracle for these branches (`oracle.superposed_state`).
+Both functions validate their states where they leave this module (the
+Bell state and the Kraus blocks are trusted in between) and check their
+measures against the closed forms of `metrics`.  The 8x8 superposed state
+is an oracle for the branches (`oracle.superposed_state`).
 """
 
 from __future__ import annotations
@@ -35,8 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelParams, kraus_block, kraus_operators
-from .metrics import MetricReport, report_for_states
+from . import metrics
+from .channel import ChannelParams, channel_output_closed_form, kraus_block, kraus_operators
+from .metrics import MetricReport, report_for_state, report_for_states
 
 # Below this value of the minus-branch scalar the branch never occurs
 # and its posterior state is undefined (the 0/0 guard).
@@ -62,7 +57,8 @@ class BranchStatistics:
     checked ``(k, 4, 4)`` stack, and ``reports`` holds their `MetricReport`s
     in the order plus, minus (when it occurs), mixture.  ``negativity_avg``
     and ``coherent_info_ensemble`` are the averages over the branches that
-    occur, ``sum_k p_k report_k``, added as ``0.0 + plus + minus``.
+    occur, ``sum_k p_k report_k``, added as ``0.0 + plus + minus``.  The last
+    three are the closed forms of `metrics`, the first two checked.
     """
 
     a_scalar: float
@@ -76,6 +72,21 @@ class BranchStatistics:
     reports: list[MetricReport]
     negativity_avg: float
     coherent_info_ensemble: float
+    negativity_avg_closed: float
+    negativity_mixture_closed: float
+    negativity_convex_avg: float
+
+
+@dataclass(eq=False)
+class ChannelStatistics:
+    """One channel on `BELL_STATE`: ``kraus`` = (m0, m1), the ``output_state`` and its
+    ``report``, and their closed forms (``negativity_closed_form`` = cos^2 r / 2)."""
+
+    kraus: np.ndarray
+    output_state: np.ndarray
+    closed_form_state: np.ndarray
+    report: MetricReport
+    negativity_closed_form: float
 
 
 _PSI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -98,10 +109,11 @@ def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchSta
     invariants, while the closed form is non-negative diagonal by
     construction for every C.  The classical mixture is the control's
     diagonal, from the same blocks.  The plus branch, the minus branch
-    (when it occurs) and the mixture are validated and reported in one call.
+    (when it occurs) and the mixture are validated and reported in one call;
+    then four closed forms are checked, each by `metrics.check_closed_form`.
     """
-    r1, r2 = params1.r, params2.r
-    b = math.sin((params1.phi - params2.phi) / 2.0) ** 2 * math.sin(r1) * math.sin(r2)
+    r1, r2, dphi = params1.r, params2.r, params1.phi - params2.phi
+    b = math.sin(dphi / 2.0) ** 2 * math.sin(r1) * math.sin(r2)
     # 2 sin^2((r1 - r2)/2) + 2B, a sum of non-negatives: the textbook form of C
     # cancels catastrophically for near-identical channels.
     c = 2.0 * math.sin((r1 - r2) / 2.0) ** 2 + 2.0 * b
@@ -122,7 +134,28 @@ def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchSta
     names = ["plus branch"] + ["minus branch"] * minus + ["classical mixture"]
     reports = report_for_states(states, names)
     branches = list(zip((p_plus, c / 4.0), reports[:-1]))
-    return BranchStatistics(4.0 - c, b, c, p_plus, c / 4.0, states[0],
-                            states[1] if minus else None, states[-1], reports,
-                            sum((p * r.negativity_numeric for p, r in branches), 0.0),
-                            sum((p * r.coherent_information for p, r in branches), 0.0))
+    stats = BranchStatistics(4.0 - c, b, c, p_plus, c / 4.0, states[0],
+                             states[1] if minus else None, states[-1], reports,
+                             sum((p * r.negativity_numeric for p, r in branches), 0.0),
+                             sum((p * r.coherent_information for p, r in branches), 0.0),
+                             float(metrics.negativity_avg_closed(r1, r2, dphi)),
+                             float(metrics.negativity_mixture_closed(r1, r2)),
+                             float(metrics.negativity_convex_avg(r1, r2)))
+    ensemble, mixture_info = metrics.coherent_info_closed(r1, r2, dphi)
+    check = metrics.check_closed_form
+    check("negativity_avg", stats.negativity_avg, stats.negativity_avg_closed)
+    check("negativity_mixture", reports[-1].negativity_numeric, stats.negativity_mixture_closed)
+    check("coherent_info_ensemble", stats.coherent_info_ensemble, ensemble)
+    check("coherent_info_mixture", reports[-1].coherent_information, mixture_info)
+    return stats
+
+
+def measure_channel(params: ChannelParams) -> ChannelStatistics:
+    """One channel on `BELL_STATE`, its negativity checked against cos^2 r / 2 under
+    the key ``negativity``; `channel.apply_channel` takes any other input state."""
+    kraus = kraus_operators(params)[0]
+    output = kraus_block(BELL_STATE, kraus, kraus)
+    report = report_for_state(output)
+    closed = math.cos(params.r) ** 2 / 2.0
+    metrics.check_closed_form("negativity", report.negativity_numeric, closed)
+    return ChannelStatistics(kraus, output, channel_output_closed_form(params), report, closed)

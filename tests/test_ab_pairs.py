@@ -48,6 +48,21 @@ def test_bound_is_a_fraction_of_the_parent_median():
     assert not ab_pairs.verdict(PARENT, [125.1] * 10, "lower", 0.25).within_bound
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    wide = [60.0, 80.0, 100.0, 120.0, 140.0]  # spread 40 > 0.25 * median 100
+    v = ab_pairs.verdict(wide, [p - 1.0 for p in wide], "higher", 0.25)
+    assert (v.parent_spread, v.within_bound, v.unresolved) == (40.0, True, True)
+    assert ab_pairs.verdict(wide, [p - 1.0 for p in wide], "higher", 0.5).unresolved is False
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved_despite_the_spread():
+    wide = [60.0, 80.0, 100.0, 120.0, 140.0]
+    assert not ab_pairs.verdict(wide, [141.0] * 5, "higher", 0.25).unresolved
+    assert ab_pairs.verdict(wide, [140.0] * 5, "higher", 0.25).unresolved  # a tie is no win
+    assert not ab_pairs.verdict(wide, [59.0] * 5, "lower", 0.25).unresolved
+    assert not ab_pairs.verdict(PARENT, [p - 1.0 for p in PARENT], "higher", 0.25).unresolved
+
+
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError, match="two equal lists"):
         ab_pairs.verdict(PARENT, PARENT[:9], "higher", 0.25)
@@ -78,5 +93,5 @@ def test_pairs_alternate_and_the_report_names_the_verdict(tmp_path):
         "parent 7 3", "change 7 3", "change 8 3", "parent 8 3", "parent 9 3", "change 9 3"]
     lines = done.stdout.splitlines()
     assert lines[0] == "pair 0 seed 7 parent: failed=0 ops_per_s=107"
-    assert lines[-2].split() == ["ops_per_s", "108", "118", "3/3", "1", "yes", "yes"]
+    assert lines[-2].split() == ["ops_per_s", "108", "118", "3/3", "1", "yes", "yes", "no"]
     assert lines[-1] == "failed ops: parent 0, change 0"

@@ -600,6 +600,37 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"usage error: --config: cannot read {str(path)!r}: 'utf-8' codec" in err
 
+    @pytest.mark.parametrize("content, message", [
+        (None, f"is longer than {cli.CONFIG_MAX_CHARS} characters"),
+        ("[" * 100_000, "malformed JSON in {path!r}: maximum recursion depth exceeded"),
+        ('{"r": ' + "1" * 5001 + "}", "malformed JSON in {path!r}: Exceeds the limit"),
+    ], ids=["endless", "nested-100000-deep", "integer-of-5001-digits"])
+    def test_config_past_the_json_limits_is_usage_error(self, tmp_path, capsys, content, message):
+        """A file that never ends is read only up to the limit, and a nesting or an
+        integer that the JSON parser refuses is malformed JSON, not an internal error."""
+        if content is None:
+            if not os.path.exists("/dev/zero"):
+                pytest.skip("no /dev/zero on this platform")
+            path = "/dev/zero"
+        else:
+            path = str(tmp_path / "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        assert cli.run(["channel", "--config", path], stdout=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --config: "), err
+        assert message.format(path=path) in err, err
+
+    def test_config_at_the_length_limit_is_read(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"r": 0.4}'.ljust(20))
+        monkeypatch.setattr(cli, "CONFIG_MAX_CHARS", 20)
+        assert cli.run(["channel", "--config", str(path)], stdout=io.StringIO()) == 0
+        monkeypatch.setattr(cli, "CONFIG_MAX_CHARS", 19)
+        assert cli.run(["channel", "--config", str(path)], stdout=io.StringIO()) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --config: {str(path)!r} is longer than 19 characters\n")
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"radius": 2.5}))

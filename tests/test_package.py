@@ -81,7 +81,8 @@ def test_public_surface_is_pinned():
     assert hawkchan.__all__ == PUBLIC
     assert [f.name for f in dataclasses.fields(hawkchan.BranchStatistics)] == [
         "a_scalar", "b_scalar", "c_scalar", "p_plus", "p_minus", "rho_plus", "rho_minus",
-        "rho_mixture", "reports", "negativity_avg", "coherent_info_ensemble"]
+        "rho_mixture", "reports", "negativity_avg", "coherent_info_ensemble",
+        "negativity_avg_closed", "negativity_mixture_closed", "negativity_convex_avg"]
     assert hawkchan.BELL_STATE is protocol.BELL_STATE
     assert not hawkchan.BELL_STATE.flags.writeable
 

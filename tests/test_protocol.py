@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hawkchan import channel, cli, linop, protocol, sweep
+from hawkchan import channel, cli, linop, metrics, protocol, sweep
 from hawkchan.channel import ChannelParams, apply_channel, kraus_block, kraus_operators
 from hawkchan.metrics import negativity, report_for_state
 from hawkchan.oracle import (
@@ -17,7 +17,7 @@ from hawkchan.oracle import (
     superposed_state,
     tensor,
 )
-from hawkchan.protocol import BELL_STATE, measure_control
+from hawkchan.protocol import BELL_STATE, measure_channel, measure_control
 
 from helpers import single_channel
 
@@ -410,6 +410,58 @@ class TestOneEvaluation:
     def test_coherent_info_sweep_builds_no_kraus_pairs(self, kraus_calls):
         sweep.run_sweep(sweep.SweepSpec("coherent_info_diff", resolution=5))
         assert kraus_calls == []
+
+
+class TestLibraryChecks:
+    """The library calls check their own closed forms: a gap raises from the call
+    itself, with no CLI in between."""
+
+    @pytest.mark.parametrize("closed_form, index, key", [
+        ("negativity_avg_closed", None, "negativity_avg"),
+        ("negativity_mixture_closed", None, "negativity_mixture"),
+        ("coherent_info_closed", 0, "coherent_info_ensemble"),
+        ("coherent_info_closed", 1, "coherent_info_mixture"),
+    ])
+    def test_measure_control_checks_each_closed_form(self, monkeypatch, closed_form, index, key):
+        closed = getattr(metrics, closed_form)
+
+        def shifted(*args):
+            if index is None:
+                return closed(*args) + 1e-9
+            values = list(closed(*args))
+            values[index] += 1e-9
+            return tuple(values)
+
+        monkeypatch.setattr(metrics, closed_form, shifted)
+        with pytest.raises(ValueError, match=f"closed-form {key} differs from numeric by 1.000e-09"):
+            measure_control(ChannelParams(0.2), ChannelParams(0.7, 1.0))
+
+    def test_measure_control_carries_the_checked_closed_forms(self):
+        stats = measure_control(ChannelParams(0.2), ChannelParams(0.7, 1.0))
+        assert stats.negativity_avg_closed == metrics.negativity_avg_closed(0.2, 0.7, -1.0)
+        assert stats.negativity_mixture_closed == metrics.negativity_mixture_closed(0.2, 0.7)
+        assert stats.negativity_convex_avg == metrics.negativity_convex_avg(0.2, 0.7)
+        assert abs(stats.negativity_avg - stats.negativity_avg_closed) <= 1e-10
+
+    def test_measure_channel_is_the_checked_single_channel(self):
+        p = ChannelParams(0.4, 1.1)
+        stats = measure_channel(p)
+        assert np.array_equal(stats.kraus, kraus_operators(p)[0])
+        assert np.array_equal(stats.output_state, single_channel(p))
+        assert np.array_equal(stats.closed_form_state, channel.channel_output_closed_form(p))
+        assert stats.report == report_for_state(single_channel(p))
+        assert stats.negativity_closed_form == math.cos(0.4) ** 2 / 2
+
+    def test_measure_channel_checks_cos_squared_over_two(self, monkeypatch):
+        report = protocol.report_for_state
+
+        def shifted(rho):
+            r = report(rho)
+            return metrics.MetricReport(r.negativity_numeric + 1e-9, r.coherent_information, r.ppt)
+
+        monkeypatch.setattr(protocol, "report_for_state", shifted)
+        with pytest.raises(ValueError, match="closed-form negativity differs from numeric by 1.000e-09"):
+            measure_channel(ChannelParams(0.4))
 
 
 def opposite_phase_oracle(r):

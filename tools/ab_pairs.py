@@ -12,13 +12,17 @@ even pairs and the change in odd ones.  Every run is printed as it ends.
 Then, for each end-to-end metric of that file, one row gives the parent's
 and the change's medians, the pairs the change won (ties count for
 neither side), the parent's interquartile spread, whether the gain rule
-holds, and whether the change stays within the metric's bound.
+holds, whether the change stays within the metric's bound, and whether the
+metric is unresolved.
 
 The gain rule: the change wins at least nine tenths of the pairs, and its
 median beats the parent's by more than the parent's spread (Q3 - Q1,
 inclusive quartiles).  A gain does not count when the change failed more
-ops than the parent; the last line compares the failed ops.  The tool
-only runs the benchmark and edits nothing in either checkout.
+ops than the parent; the last line compares the failed ops.  A metric is
+unresolved when the parent's spread is wider than the bound (as a fraction
+of the parent's median) and not every change run beats every parent run:
+the runs then cannot tell a change within the bound from one beyond it.
+The tool only runs the benchmark and edits nothing in either checkout.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ class Verdict:
     parent_spread: float
     gain: bool
     within_bound: bool
+    unresolved: bool
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> Verdict:
@@ -58,9 +63,11 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     p_med, c_med = statistics.median(parent), statistics.median(change)
     lead = sign * (c_med - p_med)  # > 0 when the change's median is better
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
     return Verdict(p_med, c_med, wins, len(parent), q3 - q1,
                    10 * wins >= 9 * len(parent) and lead > q3 - q1,
-                   -lead <= bound * abs(p_med))
+                   -lead <= bound * abs(p_med),
+                   q3 - q1 > bound * abs(p_med) and not every_run_better)
 
 
 def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: int) -> dict:
@@ -94,7 +101,8 @@ def main(argv=None) -> None:
             runs[side].append(result)
             values = " ".join(f"{name}={m['value']:.6g}" for name, m in result["metrics"].items())
             print(f"pair {i} seed {seed} {side}: failed={result['failed']} {values}", flush=True)
-    print(f"{'metric':16s} {'parent':>12s} {'change':>12s} {'wins':>6s} {'spread':>10s} gain  in bound")
+    print(f"{'metric':16s} {'parent':>12s} {'change':>12s} {'wins':>6s} {'spread':>10s} "
+          "gain  in bound  unresolved")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         v = verdict([r["metrics"][name]["value"] for r in runs["parent"]],
@@ -102,7 +110,7 @@ def main(argv=None) -> None:
                     metric["better"], metric["bound"])
         print(f"{name:16s} {v.parent_median:12.6g} {v.change_median:12.6g} "
               f"{v.wins:>3d}/{v.pairs:<2d} {v.parent_spread:10.4g} {'yes' if v.gain else 'no ':4s}"
-              f"  {'yes' if v.within_bound else 'no'}")
+              f"  {'yes' if v.within_bound else 'no':8s}  {'yes' if v.unresolved else 'no'}")
     failed = {side: sum(r["failed"] for r in runs[side]) for side in sides}
     print(f"failed ops: parent {failed['parent']}, change {failed['change']}"
           + ("  (more failures: no gain counts)" if failed["change"] > failed["parent"] else ""))
