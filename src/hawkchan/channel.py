@@ -176,27 +176,26 @@ def kraus_block(rho: np.ndarray, left, right) -> np.ndarray:
     ``left`` and ``right`` are Kraus arrays of shape ``(..., 2, 4, 4)``
     whose leading axes broadcast; the blocks of every pair come out of
     one stacked matmul.  Nothing is checked here; `cross_term` is the
-    entry point that checks its input.
+    entry point that checks its input, and `protocol` calls this directly
+    on the trusted Bell state.
     """
     terms = np.asarray(left) @ rho @ np.asarray(right).conj().swapaxes(-1, -2)
     return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
-def apply_channel(rho, k: np.ndarray) -> np.ndarray:
-    """Apply the channel ``rho -> m0 rho m0^dag + m1 rho m1^dag``; ``k = (m0, m1)``
-    is the ``(2, 4, 4)`` Kraus array of one channel, a row of `kraus_operators`."""
-    return linop.check_density_matrix(cross_term(rho, k, k), "channel output")[0]
+def apply_channel(rho, p: ChannelParams) -> np.ndarray:
+    """Apply the channel ``p``, ``rho -> m0 rho m0^dag + m1 rho m1^dag``."""
+    return linop.check_density_matrix(cross_term(rho, p, p), "channel output")[0]
 
 
-def cross_term(rho, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
-    """Interference block ``sum_n M_in rho M_jn^dag`` between two channels.
+def cross_term(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
+    """Interference block ``sum_n M_in rho M_jn^dag`` between channels ``pi`` and ``pj``.
 
-    ``ki`` and ``kj`` are ``(2, 4, 4)`` Kraus arrays, as in `apply_channel`.
-    Generally non-Hermitian for ``ki != kj``; its adjoint is the block
-    with the channels swapped, and ``ki == kj`` recovers
-    `apply_channel`.
+    The Kraus pairs come from one `kraus_operators` call after the input
+    check.  Generally non-Hermitian for ``pi != pj``; its adjoint is the
+    block with the channels swapped, and ``pi == pj`` recovers `apply_channel`.
     """
-    return kraus_block(linop.check_two_qubit(rho, "input state")[0], ki, kj)
+    return kraus_block(linop.check_two_qubit(rho, "input state")[0], *kraus_operators(pi, pj))
 
 
 def channel_output_closed_form(p: ChannelParams) -> np.ndarray:

@@ -12,8 +12,9 @@ override it.  Reports print as human-readable text or, with
 ``--format json``, as a JSON object with sorted keys that echoes the
 effective configuration under ``"config"``.
 
-Exit codes: 0 success or --help, 2 usage error naming its flag, 1 other failure.
-All angles are radians.
+Flags are spelled in full (``--res`` is refused), as argparse reads them with
+``allow_abbrev=False``.  Exit codes: 0 success or --help, 2 usage error naming its
+flag, 1 other failure.  All angles are radians.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ _PARAMS = {
 
 
 # Flag word -> (key, type) of each parse level: the global flags under None, then each
-# subcommand's; help maps to None.  An ambiguous prefix lists its matches in this order.
+# subcommand's; help maps to None.
 _FLAGS = {
     level: {"-h": None, "--help": None,
             **{f"--{key}": (key, ftype) for key, (ftype, *_) in {**params, "config": (str,)}.items()}}
@@ -94,9 +95,9 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$").match
 
 
 def _resolve(word: str, flags: dict):
-    """The flag ``word`` names, exactly or by a unique prefix, as (flag, the value joined
-    to it or None); None for a value.  A word like a flag that names none is returned as
-    its own flag, and ``-hX`` is ``-h`` with ``X`` joined."""
+    """The flag ``word`` names, spelled in full, as (flag, the value joined to it or None);
+    None for a value.  A word like a flag that names none, a prefix of one included, is
+    returned as its own flag, and ``-hX`` is ``-h`` with ``X`` joined."""
     if word[:1] != "-" or word == "-":
         return None
     if word in flags:
@@ -104,13 +105,7 @@ def _resolve(word: str, flags: dict):
     name, eq, joined = word.partition("=")
     if eq and name in flags:
         return name, joined
-    if word[1] == "-":
-        matches = [flag for flag in flags if flag.startswith(name)]
-        if len(matches) > 1:
-            raise UsageError(f"ambiguous option: {word} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], joined if eq else None
-    elif word[:2] == "-h":
+    if word[:2] == "-h":
         return "-h", word[2:]
     return None if _NEGATIVE_NUMBER(word) or " " in word else (word, None)
 
@@ -121,43 +116,38 @@ def _parse(argv: list) -> tuple[Optional[str], dict]:
     Before the subcommand only the global flags count; a flag after it wins over its
     global twin, and a repeated flag's last value wins.  A flag's value is the next word
     unless that is a flag or the first ``--``, after which every word is a plain word.
-    The first plain word is the subcommand; any later one is unrecognized."""
+    The first plain word is the subcommand; any later one, and any flag word the level
+    does not spell in full, is unrecognized."""
     subcommand, flags, given, extras = None, _FLAGS[None], {}, []
-    start = i = 0
-    end = [*argv, "--"].index("--")
-    try:
-        while i < len(argv):
-            word = argv[i]
-            found = _resolve(word, flags) if i < end else None
-            i += 1
-            if found is None and subcommand is None:
-                if word not in _PARAMS:
-                    choices = ", ".join(map(repr, _PARAMS))
-                    raise UsageError(f"argument SUBCOMMAND: invalid choice: {word!r} "
-                                     f"(choose from {choices})")
-                subcommand, flags, start = word, _FLAGS[word], i
-                end = [*argv, "--"].index("--", i)
-            elif found is None or found[0] not in flags:
-                extras.append(word)
-            else:
-                flag, value = found
-                if flags[flag] is None:  # -h, --help
-                    if value is not None:
-                        raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
-                    raise _Help(_usage(subcommand))
-                if value is None and i < end and _resolve(argv[i], flags) is None:
-                    value, i = argv[i], i + 1
-                if value is None or value == "--":
-                    raise UsageError(f"argument {flag}: expected one argument")
-                key, ftype = flags[flag]
-                try:
-                    given[key] = ftype(value)
-                except ValueError:
-                    raise UsageError(f"argument {flag}: invalid {ftype.__name__} value: {value!r}")
-    except (UsageError, _Help):
-        for word in argv[start:end]:  # an ambiguous prefix anywhere in the level comes first
-            _resolve(word, flags)
-        raise
+    i, end = 0, [*argv, "--"].index("--")
+    while i < len(argv):
+        word = argv[i]
+        found = _resolve(word, flags) if i < end else None
+        i += 1
+        if found is None and subcommand is None:
+            if word not in _PARAMS:
+                choices = ", ".join(map(repr, _PARAMS))
+                raise UsageError(f"argument SUBCOMMAND: invalid choice: {word!r} "
+                                 f"(choose from {choices})")
+            subcommand, flags = word, _FLAGS[word]
+            end = [*argv, "--"].index("--", i)
+        elif found is None or found[0] not in flags:
+            extras.append(word)
+        else:
+            flag, value = found
+            if flags[flag] is None:  # -h, --help
+                if value is not None:
+                    raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+                raise _Help(_usage(subcommand))
+            if value is None and i < end and _resolve(argv[i], flags) is None:
+                value, i = argv[i], i + 1
+            if value is None or value == "--":
+                raise UsageError(f"argument {flag}: expected one argument")
+            key, ftype = flags[flag]
+            try:
+                given[key] = ftype(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid {ftype.__name__} value: {value!r}")
     if extras:
         raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
     return subcommand, given

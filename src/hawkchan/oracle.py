@@ -138,8 +138,14 @@ def dilation_unitary(p: ChannelParams) -> np.ndarray:
     return matrix_exponential(p.r * gen)
 
 
-def _dilated_block(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
-    """Tr_partner[ U(pi) (rho x |0><0|) U(pj)^dag ] on the 8-dim A x R x partner space."""
+def apply_channel_dilated(rho, p: ChannelParams) -> np.ndarray:
+    """Channel output via the unitary dilation; oracle for `channel.apply_channel`."""
+    return linop.check_density_matrix(cross_term_dilated(rho, p, p), "dilated channel output")[0]
+
+
+def cross_term_dilated(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
+    """Cross term via the unitary dilation, Tr_partner[ U(pi) (rho x |0><0|) U(pj)^dag ]
+    on the 8-dim A x R x partner space; oracle for `channel.cross_term`."""
     arr = linop.check_two_qubit(rho, "input state")[0]
     partner_vacuum = np.zeros((2, 2), dtype=complex)
     partner_vacuum[0, 0] = 1.0
@@ -147,16 +153,6 @@ def _dilated_block(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     ui = tensor(np.eye(2), dilation_unitary(pi))
     uj = tensor(np.eye(2), dilation_unitary(pj))
     return partial_trace(ui @ big @ uj.conj().T, (2, 2, 2), keep=(0, 1))
-
-
-def apply_channel_dilated(rho, p: ChannelParams) -> np.ndarray:
-    """Channel output via the unitary dilation; oracle for `channel.apply_channel`."""
-    return linop.check_density_matrix(_dilated_block(rho, p, p), "dilated channel output")[0]
-
-
-def cross_term_dilated(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
-    """Cross term via the unitary dilation; oracle for `channel.cross_term`."""
-    return _dilated_block(rho, pi, pj)
 
 
 def superposed_state(params1: ChannelParams, params2: ChannelParams) -> np.ndarray:

@@ -151,11 +151,13 @@ def measure_control(params1: ChannelParams, params2: ChannelParams) -> BranchSta
 
 
 def measure_channel(params: ChannelParams) -> ChannelStatistics:
-    """One channel on `BELL_STATE`, its negativity checked against cos^2 r / 2 under
-    the key ``negativity``; `channel.apply_channel` takes any other input state."""
+    """One channel on `BELL_STATE`, its output checked against `channel_output_closed_form`
+    (largest entry gap) under the key ``output_state`` and its negativity against
+    cos^2 r / 2 under ``negativity``; `channel.apply_channel` takes any other input state."""
     kraus = kraus_operators(params)[0]
     output = kraus_block(BELL_STATE, kraus, kraus)
     report = report_for_state(output)
-    closed = math.cos(params.r) ** 2 / 2.0
+    closed_state, closed = channel_output_closed_form(params), math.cos(params.r) ** 2 / 2.0
+    metrics.check_closed_form("output_state", float(np.abs(output - closed_state).max()), 0.0)
     metrics.check_closed_form("negativity", report.negativity_numeric, closed)
-    return ChannelStatistics(kraus, output, channel_output_closed_form(params), report, closed)
+    return ChannelStatistics(kraus, output, closed_state, report, closed)

@@ -24,13 +24,13 @@ import mpmath
 import numpy as np
 
 from hawkchan import cli, metrics, oracle
-from hawkchan.channel import apply_channel, kraus_operators
+from hawkchan.channel import apply_channel
 from hawkchan.protocol import BELL_STATE
 
 
 def single_channel(p):
     """The single channel on the Bell state: criterion 01's route."""
-    return apply_channel(BELL_STATE, kraus_operators(p)[0])
+    return apply_channel(BELL_STATE, p)
 
 
 def random_density(rng, dim):
@@ -272,9 +272,10 @@ def reference_weight_entropy(*weights):
 
 
 # Reference parse: the argparse parsers that ``cli._parse`` replaced, built from the
-# same ``cli._PARAMS``.  An argv that starts with its subcommand was parsed by that
-# subcommand's parser alone, any other by the two-level parser; both raise the
-# CLI's own exceptions, so ``cli.run`` with this parse prints what it printed then.
+# same ``cli._PARAMS`` with ``allow_abbrev=False``, as the parse reads flags spelled in
+# full.  An argv that starts with its subcommand was parsed by that subcommand's parser
+# alone, any other by the two-level parser; both raise the CLI's own exceptions, so
+# ``cli.run`` with this parse prints what it printed then.
 
 
 class ReferenceParser(argparse.ArgumentParser):
@@ -293,12 +294,13 @@ class ReferenceParser(argparse.ArgumentParser):
 def _reference_parsers():
     # --format and --config are accepted both before and after the
     # subcommand; the post-subcommand occurrence wins.
-    parser = ReferenceParser(prog="hawkchan", description=cli.__doc__.splitlines()[0])
+    parser = ReferenceParser(prog="hawkchan", description=cli.__doc__.splitlines()[0],
+                             allow_abbrev=False)
     parser.add_argument("--format", type=str, default=None, dest="global_format")
     parser.add_argument("--config", type=str, default=None, dest="global_config")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, params in cli._PARAMS.items():
-        p = sub.add_parser(name, prog=f"hawkchan {name}")
+        p = sub.add_parser(name, prog=f"hawkchan {name}", allow_abbrev=False)
         for flag, (ftype, _, choices) in params.items():
             shown = "{" + ",".join(choices) + "}" if choices else None
             p.add_argument(f"--{flag}", type=ftype, default=None, metavar=shown)

@@ -26,7 +26,6 @@ from hawkchan.channel import (
     apply_channel,
     channel_output_closed_form,
     cross_term,
-    kraus_operators,
     squeezing_from_geometry,
 )
 from hawkchan.oracle import apply_channel_dilated, cross_term_dilated
@@ -55,7 +54,7 @@ def test_criterion_01_single_channel_output():
     worst_neg = 0.0
     for _ in range(100):
         p = random_params(RNG)
-        out = apply_channel(BELL_STATE, kraus_operators(p)[0])
+        out = apply_channel(BELL_STATE, p)
         worst_matrix = max(worst_matrix, float(np.abs(out - channel_output_closed_form(p)).max()))
         worst_neg = max(worst_neg, abs(metrics.negativity(out) - math.cos(p.r) ** 2 / 2))
     check(
@@ -70,16 +69,15 @@ def test_criterion_02_kraus_vs_dilation():
     worst = 0.0
     for _ in range(10):
         p1, p2 = random_params(RNG), random_params(RNG)
-        k1, k2 = kraus_operators(p1, p2)
         for _ in range(20):
             g = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
             rho = g @ g.conj().T
             rho = rho / rho.trace()
             worst = max(
                 worst,
-                float(np.abs(apply_channel(rho, k1) - apply_channel_dilated(rho, p1)).max()),
-                float(np.abs(cross_term(rho, k1, k2) - cross_term_dilated(rho, p1, p2)).max()),
-                float(np.abs(cross_term(rho, k2, k1) - cross_term_dilated(rho, p2, p1)).max()),
+                float(np.abs(apply_channel(rho, p1) - apply_channel_dilated(rho, p1)).max()),
+                float(np.abs(cross_term(rho, p1, p2) - cross_term_dilated(rho, p1, p2)).max()),
+                float(np.abs(cross_term(rho, p2, p1) - cross_term_dilated(rho, p2, p1)).max()),
             )
     check(2, "kraus-vs-dilation", worst <= 1e-10, f"worst route gap {worst:.2e} (tol 1e-10)")
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hawkchan import channel
+from hawkchan import channel, linop
 from hawkchan.channel import (
     BlackHoleGeometry,
     ChannelParams,
@@ -14,6 +14,7 @@ from hawkchan.channel import (
     apply_channel,
     channel_output_closed_form,
     cross_term,
+    kraus_block,
     kraus_operators,
     squeezing_from_geometry,
 )
@@ -193,13 +194,13 @@ class TestKrausOperators:
 
 class TestApplyChannel:
     def test_identity_at_zero_squeezing(self):
-        out = apply_channel(BELL_STATE, kraus_operators(ChannelParams(0.0))[0])
+        out = apply_channel(BELL_STATE, ChannelParams(0.0))
         assert np.abs(out - BELL_STATE).max() < 1e-14
 
     def test_bell_output_matches_closed_form(self):
         for _ in range(20):
             p = random_params(RNG)
-            out = apply_channel(BELL_STATE, kraus_operators(p)[0])
+            out = apply_channel(BELL_STATE, p)
             assert np.abs(out - channel_output_closed_form(p)).max() < 1e-14
 
     def test_closed_form_entries(self):
@@ -215,41 +216,73 @@ class TestApplyChannel:
     def test_maximally_mixed_matches_dilation(self):
         p = ChannelParams(0.5)
         rho = np.eye(4, dtype=complex) / 4
-        out = apply_channel(rho, kraus_operators(p)[0])
+        out = apply_channel(rho, p)
         assert np.abs(out - apply_channel_dilated(rho, p)).max() < 1e-12
 
     def test_preserves_trace_and_positivity(self):
         for _ in range(10):
             p = random_params(RNG)
-            out = apply_channel(random_density(RNG, 4), kraus_operators(p)[0])
+            out = apply_channel(random_density(RNG, 4), p)
             assert abs(out.trace() - 1.0) < 1e-12
             assert np.linalg.eigvalsh(out)[0] > -1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="4x4"):
-            apply_channel(np.eye(2) / 2, kraus_operators(ChannelParams(0.3))[0])
+            apply_channel(np.eye(2) / 2, ChannelParams(0.3))
 
 
 class TestCrossTerm:
     def test_equal_channels_reduce_to_apply(self):
         p = random_params(RNG)
-        k = kraus_operators(p)[0]
         rho = random_density(RNG, 4)
-        assert np.abs(cross_term(rho, k, k) - apply_channel(rho, k)).max() < 1e-14
+        assert np.abs(cross_term(rho, p, p) - apply_channel(rho, p)).max() < 1e-14
 
     def test_adjoint_symmetry(self):
         for _ in range(10):
-            k1, k2 = kraus_operators(random_params(RNG), random_params(RNG))
+            p1, p2 = random_params(RNG), random_params(RNG)
             rho = random_density(RNG, 4)
-            x12 = cross_term(rho, k1, k2)
-            x21 = cross_term(rho, k2, k1)
+            x12 = cross_term(rho, p1, p2)
+            x21 = cross_term(rho, p2, p1)
             assert np.abs(x12.conj().T - x21).max() < 1e-12
 
     def test_matches_dilation_cross_block(self):
         p1, p2 = ChannelParams(0.3), ChannelParams(0.7)
         rho = BELL_STATE
-        got = cross_term(rho, *kraus_operators(p1, p2))
+        got = cross_term(rho, p1, p2)
         assert np.abs(got - cross_term_dilated(rho, p1, p2)).max() < 1e-12
+
+
+_CALL_RNG = np.random.default_rng(20261020)
+CALL_STATES = [BELL_STATE] + [random_density(_CALL_RNG, 4) for _ in range(3)]
+CALL_PARAMS = EDGE_PARAMS + [random_params(_CALL_RNG) for _ in range(6)]
+
+
+def old_route(rho, ki, kj):
+    """The checked block from Kraus rows that callers built, as the calls took them
+    before they took `ChannelParams`."""
+    return kraus_block(linop.check_two_qubit(rho, "input state")[0], ki, kj)
+
+
+class TestChannelParamsCalls:
+    """`apply_channel` and `cross_term` give, bit for bit, what the caller-built Kraus
+    rows gave: one channel's row of `kraus_operators(p)`, the two rows of
+    `kraus_operators(pi, pj)`."""
+
+    @pytest.mark.parametrize("k", range(len(CALL_STATES)))
+    def test_cross_term_is_the_kraus_row_route(self, k):
+        rho = CALL_STATES[k]
+        for pi in CALL_PARAMS:
+            for pj in CALL_PARAMS:
+                expected = old_route(rho, *kraus_operators(pi, pj))
+                assert cross_term(rho, pi, pj).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", range(len(CALL_STATES)))
+    def test_apply_channel_is_the_kraus_row_route(self, k):
+        rho = CALL_STATES[k]
+        for p in CALL_PARAMS:
+            row = kraus_operators(p)[0]
+            expected = linop.check_density_matrix(old_route(rho, row, row), "channel output")[0]
+            assert apply_channel(rho, p).tobytes() == expected.tobytes()
 
 
 class TestDilationOracle:
@@ -263,10 +296,9 @@ class TestDilationOracle:
 
     def test_channel_equality_on_random_states(self):
         p = ChannelParams(0.4, 1.1)
-        k = kraus_operators(p)[0]
         for _ in range(20):
             rho = random_density(RNG, 4)
-            assert np.abs(apply_channel(rho, k) - apply_channel_dilated(rho, p)).max() < 1e-10
+            assert np.abs(apply_channel(rho, p) - apply_channel_dilated(rho, p)).max() < 1e-10
 
     def test_matches_hand_exponential(self):
         # The generator squares to -1 on span{|00>, |11>} and vanishes
@@ -298,5 +330,5 @@ def test_high_frequency_mode_nearly_invariant():
     r_low = squeezing_from_geometry(base).r
     r_high = squeezing_from_geometry(boosted).r
     assert r_high < r_low * 1e-4
-    out = apply_channel(BELL_STATE, kraus_operators(ChannelParams(r_high))[0])
+    out = apply_channel(BELL_STATE, ChannelParams(r_high))
     assert np.abs(out - BELL_STATE).max() < 1e-8

@@ -330,8 +330,8 @@ PARSE_TABLE = [
      ("protocol", {"r1": 0.2, "r2": 0.7, "format": "json"})),
     (["channel", "--r", "0.4", "--phi", "-1e-17", "--format", "json"], 0, "",
      ("channel", {"r": 0.4, "phi": -1e-17, "format": "json"})),
-    (["sweep", "--metric", "phase_curve", "--res", "5", "--out", "-"], 0, "",
-     ("sweep", {"metric": "phase_curve", "resolution": 5, "out": "-"})),
+    (["sweep", "--metric", "phase_curve", "--res", "5", "--out", "-"], 2,
+     "usage error: unrecognized arguments: --res 5\n", None),
     (["channel", "--r", "0.4", "--bogus", "1"], 2,
      "usage error: unrecognized arguments: --bogus 1\n", None),
     (["channel", "--r", "0.4", "extra"], 2, "usage error: unrecognized arguments: extra\n", None),
@@ -345,6 +345,8 @@ PARSE_TABLE = [
     (["protocol", "--r1", "0.2", "--help"], 0, "", None),
     (["-h"], 0, "", None),
     (["--format", "json", "channel", "--r", "0.4"], 0, "", ("channel", {"format": "json", "r": 0.4})),
+    (["--format", "json", "channel", "--r", "0.4", "--=x"], 2,
+     "usage error: unrecognized arguments: --=x\n", None),
     (["--config", "missing.json", "geometry"], 2,
      "usage error: --config: cannot read 'missing.json': [Errno 2] No such file or directory: "
      "'missing.json'\n", ("geometry", {"config": "missing.json"})),
@@ -450,13 +452,11 @@ def argvs(draw):
 def refused_quirk(argv):
     """Whether ``argv`` holds an argparse quirk that `cli._parse` refuses in its own words
     (CHANGES.md lists each with its old and new message): a ``--FLAG=--`` (argparse took an
-    empty list as the value), ``-hh`` or ``-h=h`` (argparse read ``-h`` twice), a last
-    ``--`` (argparse left it unrecognized where it found no subcommand), or a ``--=`` word
-    after global words (argparse matched it against the global flags too)."""
+    empty list as the value), ``-hh`` or ``-h=h`` (argparse read ``-h`` twice), or a last
+    ``--`` (argparse left it unrecognized where it found no subcommand)."""
     return (any(w.startswith("-") and w.endswith("=--") for w in argv)
             or any(re.match(r"-h=?h", w) for w in argv)
-            or argv[-1:] == ["--"]
-            or (argv[:1] != [] and argv[0] not in cli._PARAMS and any(w.startswith("--=") for w in argv)))
+            or argv[-1:] == ["--"])
 
 
 def table_examples(test):
@@ -500,9 +500,6 @@ class TestArgparseOracle:
         (["channel", "-h=h"], "help", "argument -h/--help: ignored explicit argument 'h'"),
         (["--"], (2, "usage error: unrecognized arguments: --\n"),
          f"argument SUBCOMMAND: invalid choice: '--' {SUBCOMMAND_CHOICES}"),
-        (["--format", "json", "channel", "--r", "0.4", "--=x"],
-         (2, "usage error: ambiguous option: --=x could match --help, --format, --config\n"),
-         "ambiguous option: --=x could match --help, --r, --phi, --state, --format, --config"),
     ]
 
     @pytest.mark.parametrize("argv, old, new", QUIRKS, ids=[" ".join(row[0]) for row in QUIRKS])
@@ -512,6 +509,34 @@ class TestArgparseOracle:
             code, out, err = run_outcome(argv)
         assert ("help" if help_level(out) != "no help" else (code, err)) == old
         assert run_outcome(argv) == (2, "", f"usage error: {new}\n")
+
+
+def proper_prefixes(flags):
+    """The proper prefixes of ``flags``, three characters or longer, that are no flag of ``flags``."""
+    return sorted({flag[:n] for flag in flags for n in range(3, len(flag))} - set(flags))
+
+
+# Each proper prefix of each flag word of each parse level (None: before the subcommand).
+PREFIX_TABLE = [(level, prefix)
+                for level, flags in [(None, GLOBAL_FLAGS), *SUBCOMMAND_FLAGS.items()]
+                for prefix in proper_prefixes(flags + ["--help"])]
+
+
+class TestFlagsSpelledInFull:
+    @pytest.mark.parametrize("level, prefix", PREFIX_TABLE,
+                             ids=[f"{level or 'global'} {prefix}" for level, prefix in PREFIX_TABLE])
+    def test_a_flag_prefix_is_unrecognized(self, level, prefix):
+        """A prefix is refused as an unrecognized word, with the value after it, as argparse
+        with ``allow_abbrev=False`` refuses it."""
+        if level is None:
+            argv, unrecognized = [prefix, "channel", "--r", "0.4"], prefix
+        else:
+            required = [f"--{flag}={value}" for flag, value in VALID[level].items()]
+            argv, unrecognized = [level, *required, prefix, "1"], f"{prefix} 1"
+        expected = (2, "", f"usage error: unrecognized arguments: {unrecognized}\n")
+        assert run_outcome(argv) == expected
+        with mock.patch.object(cli, "_parse", reference_parse):
+            assert run_outcome(argv) == expected
 
 
 class TestHelp:

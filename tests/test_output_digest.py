@@ -20,7 +20,15 @@ GROUPS = [
     "sweep-stdout.neg_pct_diff_mixture.csv",
     "sweep-stdout.neg_pct_diff_mixture.json",
     "defaults",
-    "refusals",
+    "refusals.missing-flag",
+    "refusals.bad-format",
+    "refusals.bad-metric",
+    "refusals.not-a-number",
+    "refusals.flag-prefix",
+    "refusals.missing-value",
+    "refusals.unrecognized-word",
+    "refusals.unknown-subcommand",
+    "refusals.config",
 ]
 
 
@@ -42,7 +50,8 @@ def test_a_second_seed_gives_other_sweep_digests():
     default, seed_7, seed_1 = digest_lines(), digest_lines("--seed", "7"), digest_lines("--seed", "1")
     assert seed_7 == default
     sweeps = [(a, b) for a, b in zip(seed_7, seed_1) if a.startswith("sweep")]
-    assert len(sweeps) == len(GROUPS) - 4
+    assert len(sweeps) == sum(group.startswith("sweep") for group in GROUPS) == 8
     assert all(a.split()[0] == b.split()[0] and a != b for a, b in sweeps)
     # The defaults and refusals groups draw nothing from the seed.
-    assert seed_7[-2:] == seed_1[-2:]
+    unseeded = GROUPS.index("defaults")
+    assert seed_7[unseeded:] == seed_1[unseeded:]

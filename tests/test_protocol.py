@@ -269,7 +269,7 @@ class TestClassicalMixture:
         assert np.abs(mixture_a - mixture_b).max() < 1e-14
 
 
-def mixture_oracle(cfg, apply=lambda rho, p: apply_channel(rho, kraus_operators(p)[0])):
+def mixture_oracle(cfg, apply=apply_channel):
     """The equal mixture built channel by channel, apart from the interference blocks."""
     p1, p2 = cfg
     return 0.5 * (apply(BELL_STATE, p1) + apply(BELL_STATE, p2))
@@ -451,6 +451,19 @@ class TestLibraryChecks:
         assert np.array_equal(stats.closed_form_state, channel.channel_output_closed_form(p))
         assert stats.report == report_for_state(single_channel(p))
         assert stats.negativity_closed_form == math.cos(0.4) ** 2 / 2
+
+    def test_measure_channel_checks_its_output_state(self, monkeypatch):
+        closed = protocol.channel_output_closed_form
+        monkeypatch.setattr(protocol, "channel_output_closed_form", lambda p: closed(p) + 1e-9)
+        with pytest.raises(ValueError, match="closed-form output_state differs from numeric by 1.000e-09"):
+            measure_channel(ChannelParams(0.4))
+
+    @pytest.mark.parametrize("r", [0.0, 0.4, math.pi / 4, math.pi / 2 - 1e-9,
+                                   math.nextafter(math.pi / 2, 0.0)])
+    def test_measure_channel_output_is_its_closed_form_to_roundoff(self, r):
+        for phi in (0.0, 1.3, 4.0):
+            stats = measure_channel(ChannelParams(r, phi))
+            assert np.abs(stats.output_state - stats.closed_form_state).max() <= 1e-15
 
     def test_measure_channel_checks_cos_squared_over_two(self, monkeypatch):
         report = protocol.report_for_state

@@ -20,17 +20,19 @@ sends (that module is imported, not changed):
   ``--out -`` sweep per metric, each giving only its required flags
   (and ``--format json`` for a query's JSON twin), so that a moved
   default changes this line;
-* the ``refusals`` group: one op per usage error, namely each of those
-  queries and sweeps with one required flag left out, a bad ``--format``,
-  a bad ``--metric``, a value that is not a number, an ambiguous flag
-  prefix, a flag without its value, an unrecognized word, an unknown
-  subcommand, and an unknown key and a non-string value for a string flag
-  in a temporary ``--config`` file.
+* the ``refusals`` groups, one op per usage error: ``refusals.missing-flag``
+  holds each of those queries and sweeps with one required flag left out;
+  one group per entry of ``BAD_QUERIES`` holds a bad ``--format``, a bad
+  ``--metric``, a value that is not a number, a flag prefix, a flag
+  without its value, an unrecognized word and an unknown subcommand; and
+  ``refusals.config`` holds an unknown key and a non-string value for a
+  string flag in a temporary ``--config`` file.  A changed refusal thus
+  names itself.
 
 It prints one line ``GROUP SHA256`` per point-query format, per sweep
-file, per stdout sweep and for the defaults and refusals groups, over
-each op's argv, exit code, stdout and stderr, plus the file bytes for a
-sweep file.
+file, per stdout sweep, for the defaults group and per refusals group,
+over each op's argv, exit code, stdout and stderr, plus the file bytes
+for a sweep file.
 Each call's stdout is captured both as the ``stdout=`` stream of
 ``cli.run`` and as the redirected ``sys.stdout``, so a checkout that
 writes ``--out -`` to either one gives the same digest.  Two checkouts give byte-identical
@@ -133,38 +135,41 @@ def defaults_digest(cli) -> dict:
     return {"defaults": digest.hexdigest()}
 
 
-# Usage errors beside the missing flags; each exits 2 with its message on stderr.  The
-# last four are refused by the parse itself: an ambiguous prefix, a flag without its
-# value, an unrecognized word and an unknown subcommand.
-BAD_QUERIES = [
-    ["channel", "--r", "0.4", "--format", "xml"],
-    ["sweep", "--metric", "negativity", "--out", "-"],
-    ["phase", "--r", "half"],
-    ["protocol", "--r", "0.2", "--r2", "0.7"],
-    ["channel", "--r"],
-    ["channel", "--r", "0.4", "extra"],
-    ["teleport", "--r", "0.4"],
-]
+# Usage errors beside the missing flags, by group name; each exits 2 with its message on
+# stderr.  The last four are refused by the parse itself: a flag prefix, a flag without
+# its value, an unrecognized word and an unknown subcommand.
+BAD_QUERIES = {
+    "bad-format": ["channel", "--r", "0.4", "--format", "xml"],
+    "bad-metric": ["sweep", "--metric", "negativity", "--out", "-"],
+    "not-a-number": ["phase", "--r", "half"],
+    "flag-prefix": ["protocol", "--r", "0.2", "--r2", "0.7"],
+    "missing-value": ["channel", "--r"],
+    "unrecognized-word": ["channel", "--r", "0.4", "extra"],
+    "unknown-subcommand": ["teleport", "--r", "0.4"],
+}
 # Config files for ``channel --r 0.4``: an unknown key, and a number for the string flag --format.
 BAD_CONFIGS = [{"bogus": 1}, {"format": 1}]
 
 
 def refusals_digest(cli) -> dict:
-    digest = hashlib.sha256()
+    missing = hashlib.sha256()
     sweep = ["sweep", "--metric", "phase_curve", "--out", "-"]
     for argv in DEFAULT_QUERIES + [sweep]:
         for i in range(1, len(argv), 2):  # leave out one flag and its value
-            digest.update(_run(cli, argv[:i] + argv[i + 2:]))
-    for argv in BAD_QUERIES:
-        digest.update(_run(cli, argv))
+            missing.update(_run(cli, argv[:i] + argv[i + 2:]))
+    digests = {"refusals.missing-flag": missing.hexdigest()}
+    for name, argv in BAD_QUERIES.items():
+        digests[f"refusals.{name}"] = hashlib.sha256(_run(cli, argv)).hexdigest()
+    config = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="output-digest-") as work:
-        for index, config in enumerate(BAD_CONFIGS):
+        for index, values in enumerate(BAD_CONFIGS):
             path = os.path.join(work, f"config-{index}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(config, fh)
+                json.dump(values, fh)
             argv = ["channel", "--r", "0.4", "--config"]
-            digest.update(_run(cli, argv + [path], argv + [json.dumps(config)]))
-    return {"refusals": digest.hexdigest()}
+            config.update(_run(cli, argv + [path], argv + [json.dumps(values)]))
+    digests["refusals.config"] = config.hexdigest()
+    return digests
 
 
 def main(argv=None) -> int:
