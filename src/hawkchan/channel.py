@@ -43,14 +43,19 @@ class DomainError(ValueError):
 
 
 def real_number(field: str, value) -> float:
-    """``value``, a real number of any type (numpy's included), as a float, where an
-    integer beyond the float range reads as infinite; anything else is `DomainError`."""
+    """``value``, a finite real number of any type (numpy's included), as a float with
+    an unsigned zero; anything else, NaN, an infinity or an integer beyond the float
+    range included, is `DomainError` naming ``field``.  The one finiteness check of
+    every real-valued field of `BlackHoleGeometry`, `ChannelParams` and `SweepSpec`."""
     if not isinstance(value, (float, numbers.Real)):  # float first: the ABC check is slow
         raise DomainError(field, f"{field} must be a real number, got {value!r}")
     try:
-        return float(value)
+        number = float(value) + 0.0  # -0.0 + 0.0 is 0.0; any other value keeps its bits
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise DomainError(field, f"{field} must be finite, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,11 @@ class BlackHoleGeometry:
         for field in ("mass", "radius", "k0", "hbar"):
             object.__setattr__(self, field, real_number(field, getattr(self, field)))
         for field in ("mass", "k0", "hbar"):
-            value = getattr(self, field)
-            if not (value > 0 and math.isfinite(value)):
-                raise DomainError(field, f"{field} must be positive and finite, got {value}")
-        if not math.isfinite(self.surface_gravity):
-            raise DomainError("mass", f"surface gravity 1/(4*mass) overflows for mass {self.mass}")
-        if not math.isfinite(self.radius):
-            raise DomainError("radius", f"radius must be finite, got {self.radius}")
+            if not getattr(self, field) > 0:
+                raise DomainError(field, f"{field} must be positive, got {getattr(self, field)}")
+        if not 0.0 < self.surface_gravity < math.inf:  # 4*mass overflows, or 1/(4*mass) does
+            raise DomainError("mass", f"surface gravity 1/(4*mass) must be positive and finite, "
+                                      f"got {self.surface_gravity} for mass {self.mass}")
         if not self.radius > 2.0 * self.mass:
             raise DomainError("radius", "observer inside horizon: "
                               f"radius {self.radius} <= 2*mass = {2 * self.mass}")
@@ -120,14 +123,9 @@ class ChannelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        r, phi = real_number("r", self.r), real_number("phi", self.phi)
-        if not math.isfinite(r):
-            raise DomainError("r", f"squeezing r must be finite, got {r}")
+        r, phi = real_number("r", self.r), real_number("phi", self.phi) % (2.0 * math.pi)
         if not 0.0 <= r < math.pi / 2:
             raise DomainError("r", f"squeezing r must be in [0, pi/2), got {r}")
-        if not math.isfinite(phi):
-            raise DomainError("phi", f"phase phi must be finite, got {phi}")
-        phi %= 2.0 * math.pi
         object.__setattr__(self, "r", r)
         # A tiny negative phase reduces to 2*pi - eps, which rounds to 2*pi.
         object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)
@@ -195,7 +193,8 @@ def cross_term(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     check.  Generally non-Hermitian for ``pi != pj``; its adjoint is the
     block with the channels swapped, and ``pi == pj`` recovers `apply_channel`.
     """
-    return kraus_block(linop.check_two_qubit(rho, "input state")[0], *kraus_operators(pi, pj))
+    rho = linop.check_density_matrix(rho, "input state", two_qubit=True)[0]
+    return kraus_block(rho, *kraus_operators(pi, pj))
 
 
 def channel_output_closed_form(p: ChannelParams) -> np.ndarray:

@@ -222,7 +222,7 @@ def _merge_config(subcommand: str, given: dict) -> dict:
             raise UsageError(f"--{flag} is required for {subcommand!r}")
         if choices is not None and value not in choices:
             raise UsageError(f"--{flag}: expected one of {', '.join(choices)}, got {value!r}")
-        effective[flag] = value
+        effective[flag] = value + 0.0 if isinstance(value, float) else value  # -0.0 echoes as 0.0
     return effective
 
 

@@ -5,10 +5,10 @@ leaves the library: `check_density_matrix` asserts that it is
 Hermitian within ``HERMITIAN_TOL``, has trace within ``TRACE_TOL`` of 1
 and has smallest eigenvalue >= ``EIGENVALUE_FLOOR``.  One call checks
 one state or a ``(k, n, n)`` stack with one ``eigvalsh`` and hands back
-that spectrum; `check_two_qubit` adds the 4x4 shape, and the same
-``eigvalsh`` also takes the partial transposes and Rob's reduced states,
-so a report needs no ``eigvalsh`` of its own.  The dense helpers of the
-oracles live in `oracle`.
+that spectrum.  With ``two_qubit=True`` it also asks for the 4x4 shape,
+and the same ``eigvalsh`` takes the partial transposes and Rob's reduced
+states, so a report needs no ``eigvalsh`` of its own.  The dense helpers
+of the oracles live in `oracle`.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ def check_density_matrix(rho, name="state", *, two_qubit=False):
 
     Returns ``(array, eigenvalues)``: the array (``rho`` itself when it is a
     complex ndarray) and the ascending spectrum of the state, ``(n,)``, or of
-    each state, ``(k, n)``.  ``two_qubit=True`` is `check_two_qubit`, kept in
-    this one function so that every check passes through this name: the states
-    must also be 4x4 (checked last), the same ``eigvalsh`` takes their partial
-    transposes on A and Rob's reduced states, and those spectra come third and
+    each state, ``(k, n)``.  With ``two_qubit=True`` the states must also be
+    4x4 (checked right after squareness), the same ``eigvalsh`` takes their
+    partial transposes on A and Rob's reduced states (the 2x2 spectrum plus two
+    exact zeros), and those spectra, ``(4,)`` or ``(k, 4)`` each, come third and
     fourth.
     """
     single = isinstance(name, str)
@@ -65,9 +65,11 @@ def check_density_matrix(rho, name="state", *, two_qubit=False):
         raise ValueError(f"{names[int(finite.argmin())]} contains non-finite entries")
     if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"{', '.join(names)} must be square, got shape {arr.shape}")
+    if two_qubit and arr.shape[-2:] != (4, 4):
+        raise ValueError(f"{', '.join(names)} must be a 4x4 two-qubit state, got shape {arr.shape}")
     defects = hermiticity_defect(states).tolist()
     traces = states.trace(axis1=1, axis2=2).tolist()
-    if two_qubit and states.shape[1:] == (4, 4):
+    if two_qubit:
         # The partial transposes on A, then Rob's reduced states as the upper-left
         # block of zero 4x4s, join the eigvalsh: the embedding adds two exact zeros
         # to Rob's spectrum and leaves the bits of its 2x2 eigenvalues unchanged, a
@@ -87,14 +89,5 @@ def check_density_matrix(rho, name="state", *, two_qubit=False):
         if smallest < EIGENVALUE_FLOOR:
             raise ValueError(
                 f"{state} has eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR:.3e}")
-    if two_qubit and arr.shape[-2:] != (4, 4):
-        raise ValueError(f"{', '.join(names)} must be a 4x4 two-qubit state, got shape {arr.shape}")
     return (arr, *eigs.reshape((1 + 2 * two_qubit,) + arr.shape[:-1]))  # states', pts', Rob's
 
-
-def check_two_qubit(rho, name="state") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`check_density_matrix` of one 4x4 two-qubit state or a ``(k, 4, 4)`` stack:
-    its pair, then the ascending spectra of the partial transposes on A and of
-    Rob's reduced states (the 2x2 spectrum plus two exact zeros), each ``(4,)``
-    or ``(k, 4)``, all from the same ``eigvalsh`` call that checks the states."""
-    return check_density_matrix(rho, name, two_qubit=True)

@@ -146,7 +146,7 @@ def apply_channel_dilated(rho, p: ChannelParams) -> np.ndarray:
 def cross_term_dilated(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     """Cross term via the unitary dilation, Tr_partner[ U(pi) (rho x |0><0|) U(pj)^dag ]
     on the 8-dim A x R x partner space; oracle for `channel.cross_term`."""
-    arr = linop.check_two_qubit(rho, "input state")[0]
+    arr = linop.check_density_matrix(rho, "input state", two_qubit=True)[0]
     partner_vacuum = np.zeros((2, 2), dtype=complex)
     partner_vacuum[0, 0] = 1.0
     big = tensor(arr, partner_vacuum)

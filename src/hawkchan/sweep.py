@@ -86,14 +86,13 @@ class SweepSpec:
             raise DomainError("resolution",
                               f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
         try:  # a pair of real numbers of any type, stored as a tuple of floats
-            lo, hi = r_range = tuple(real_number("range", x) for x in self.r_range)
-        except (TypeError, ValueError):  # not iterable, not two items, or not real
+            lo, hi = self.r_range
+        except (TypeError, ValueError):  # not iterable, or not two items
             raise DomainError("range", f"range must be a pair of real numbers, "
                                        f"got {self.r_range!r}") from None
+        lo, hi = r_range = real_number("range", lo), real_number("range", hi)
         object.__setattr__(self, "r_range", r_range)
         r_max = MAX_R_1D if self.is_one_dimensional else MAX_R_2D
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError("range", f"range must be finite, got ({lo}, {hi})")
         if lo > hi:
             raise DomainError("range", f"range is empty: ({lo}, {hi})")
         if lo < 0.0 or hi > r_max or (self.is_one_dimensional and hi >= r_max):

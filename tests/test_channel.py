@@ -3,8 +3,10 @@
 import math
 from types import SimpleNamespace
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hawkchan import channel, linop
 from hawkchan.channel import (
@@ -75,29 +77,54 @@ class TestGeometry:
 @pytest.mark.parametrize(
     "make, field, message",
     [
-        (lambda: BlackHoleGeometry(mass=math.nan, radius=3.0, k0=0.1), "mass", "mass must be positive"),
+        (lambda: BlackHoleGeometry(mass=math.nan, radius=3.0, k0=0.1), "mass", "mass must be finite, got nan"),
         (lambda: BlackHoleGeometry(mass=1.0, radius=math.inf, k0=0.1), "radius", "radius must be finite"),
         (lambda: BlackHoleGeometry(mass=1.0, radius=1.5, k0=0.1), "radius", "observer inside horizon"),
         (lambda: BlackHoleGeometry(mass=1.0, radius=3.0, k0=0.1, hbar=-math.inf), "hbar", "hbar must"),
-        (lambda: ChannelParams(r=math.nan), "r", "squeezing r must be finite, got nan"),
+        (lambda: ChannelParams(r=math.nan), "r", "^r must be finite, got nan$"),
         (lambda: ChannelParams(r=2.0), "r", r"squeezing r must be in \[0, pi/2\), got 2.0"),
-        (lambda: ChannelParams(r=0.1, phi=-math.inf), "phi", "phase phi must be finite"),
+        (lambda: ChannelParams(r=0.1, phi=-math.inf), "phi", "^phi must be finite, got -inf$"),
         (lambda: ChannelParams("0.5"), "r", "r must be a real number, got '0.5'"),
         (lambda: ChannelParams(None), "r", "r must be a real number, got None"),
         (lambda: ChannelParams(0.1, phi=1j), "phi", "phi must be a real number"),
-        (lambda: ChannelParams(10**400), "r", "squeezing r must be finite, got inf"),
+        (lambda: ChannelParams(10**400), "r", "^r must be finite, got inf$"),
         (lambda: BlackHoleGeometry("1", 3, 0.1), "mass", "mass must be a real number, got '1'"),
         (lambda: BlackHoleGeometry(1.0, [3.0], 0.1), "radius", "radius must be a real number"),
-        (lambda: BlackHoleGeometry(1.0, 3.0, 0.1, hbar=-10**400), "hbar", "hbar must be positive"),
+        (lambda: BlackHoleGeometry(1.0, 3.0, 0.1, hbar=-10**400), "hbar", "hbar must be finite, got -inf"),
+        # 4*mass overflows, so the surface gravity 1/(4*mass) is 0.0: refused before it divides.
+        (lambda: BlackHoleGeometry(5e307, 1.5e308, 0.1), "mass", r"surface gravity .* got 0\.0 for mass"),
     ],
     ids=["mass-nan", "radius-inf", "radius-inside", "hbar-inf", "r-nan", "r-range", "phi-inf",
          "r-string", "r-none", "phi-complex", "r-huge-int", "mass-string", "radius-list",
-         "hbar-huge-int"],
+         "hbar-huge-int", "mass-zero-gravity"],
 )
 def test_refused_value_names_its_field(make, field, message):
     with pytest.raises(DomainError, match=message) as refused:
         make()
     assert refused.value.field == field
+
+
+def test_negative_zero_is_stored_as_zero():
+    assert math.copysign(1.0, ChannelParams(-0.0).r) == 1.0
+    assert math.copysign(1.0, ChannelParams(0.1, np.float64(-0.0)).phi) == 1.0
+    assert math.copysign(1.0, BlackHoleGeometry(1.0, 3.0, 0.1, hbar=1e-300).hbar) == 1.0
+    assert ChannelParams(5e-324).r == 5e-324  # any other value keeps its bits
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.floats(min_value=5e-324, max_value=1.7e308), st.floats(1.0, 1e300),
+                  st.floats(min_value=5e-324, max_value=1.7e308),
+                  st.floats(min_value=5e-324, max_value=1.7e308))
+def test_every_geometry_that_constructs_gives_a_squeezing(mass, stretch, k0, hbar):
+    """The surface-gravity check leaves no geometry whose squeezing divides by zero
+    or leaves [0, pi/4], at either end of the float range."""
+    try:
+        g = BlackHoleGeometry(mass, min(2.0 * mass * stretch, 1.7e308), k0, hbar)
+    except DomainError as refused:
+        assert refused.field in ("mass", "radius")
+        return
+    assert 0.0 < g.surface_gravity < math.inf
+    assert 0.0 <= squeezing_from_geometry(g).r <= math.pi / 4
 
 
 def test_numpy_scalars_are_accepted_and_stored_as_floats():
@@ -260,7 +287,7 @@ CALL_PARAMS = EDGE_PARAMS + [random_params(_CALL_RNG) for _ in range(6)]
 def old_route(rho, ki, kj):
     """The checked block from Kraus rows that callers built, as the calls took them
     before they took `ChannelParams`."""
-    return kraus_block(linop.check_two_qubit(rho, "input state")[0], ki, kj)
+    return kraus_block(linop.check_density_matrix(rho, "input state", two_qubit=True)[0], ki, kj)
 
 
 class TestChannelParamsCalls:

@@ -46,6 +46,10 @@ VALID = {
 }
 NUMERIC_FLAGS = [(sub, flag, ftype) for sub, params in cli._PARAMS.items()
                  for flag, (ftype, *_) in params.items() if ftype is not str]
+# Each real-valued flag with one non-finite value, the three taken in turn; `given`
+# joins it as --flag=-inf, since "-inf" after a space reads as a flag.
+REAL_FLAGS = [(sub, flag, ("-inf", "nan", "inf")[i % 3]) for i, (sub, flag, _) in
+              enumerate(f for f in NUMERIC_FLAGS if f[2] is float)]
 
 
 def given(subcommand, values, from_config, tmp_path):
@@ -79,6 +83,13 @@ class TestProtocolCommand:
         doc = run_json(["protocol", "--r1", "0.2", "--r2", "0.7", "--phi2", "1.0"])
         assert doc["negativity_avg_closed"] == metrics.negativity_avg_closed(0.2, 0.7, -1.0)
         assert abs(doc["negativity_avg_closed"] - doc["negativity_avg"]) < 1e-10
+
+    def test_negative_zero_is_stored_and_echoed_unsigned(self):
+        buf = io.StringIO()
+        argv = ["protocol", "--r1", "-0.0", "--r2", "0.3", "--phi2", "1", "--format", "json"]
+        assert cli.run(argv, stdout=buf) == 0
+        assert '"r1": 0.0,' in buf.getvalue() and '"b_scalar": 0.0,' in buf.getvalue()
+        assert "-0.0" not in buf.getvalue()
 
     def test_negative_scientific_notation_is_a_value(self):
         spaced, joined = io.StringIO(), io.StringIO()
@@ -212,13 +223,15 @@ class TestGeometryCommand:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("mass", -1.0, "mass must be positive and finite"),
+            ("mass", -1.0, "mass must be positive, got -1.0"),
             ("radius", 1.9, "observer inside horizon"),
-            ("k0", 0.0, "k0 must be positive and finite"),
-            ("hbar", -2.0, "hbar must be positive and finite"),
-            ("mass", 1e-320, "surface gravity 1/(4*mass) overflows"),
+            ("k0", 0.0, "k0 must be positive, got 0.0"),
+            ("hbar", -2.0, "hbar must be positive, got -2.0"),
+            ("mass", 1e-320, "surface gravity 1/(4*mass) must be positive and finite, got inf"),
+            # 4*mass overflows and the surface gravity is 0.0; refused before the horizon check.
+            ("mass", 5e307, "surface gravity 1/(4*mass) must be positive and finite, got 0.0"),
         ],
-        ids=["mass", "radius", "k0", "hbar", "mass-overflow"],
+        ids=["mass", "radius", "k0", "hbar", "mass-overflow", "mass-zero-gravity"],
     )
     def test_domain_error_names_only_its_flag(
         self, tmp_path, capsys, flag, value, message, from_config
@@ -273,6 +286,23 @@ class TestUsageErrors:
         if value != "abc" and ftype is float:
             assert "finite" in err
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+    @pytest.mark.parametrize("subcommand, flag, value", REAL_FLAGS,
+                             ids=[f"{sub}-{flag}" for sub, flag, _ in REAL_FLAGS])
+    def test_non_finite_value_is_one_rule_naming_only_its_flag(
+        self, tmp_path, capsys, subcommand, flag, value, from_config
+    ):
+        """`channel.real_number` refuses every non-finite value in the same sentence,
+        and the CLI names the flag the value came from (the range's pair for an end)."""
+        argv = given(subcommand, {**VALID[subcommand], flag: value}, from_config, tmp_path)
+        out = io.StringIO()
+        assert cli.run(argv, stdout=out) == 2
+        named, field = (("--min/--max", "range") if flag in ("min", "max")
+                        else (f"--{flag}", flag.rstrip("12")))
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == (
+            f"usage error: {named}: {field} must be finite, got {float(value)}\n")
+
     def test_missing_subcommand(self, capsys):
         assert cli.run([]) == 2
         assert "subcommand" in capsys.readouterr().err
@@ -302,8 +332,7 @@ class TestUsageErrors:
         [
             (["neg_pct_diff_mixture", "--min", "0.5", "--max", "0.2"],
              "range is empty: (0.5, 0.2)"),
-            (["neg_pct_diff_mixture", "--min", "nan"],
-             "range must be finite, got (nan, 0.7853981633974483)"),
+            (["neg_pct_diff_mixture", "--min", "nan"], "range must be finite, got nan"),
             (["coherent_info_diff", "--max", "1.2"],
              "range (0.0, 1.2) outside the metric domain [0, 0.785398]"),
             (["phase_curve", "--max", repr(math.pi / 2)],
@@ -699,6 +728,12 @@ class TestConfigFile:
 
 
 class TestSweepCommand:
+    def test_negative_zero_range_end_is_written_unsigned(self):
+        buf = io.StringIO()
+        assert cli.run(["sweep", "--metric", "phase_curve", "--min", "-0.0", "--max", "0.5",
+                        "--resolution", "2", "--format", "json", "--out", "-"], stdout=buf) == 0
+        assert '"r1_range":[0.0,0.5]' in buf.getvalue() and "-0.0" not in buf.getvalue()
+
     def test_writes_csv_file(self, tmp_path):
         target = tmp_path / "grid.csv"
         code = cli.run(

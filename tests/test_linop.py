@@ -252,10 +252,11 @@ class TestStackedDensityMatrixChecks:
 
     def test_two_qubit_check_takes_a_stack(self):
         stack = np.array([BELL_STATE, np.eye(4, dtype=complex) / 4])
-        arr, eigs, pt, rob = linop.check_two_qubit(stack, NAMES[:2])
+        arr, eigs, pt, rob = linop.check_density_matrix(stack, NAMES[:2], two_qubit=True)
         assert arr is stack and eigs.shape == pt.shape == rob.shape == (2, 4)
         with pytest.raises(ValueError, match="first, middle must be a 4x4 two-qubit state"):
-            linop.check_two_qubit(np.array([np.eye(2) / 2] * 2), NAMES[:2])
+            linop.check_density_matrix(np.array([np.eye(2) / 2] * 2), NAMES[:2],
+                                     two_qubit=True)
 
     def test_two_qubit_check_returns_the_partial_transpose_spectra(self):
         """Bit for bit those of `oracle.partial_transpose` and of Rob's 2x2
@@ -268,11 +269,11 @@ class TestStackedDensityMatrixChecks:
         expected = [np.linalg.eigvalsh(oracle.partial_transpose(rho, (2, 2))) for rho in stack]
         robs = [np.sort(np.append(np.linalg.eigvalsh(oracle.partial_trace(rho, (2, 2), keep=1)),
                                   [0.0, 0.0])) for rho in stack]
-        arr, eigs, pt, rob = linop.check_two_qubit(stack, names)
+        arr, eigs, pt, rob = linop.check_density_matrix(stack, names, two_qubit=True)
         assert np.array_equal(eigs, np.linalg.eigvalsh(stack)) and np.array_equal(pt, expected)
         assert np.array_equal(rob, robs) and (rob == 0.0).sum(axis=1).min() >= 2
         for rho, want, want_rob in zip(stack, expected, robs):
-            arr, eigs, pt, rob = linop.check_two_qubit(rho)
+            arr, eigs, pt, rob = linop.check_density_matrix(rho, two_qubit=True)
             assert np.array_equal(eigs, np.linalg.eigvalsh(rho)) and np.array_equal(pt, want)
             assert np.array_equal(rob, want_rob)
 

@@ -263,8 +263,8 @@ class TestMetricReport:
         stats = measure_control(ChannelParams(0.3), ChannelParams(0.6, 1.0))
         states = [BELL_STATE, single_channel(ChannelParams(0.4)),
                   stats.rho_mixture, stats.rho_plus, random_density(RNG, 4)]
-        expected = reference_reports(*linop.check_two_qubit(
-            np.array(states), [f"state {i}" for i in range(len(states))])[:2])
+        expected = reference_reports(*linop.check_density_matrix(
+            np.array(states), [f"state {i}" for i in range(len(states))], two_qubit=True)[:2])
         calls = []
         check = linop.check_density_matrix
         monkeypatch.setattr(
@@ -346,9 +346,9 @@ def test_stacked_eigvalsh_is_per_matrix_eigvalsh(dim):
 
 
 def test_embedded_2x2_eigvalsh_is_the_2x2_eigvalsh_plus_two_zeros():
-    """`linop.check_two_qubit` takes Rob's spectrum from his reduced state
-    embedded as the upper-left block of a 4x4 that is zero elsewhere, in the
-    one stacked ``eigvalsh`` that checks the states.  The reports keep the bits
+    """`linop.check_density_matrix` with ``two_qubit=True`` takes Rob's spectrum
+    from his reduced state embedded as the upper-left block of a 4x4 that is
+    zero elsewhere, in the one stacked ``eigvalsh`` that checks the states.  The reports keep the bits
     of a separate 2x2 call only because the embedded spectrum is that call's,
     bit for bit and signs of zero included, plus two ``+0.0``.  It is compared
     as a multiset: a ``-0.0`` eigenvalue and a ``+0.0`` sort as equals."""
@@ -399,7 +399,7 @@ def test_stacked_reports_equal_the_per_state_reference(states):
     stack are the per-state route's (public partial transpose and partial trace,
     entropies summed over the positive eigenvalues only)."""
     names = [f"state {i}" for i in range(len(states))]
-    arr, eigs, _, _ = linop.check_two_qubit(np.array(states), names)
+    arr, eigs, _, _ = linop.check_density_matrix(np.array(states), names, two_qubit=True)
     assert _bits(metrics.report_for_states(arr, names)) == _bits(reference_reports(arr, eigs))
 
 
