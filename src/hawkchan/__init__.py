@@ -19,7 +19,6 @@ from .metrics import (
     negativity_mixture_closed,
     report_for_state,
     report_for_states,
-    von_neumann_entropy,
 )
 # The one oracle at the top level: perfbench's checks import it from here.
 from .oracle import cross_term_dilated
@@ -51,7 +50,6 @@ __all__ = [
     "report_for_states",
     "run_sweep",
     "squeezing_from_geometry",
-    "von_neumann_entropy",
 ]
 
 __version__ = "0.1.0"

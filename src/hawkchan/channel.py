@@ -35,11 +35,12 @@ _IDENTITY.flags.writeable = False
 
 
 class DomainError(ValueError):
-    """A parameter outside its domain; ``field`` names the parameter."""
+    """A parameter outside its domain: ``field`` names the parameter and ``reason`` says
+    what is wrong without naming it; the message is the sentence "<field> <reason>"."""
 
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
 
 
 def real_number(field: str, value) -> float:
@@ -48,13 +49,13 @@ def real_number(field: str, value) -> float:
     range included, is `DomainError` naming ``field``.  The one finiteness check of
     every real-valued field of `BlackHoleGeometry`, `ChannelParams` and `SweepSpec`."""
     if not isinstance(value, (float, numbers.Real)):  # float first: the ABC check is slow
-        raise DomainError(field, f"{field} must be a real number, got {value!r}")
+        raise DomainError(field, f"must be a real number, got {value!r}")
     try:
         number = float(value) + 0.0  # -0.0 + 0.0 is 0.0; any other value keeps its bits
     except OverflowError:
         number = math.inf if value > 0 else -math.inf
     if not math.isfinite(number):
-        raise DomainError(field, f"{field} must be finite, got {number}")
+        raise DomainError(field, f"must be finite, got {number}")
     return number
 
 
@@ -84,13 +85,13 @@ class BlackHoleGeometry:
             object.__setattr__(self, field, real_number(field, getattr(self, field)))
         for field in ("mass", "k0", "hbar"):
             if not getattr(self, field) > 0:
-                raise DomainError(field, f"{field} must be positive, got {getattr(self, field)}")
+                raise DomainError(field, f"must be positive, got {getattr(self, field)}")
         if not 0.0 < self.surface_gravity < math.inf:  # 4*mass overflows, or 1/(4*mass) does
-            raise DomainError("mass", f"surface gravity 1/(4*mass) must be positive and finite, "
-                                      f"got {self.surface_gravity} for mass {self.mass}")
+            raise DomainError("mass", f"must give a positive, finite surface gravity, "
+                                      f"got 1/(4*{self.mass}) = {self.surface_gravity}")
         if not self.radius > 2.0 * self.mass:
-            raise DomainError("radius", "observer inside horizon: "
-                              f"radius {self.radius} <= 2*mass = {2 * self.mass}")
+            raise DomainError("radius", f"must be outside the horizon 2*mass = {2 * self.mass}, "
+                                        f"got {self.radius}")
 
     @property
     def horizon_radius(self) -> float:
@@ -125,7 +126,7 @@ class ChannelParams:
     def __post_init__(self):
         r, phi = real_number("r", self.r), real_number("phi", self.phi) % (2.0 * math.pi)
         if not 0.0 <= r < math.pi / 2:
-            raise DomainError("r", f"squeezing r must be in [0, pi/2), got {r}")
+            raise DomainError("r", f"must be a squeezing angle in [0, pi/2), got {r}")
         object.__setattr__(self, "r", r)
         # A tiny negative phase reduces to 2*pi - eps, which rounds to 2*pi.
         object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)

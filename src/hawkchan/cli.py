@@ -14,13 +14,15 @@ effective configuration under ``"config"``.
 
 Flags are spelled in full (``--res`` is refused), as argparse reads them with
 ``allow_abbrev=False``.  Exit codes: 0 success or --help, 2 usage error naming its
-flag, 1 other failure.  All angles are radians.
+flag (an ``--out`` path that cannot be written included), 1 other failure (a failed
+write to the output stream, such as a closed pipe, included).  All angles are radians.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 from typing import Optional
@@ -144,13 +146,19 @@ def _parse(argv: list) -> tuple[Optional[str], dict]:
             if value is None or value == "--":
                 raise UsageError(f"argument {flag}: expected one argument")
             key, ftype = flags[flag]
-            try:
-                given[key] = ftype(value)
-            except ValueError:
-                raise UsageError(f"argument {flag}: invalid {ftype.__name__} value: {value!r}")
+            given[key] = _convert(ftype, value, f"argument {flag}")
     if extras:
         raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
     return subcommand, given
+
+
+def _convert(ftype, word: str, where: str):
+    """``word`` as a value of ``ftype``, for a flag word and a config value alike; a word
+    that ``ftype`` cannot read is a usage error under ``where``."""
+    try:
+        return ftype(word)
+    except ValueError:
+        raise UsageError(f"{where}: invalid {ftype.__name__} value: {word!r}") from None
 
 
 def _usage(subcommand: Optional[str]) -> str:
@@ -182,11 +190,7 @@ def load_config(path: str) -> dict:
         raise UsageError(f"--config: {path!r} is longer than {CONFIG_MAX_CHARS} characters")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"--config: malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
-    except (RecursionError, ValueError) as exc:  # nested too deep; an integer too long
+    except (RecursionError, ValueError) as exc:  # malformed (at a position), too deep, too long
         raise UsageError(f"--config: malformed JSON in {path!r}: {exc}")
     if not isinstance(data, dict):
         raise UsageError(f"--config: {path!r} must contain a JSON object")
@@ -196,8 +200,7 @@ def load_config(path: str) -> dict:
 def _merge_config(subcommand: str, given: dict) -> dict:
     """Resolve effective values: explicit flag > config file > default."""
     params = _PARAMS[subcommand]
-    config_path = given.get("config")
-    config = load_config(config_path) if config_path is not None else {}
+    config = load_config(given["config"]) if "config" in given else {}
 
     for key, value in config.items():
         if key == "subcommand" and value != subcommand:
@@ -212,10 +215,7 @@ def _merge_config(subcommand: str, given: dict) -> dict:
             raw = config[flag]
             if ftype is str and not isinstance(raw, str):
                 raise UsageError(f"--config: key {flag!r}: expected a string, got {json.dumps(raw)}")
-            try:
-                value = ftype(str(raw))
-            except ValueError as exc:
-                raise UsageError(f"--config: key {flag!r}: {exc}")
+            value = _convert(ftype, str(raw), f"--config: key {flag!r}")
         if value is None:
             value = default
         if value is None:
@@ -238,8 +238,18 @@ def _fields(stats, names) -> dict:
     return {name: _matrix_payload(getattr(stats, name)) for name in names}
 
 
+def _checked(make, flags: dict, *args):
+    """``make(*args)``, a library value built from flag values.  A value it refuses is a
+    usage error naming the flag it came from, ``flags[field]``, or the field itself where
+    ``flags`` does not rename it, with the library's reason."""
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise UsageError(f"--{flags.get(exc.field, exc.field)}: {exc.reason}") from None
+
+
 def _run_geometry(cfg: dict) -> dict:
-    geometry = BlackHoleGeometry(cfg["mass"], cfg["radius"], cfg["k0"], cfg["hbar"])
+    geometry = _checked(BlackHoleGeometry, {}, cfg["mass"], cfg["radius"], cfg["k0"], cfg["hbar"])
     params = squeezing_from_geometry(geometry)
     return {
         "r": params.r,
@@ -250,7 +260,7 @@ def _run_geometry(cfg: dict) -> dict:
 
 
 def _run_channel(cfg: dict) -> dict:
-    stats = protocol.measure_channel(ChannelParams(r=cfg["r"], phi=cfg["phi"]))
+    stats = protocol.measure_channel(_checked(ChannelParams, {}, cfg["r"], cfg["phi"]))
     return {
         **_fields(stats, ("output_state", "closed_form_state", "negativity_closed_form")),
         "kraus_m0": _matrix_payload(stats.kraus[0]),
@@ -268,17 +278,10 @@ _PROTOCOL_FIELDS = _PHASE_FIELDS + ("a_scalar", "b_scalar", "c_scalar", "coheren
                                     "negativity_mixture_closed", "negativity_convex_avg")
 
 
-def _channel_params(cfg: dict, suffix: str) -> ChannelParams:
-    """Protocol channel ``suffix`` ("1" or "2"); a refused value keeps its flag's suffix."""
-    try:
-        return ChannelParams(r=cfg["r" + suffix], phi=cfg["phi" + suffix])
-    except DomainError as exc:
-        exc.field += suffix
-        raise
-
-
 def _run_protocol(cfg: dict) -> dict:
-    stats = protocol.measure_control(_channel_params(cfg, "1"), _channel_params(cfg, "2"))
+    p1 = _checked(ChannelParams, {"r": "r1", "phi": "phi1"}, cfg["r1"], cfg["phi1"])
+    p2 = _checked(ChannelParams, {"r": "r2", "phi": "phi2"}, cfg["r2"], cfg["phi2"])
+    stats = protocol.measure_control(p1, p2)
     plus, *_, mixture = stats.reports
     return {
         **_fields(stats, _PROTOCOL_FIELDS),
@@ -290,7 +293,8 @@ def _run_protocol(cfg: dict) -> dict:
 
 def _run_phase(cfg: dict) -> dict:
     # Equal squeezing, opposite phases: the classical mixture is the single channel's output.
-    stats = protocol.measure_control(ChannelParams(cfg["r"]), ChannelParams(cfg["r"], math.pi))
+    p = _checked(ChannelParams, {}, cfg["r"])
+    stats = protocol.measure_control(p, ChannelParams(p.r, math.pi))
     return {
         **_fields(stats, _PHASE_FIELDS),
         "negativity_plus": stats.reports[0].negativity_numeric,
@@ -299,14 +303,14 @@ def _run_phase(cfg: dict) -> dict:
 
 
 def _run_sweep(cfg: dict, stream) -> None:
-    grid = run_sweep(SweepSpec(cfg["metric"], (cfg["min"], cfg["max"]), cfg["resolution"]))
-    destination = stream if cfg["out"] == "-" else cfg["out"]
+    grid = run_sweep(_checked(SweepSpec, {"r_range[0]": "min", "r_range[1]": "max"},
+                              cfg["metric"], (cfg["min"], cfg["max"]), cfg["resolution"]))
+    emit = emit_csv if cfg["format"] == "csv" else emit_json
+    if cfg["out"] == "-":  # a failed write to the output stream fails as a point query's does
+        return emit(grid, stream)
     try:
-        if cfg["format"] == "csv":
-            emit_csv(grid, destination)
-        else:
-            emit_json(grid, destination)
-    except OSError as exc:
+        emit(grid, cfg["out"])
+    except OSError as exc:  # only a path that the user named is a usage error
         raise UsageError(f"--out: {exc}")
 
 
@@ -344,31 +348,32 @@ def run(argv=None, stdout=None) -> int:
         effective = _merge_config(subcommand, given)
         if subcommand == "sweep":  # the one command that writes its own output
             _run_sweep(effective, stream)
-            return 0
-        payload = _HANDLERS[subcommand](effective)
-        if effective["format"] == "json":
+        elif effective["format"] == "json":
+            payload = _HANDLERS[subcommand](effective)
             payload["config"] = effective
             stream.write(_ENCODE(payload) + "\n")
         else:
-            _print_human(payload, stream)
+            _print_human(_HANDLERS[subcommand](effective), stream)
+        stream.flush()  # the output is complete here, so a failed write (a closed pipe) exits 1
         return 0
     except _Help as exc:
         stream.write(str(exc))
         return 0
-    except DomainError as exc:  # a value the library refused, named by the flag it came from
-        flag = "min/--max" if exc.field == "range" else exc.field
-        print(f"usage error: --{flag}: {exc}", file=sys.stderr)
-        return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # library invariant violations and I/O failures
+    except Exception as exc:  # library invariant violations and failed writes to ``stream``
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:  # a write that failed left its bytes buffered; Python's flush at exit would fail again
+        sys.stdout.flush()
+    except OSError:  # and exit 120, so the bytes go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

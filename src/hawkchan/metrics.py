@@ -132,11 +132,6 @@ def _entropies(eigs: np.ndarray) -> np.ndarray:
     return -(x * np.log2(np.maximum(x, _TINY))).sum(axis=-1)
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(l * log2 l) of a state's spectrum, in bits."""
-    return float(_entropies(linop.check_density_matrix(rho, "state")[1]))
-
-
 def report_for_states(states, names) -> list[MetricReport]:
     """One `MetricReport` per state of a ``(k, 4, 4)`` stack named ``names``, or of
     one 4x4 state named by the string ``names``.

@@ -76,28 +76,28 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.metric not in METRICS:
-            raise DomainError("metric", f"unknown metric {self.metric!r}; choose from {METRICS}")
+            raise DomainError("metric", f"must be one of {', '.join(METRICS)}, got {self.metric!r}")
         try:  # any integer type, numpy's included, stored as a plain int
             object.__setattr__(self, "resolution", operator.index(self.resolution))
         except TypeError:
-            raise DomainError("resolution",
-                              f"resolution must be an integer, got {self.resolution!r}") from None
+            raise DomainError("resolution", f"must be an integer, got {self.resolution!r}") from None
         if not 2 <= self.resolution <= MAX_RESOLUTION:
             raise DomainError("resolution",
-                              f"resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
+                              f"must be in [2, {MAX_RESOLUTION}], got {self.resolution}")
         try:  # a pair of real numbers of any type, stored as a tuple of floats
             lo, hi = self.r_range
         except (TypeError, ValueError):  # not iterable, or not two items
-            raise DomainError("range", f"range must be a pair of real numbers, "
-                                       f"got {self.r_range!r}") from None
-        lo, hi = r_range = real_number("range", lo), real_number("range", hi)
+            raise DomainError("r_range",
+                              f"must be a pair of real numbers, got {self.r_range!r}") from None
+        lo, hi = r_range = real_number("r_range[0]", lo), real_number("r_range[1]", hi)
         object.__setattr__(self, "r_range", r_range)
         r_max = MAX_R_1D if self.is_one_dimensional else MAX_R_2D
+        domain = f"the metric domain [0, {r_max:.6g}" + (")" if self.is_one_dimensional else "]")
+        for end, value in enumerate(r_range):  # each end is refused under its own index
+            if not 0.0 <= value <= r_max or (self.is_one_dimensional and value == r_max):
+                raise DomainError(f"r_range[{end}]", f"must be in {domain}, got {value}")
         if lo > hi:
-            raise DomainError("range", f"range is empty: ({lo}, {hi})")
-        if lo < 0.0 or hi > r_max or (self.is_one_dimensional and hi >= r_max):
-            domain = f"[0, {r_max:.6g}" + (")" if self.is_one_dimensional else "]")
-            raise DomainError("range", f"range ({lo}, {hi}) outside the metric domain {domain}")
+            raise DomainError("r_range[1]", f"must not be below the lower end {lo}, got {hi}")
 
     @property
     def is_one_dimensional(self) -> bool:

@@ -253,6 +253,11 @@ def masked_entropy(eigs):
     return float(-(positive * np.log2(positive)).sum())
 
 
+def entropy(rho):
+    """The von Neumann entropy S(rho) in bits, from one ``eigvalsh`` of ``rho``."""
+    return masked_entropy(np.linalg.eigvalsh(rho))
+
+
 def reference_reports(states, spectra):
     """One `MetricReport` per state of a checked ``(k, 4, 4)`` stack with spectra ``spectra``."""
     reports = []

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -50,6 +51,23 @@ NUMERIC_FLAGS = [(sub, flag, ftype) for sub, params in cli._PARAMS.items()
 # joins it as --flag=-inf, since "-inf" after a space reads as a flag.
 REAL_FLAGS = [(sub, flag, ("-inf", "nan", "inf")[i % 3]) for i, (sub, flag, _) in
               enumerate(f for f in NUMERIC_FLAGS if f[2] is float)]
+# Finite values outside the domain of each real-valued flag, the other flags as in `VALID`
+# (mass 1, so the horizon is at 2; the sweep's range is [0, pi/4]).  A phase has no domain:
+# any finite phase is reduced into [0, 2*pi).
+_NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
+_BELOW_ZERO = st.floats(max_value=-5e-324, allow_infinity=False)
+_SQUEEZING_OUTSIDE = _BELOW_ZERO | st.floats(min_value=math.pi / 2, allow_infinity=False)
+_RANGE_OUTSIDE = _BELOW_ZERO | st.floats(min_value=math.nextafter(math.pi / 4, 1.0),
+                                         allow_infinity=False)
+OUTSIDE = {
+    **dict.fromkeys(("mass", "k0", "hbar"), _NOT_POSITIVE),
+    "radius": st.floats(max_value=2.0, allow_infinity=False),
+    **dict.fromkeys(("r", "r1", "r2"), _SQUEEZING_OUTSIDE),
+    **dict.fromkeys(("min", "max"), _RANGE_OUTSIDE),
+}
+NO_DOMAIN = {"phi", "phi1", "phi2"}
+# The fields that only the library has; a refusal's reason names none of them.
+LIBRARY_ONLY = re.compile(r"\b(r|phi|range|r_range)\b")
 
 
 def given(subcommand, values, from_config, tmp_path):
@@ -217,19 +235,20 @@ class TestGeometryCommand:
     def test_inside_horizon_is_usage_error(self, capsys):
         code = cli.run(["geometry", "--mass", "1", "--radius", "1.9", "--k0", "0.1"])
         assert code == 2
-        assert "observer inside horizon" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "usage error: --radius: must be outside the horizon 2*mass = 2.0, got 1.9\n")
 
     @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("mass", -1.0, "mass must be positive, got -1.0"),
-            ("radius", 1.9, "observer inside horizon"),
-            ("k0", 0.0, "k0 must be positive, got 0.0"),
-            ("hbar", -2.0, "hbar must be positive, got -2.0"),
-            ("mass", 1e-320, "surface gravity 1/(4*mass) must be positive and finite, got inf"),
+            ("mass", -1.0, "must be positive, got -1.0"),
+            ("radius", 1.9, "must be outside the horizon 2*mass = 2.0, got 1.9"),
+            ("k0", 0.0, "must be positive, got 0.0"),
+            ("hbar", -2.0, "must be positive, got -2.0"),
+            ("mass", 1e-320, "must give a positive, finite surface gravity, got 1/(4*1e-320) = inf"),
             # 4*mass overflows and the surface gravity is 0.0; refused before the horizon check.
-            ("mass", 5e307, "surface gravity 1/(4*mass) must be positive and finite, got 0.0"),
+            ("mass", 5e307, "must give a positive, finite surface gravity, got 1/(4*5e+307) = 0.0"),
         ],
         ids=["mass", "radius", "k0", "hbar", "mass-overflow", "mass-zero-gravity"],
     )
@@ -239,7 +258,7 @@ class TestGeometryCommand:
         argv = given("geometry", {**VALID["geometry"], flag: value}, from_config, tmp_path)
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
-        assert f"usage error: --{flag}: {message}" in err
+        assert err == f"usage error: --{flag}: {message}\n"
         others = {"--mass", "--radius", "--k0", "--hbar"} - {f"--{flag}"}
         assert not any(other in err for other in others), err
 
@@ -292,16 +311,38 @@ class TestUsageErrors:
     def test_non_finite_value_is_one_rule_naming_only_its_flag(
         self, tmp_path, capsys, subcommand, flag, value, from_config
     ):
-        """`channel.real_number` refuses every non-finite value in the same sentence,
-        and the CLI names the flag the value came from (the range's pair for an end)."""
+        """`channel.real_number` refuses every non-finite value in the same reason,
+        and the CLI names the flag the value came from (--min or --max for an end of the range)."""
         argv = given(subcommand, {**VALID[subcommand], flag: value}, from_config, tmp_path)
         out = io.StringIO()
         assert cli.run(argv, stdout=out) == 2
-        named, field = (("--min/--max", "range") if flag in ("min", "max")
-                        else (f"--{flag}", flag.rstrip("12")))
         assert out.getvalue() == ""
-        assert capsys.readouterr().err == (
-            f"usage error: {named}: {field} must be finite, got {float(value)}\n")
+        assert capsys.readouterr().err == f"usage error: --{flag}: must be finite, got {float(value)}\n"
+
+    def test_every_real_flag_has_a_domain_or_none(self):
+        assert {flag for _, flag, _ in REAL_FLAGS} == set(OUTSIDE) | NO_DOMAIN
+
+    @pytest.mark.parametrize("subcommand, flag", [(sub, flag) for sub, flag, _ in REAL_FLAGS],
+                             ids=[f"{sub}-{flag}" for sub, flag, _ in REAL_FLAGS])
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_a_refused_value_names_its_flag_once(self, subcommand, flag, data):
+        """A non-finite value, or a finite one outside the flag's domain, given as the flag or
+        as a config key: exit 2 and one stderr line ``usage error: --FLAG: reason``, whose
+        reason names no flag, its own included, and no field that only the library has."""
+        bad = st.sampled_from([math.nan, math.inf, -math.inf])
+        value = data.draw(bad if flag in NO_DOMAIN else bad | OUTSIDE[flag])
+        from_config = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as work:
+            argv = given(subcommand, {**VALID[subcommand], flag: value}, from_config,
+                         pathlib.Path(work))
+            code, out, err = run_outcome(argv)
+        prefix = f"usage error: --{flag}: "
+        assert (code, out) == (2, ""), err
+        assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1, err
+        reason = err[len(prefix):-1]
+        assert "--" not in reason and not re.search(rf"\b{flag}\b", reason), err
+        assert not LIBRARY_ONLY.search(reason), err
 
     def test_missing_subcommand(self, capsys):
         assert cli.run([]) == 2
@@ -313,12 +354,12 @@ class TestUsageErrors:
             (["sweep", "--metric", "neg_pct_diff_mixture", "--out", "-", "--resolution", "1000000000"],
              "--resolution", ("--metric", "--min", "--max")),
             (["sweep", "--metric", "neg_pct_diff_mixture", "--out", "-", "--max", "1.2"],
-             "--min/--max", ("--metric", "--resolution")),
+             "--max", ("--metric", "--resolution", "--min")),
             (["protocol", "--r1", "2.0", "--r2", "0.3"], "--r1", ("--phi1", "--r2", "--phi2")),
             (["sweep", "--metric", "neg_pct_diff_mixture", "--min", "nan", "--out", "-"],
-             "--min/--max", ("r1_range", "r2_range", "--metric", "--resolution")),
+             "--min", ("range", "--metric", "--resolution", "--max")),
             (["sweep", "--metric", "neg_pct_diff_mixture", "--min", "0.5", "--max", "0.2",
-              "--out", "-"], "--min/--max", ("r1_range", "r2_range", "--metric", "--resolution")),
+              "--out", "-"], "--max", ("range", "--metric", "--resolution", "--min")),
         ],
     )
     def test_message_names_only_the_wrong_flag(self, capsys, argv, named, not_named):
@@ -331,12 +372,12 @@ class TestUsageErrors:
         "flags, message",
         [
             (["neg_pct_diff_mixture", "--min", "0.5", "--max", "0.2"],
-             "range is empty: (0.5, 0.2)"),
-            (["neg_pct_diff_mixture", "--min", "nan"], "range must be finite, got nan"),
+             "--max: must not be below the lower end 0.5, got 0.2"),
+            (["neg_pct_diff_mixture", "--min", "nan"], "--min: must be finite, got nan"),
             (["coherent_info_diff", "--max", "1.2"],
-             "range (0.0, 1.2) outside the metric domain [0, 0.785398]"),
+             "--max: must be in the metric domain [0, 0.785398], got 1.2"),
             (["phase_curve", "--max", repr(math.pi / 2)],
-             "range (0.0, 1.5707963267948966) outside the metric domain [0, 1.5708)"),
+             "--max: must be in the metric domain [0, 1.5708), got 1.5707963267948966"),
         ],
         ids=["empty", "nan", "2d-domain", "1d-half-pi"],
     )
@@ -345,7 +386,7 @@ class TestUsageErrors:
         out = io.StringIO()
         assert cli.run(argv, stdout=out) == 2
         assert out.getvalue() == ""
-        assert capsys.readouterr().err == f"usage error: --min/--max: {message}\n"
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 # Each argv with what the argparse parse that `cli._parse` replaced gave, recorded as
@@ -520,7 +561,7 @@ class TestArgparseOracle:
         (["channel", "--r", "0.4", "--format=--"],
          (2, "usage error: --format: expected one of human, json, got []\n"),
          "argument --format: expected one argument"),
-        (["channel", "--r=--"], (2, "usage error: --r: r must be a real number, got []\n"),
+        (["channel", "--r=--"], (2, "usage error: --r: must be a real number, got []\n"),
          "argument --r: expected one argument"),
         (["sweep", "--metric", "phase_curve", "--out=--"],
          (1, "internal error: expected str, bytes or os.PathLike object, not list\n"),
@@ -889,6 +930,34 @@ class TestRepeatedRuns:
         assert json.loads(in_process[2][1])["config"]["phi2"] == 1.0
         assert json.loads(in_process[3][1])["config"]["phi2"] == 0.0
         assert in_process == [self.fresh_process(argv) for argv in runs]
+
+
+class TestClosedOutput:
+    """One rule for every subcommand: a failed write to the output stream exits 1, and only
+    an ``--out`` path (`TestSweepCommand.test_unwritable_out_is_usage_error`) is a usage error."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--metric", "neg_pct_diff_mixture", "--resolution", "401", "--out", "-"],
+        ["protocol", "--r1", "0.2", "--r2", "0.3"],
+    ], ids=["sweep", "protocol"])
+    def test_a_closed_pipe_exits_one(self, argv, unbuffered):
+        """The reader's end of the pipe is closed before the command starts, so every write
+        fails (no signal is sent: Python ignores SIGPIPE); a buffered stdout may fail only at
+        the last flush, and no second failure at exit turns the code into 120."""
+        src = os.path.dirname(os.path.dirname(hawkchan.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "hawkchan.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "internal error: [Errno 32] Broken pipe\n")
 
 
 class TestInternalErrorPath:

@@ -17,6 +17,7 @@ from hawkchan.sweep import SweepSpec, run_sweep
 
 from helpers import (
     convex_gap_oracle,
+    entropy,
     random_density,
     random_unitary,
     reference_reports,
@@ -135,28 +136,30 @@ class TestConvexGapOracle:
 
 
 class TestEntropy:
+    """The S(rho) oracle of `TestCoherentInformation::test_product_state`, `helpers.entropy`."""
+
     def test_pure_state(self):
-        assert metrics.von_neumann_entropy(BELL_STATE) < 1e-12
+        assert entropy(BELL_STATE) < 1e-12
 
     def test_maximally_mixed_qubit(self):
-        assert abs(metrics.von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-14
+        assert abs(entropy(np.eye(2) / 2) - 1.0) < 1e-14
 
     def test_binary_spectrum(self):
         expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-        got = metrics.von_neumann_entropy(np.diag([0.75, 0.25]))
+        got = entropy(np.diag([0.75, 0.25]))
         assert abs(got - expected) < 1e-14
         assert abs(got - 0.8112781244591328) < 1e-12
 
     def test_bounds(self):
         for dim in (2, 4, 8):
             rho = random_density(RNG, dim)
-            s = metrics.von_neumann_entropy(rho)
+            s = entropy(rho)
             assert 0.0 <= s <= math.log2(dim) + 1e-12
 
     def test_zero_iff_pure(self):
         psi = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
         psi /= np.linalg.norm(psi)
-        assert metrics.von_neumann_entropy(np.outer(psi, psi.conj())) < 1e-10
+        assert entropy(np.outer(psi, psi.conj())) < 1e-10
 
 
 class TestCoherentInformation:
@@ -169,7 +172,7 @@ class TestCoherentInformation:
     def test_product_state(self):
         rho_a = random_density(RNG, 2)
         rho_b = random_density(RNG, 2)
-        expected = -metrics.von_neumann_entropy(rho_a)
+        expected = -entropy(rho_a)
         got = metrics.report_for_state(tensor(rho_a, rho_b)).coherent_information
         assert abs(got - expected) < 1e-12
         assert got <= 1e-12

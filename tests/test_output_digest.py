@@ -28,6 +28,10 @@ GROUPS = [
     "refusals.missing-value",
     "refusals.unrecognized-word",
     "refusals.unknown-subcommand",
+    "refusals.out-of-domain",
+    "refusals.non-finite",
+    "refusals.empty-range",
+    "refusals.inside-horizon",
     "refusals.config",
 ]
 

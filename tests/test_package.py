@@ -61,18 +61,19 @@ PUBLIC = [
     "coherent_info_closed", "cross_term", "cross_term_dilated", "emit_csv", "emit_json",
     "measure_control", "negativity", "negativity_avg_closed", "negativity_convex_avg",
     "negativity_mixture_closed", "report_for_state", "report_for_states", "run_sweep",
-    "squeezing_from_geometry", "von_neumann_entropy",
+    "squeezing_from_geometry",
 ]
 # Second routes to a measure, to the Kraus build, to the Bell state or to a
 # channel pair; `report_for_state(s)`, `kraus_operators`, `BELL_STATE` and two
 # `ChannelParams` are the routes.  The last two were one-caller helpers that
-# `measure_control` now spells out inline.  The last six are the argparse parsers
-# that `cli._parse` replaced; they live on only as the test oracle in `tests/helpers.py`.
+# `measure_control` now spells out inline.  The six from `argparse` on are the argparse
+# parsers that `cli._parse` replaced; they live on only as the test oracle in
+# `tests/helpers.py`, as does `von_neumann_entropy` (`helpers.entropy`): no command needs S(rho).
 RETIRED = ("KrausPair", "kraus_pair", "coherent_information", "ppt_separable",
            "average_branch_negativity", "ensemble_coherent_information", "_branch_average",
            "ProtocolConfig", "bell_state", "phase_protocol", "_interference_blocks",
            "branch_scalars", "argparse", "_Parser", "_build_parser", "_PARSER", "_SUBPARSERS",
-           "_parse_args")
+           "_parse_args", "von_neumann_entropy")
 # Oracles that the top level no longer re-exports: they are read from `hawkchan.oracle`.
 ORACLE_ONLY = ("apply_channel_dilated", "dilation_unitary", "superposed_state")
 

@@ -34,28 +34,31 @@ class TestSweepSpec:
         [
             ({"metric": "negativity"}, "metric"),
             ({"resolution": 2002}, "resolution"),
-            ({"r_range": (math.nan, 0.5)}, "range"),
-            ({"r_range": (0.5, 0.2)}, "range"),
-            ({"r_range": (0.0, 1.0)}, "range"),
-            ({"metric": "phase_curve", "r_range": (0.0, math.pi / 2)}, "range"),
-            ({"r_range": (0.5,)}, "range"),
-            ({"r_range": (0.0, 0.2, 0.4)}, "range"),
-            ({"r_range": "0.5"}, "range"),
-            ({"r_range": ("0", "0.5")}, "range"),
-            ({"r_range": None}, "range"),
-            ({"r_range": (0.0, 10**400)}, "range"),
+            ({"r_range": (math.nan, 0.5)}, "r_range[0]"),
+            ({"r_range": (0.5, 0.2)}, "r_range[1]"),
+            ({"r_range": (0.0, 1.0)}, "r_range[1]"),
+            ({"metric": "phase_curve", "r_range": (0.0, math.pi / 2)}, "r_range[1]"),
+            ({"r_range": (0.5,)}, "r_range"),
+            ({"r_range": (0.0, 0.2, 0.4)}, "r_range"),
+            ({"r_range": "0.5"}, "r_range"),
+            ({"r_range": ("0", "0.5")}, "r_range[0]"),
+            ({"r_range": None}, "r_range"),
+            ({"r_range": (0.0, 10**400)}, "r_range[1]"),
         ],
         ids=["metric", "resolution", "range-nan", "range-empty", "range-domain",
              "range-domain-1d", "range-one-item", "range-three-items", "range-string",
              "range-strings", "range-none", "range-huge-int"],
     )
     def test_refused_value_names_its_field(self, kwargs, field):
+        """A range end is refused under its index; no reason repeats its field."""
         with pytest.raises(DomainError) as refused:
             SweepSpec(**{"metric": "neg_pct_diff_mixture", **kwargs})
         assert refused.value.field == field
+        assert str(refused.value) == f"{field} {refused.value.reason}"
+        assert field.partition("[")[0] not in refused.value.reason  # r_range[1] is of r_range
 
     def test_rejects_unknown_metric(self):
-        with pytest.raises(ValueError, match="unknown metric"):
+        with pytest.raises(ValueError, match="^metric must be one of neg_pct_diff_mixture, "):
             SweepSpec("negativity")
 
     def test_rejects_low_resolution(self):
@@ -63,7 +66,7 @@ class TestSweepSpec:
             SweepSpec("neg_pct_diff_mixture", resolution=1)
 
     def test_rejects_empty_range(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match=r"^r_range\[1\] must not be below the lower end 0\.5, got 0\.2$"):
             SweepSpec("neg_pct_diff_mixture", r_range=(0.5, 0.2))
 
     def test_rejects_out_of_domain_2d(self):
@@ -413,8 +416,9 @@ class TestEmitterOracle:
         _assert_no_child_left()
         argv = ["sweep", "--metric", "neg_pct_diff_mixture", "--resolution", "401",
                 "--format", fmt, "--out", "-"]
-        assert cli.run(argv, stdout=_FailsAfter(writes)) == 2
-        assert "usage error: --out: disk full" in capsys.readouterr().err
+        # A failed write to the output stream is no usage error (only an --out path is).
+        assert cli.run(argv, stdout=_FailsAfter(writes)) == 1
+        assert capsys.readouterr().err == "internal error: disk full\n"
         _assert_no_child_left()
 
 

@@ -14,7 +14,6 @@ P1, P2 = ChannelParams(0.3, 0.4), ChannelParams(0.6, 1.9)
 
 ENTRY_POINTS = {
     "negativity": metrics.negativity,
-    "von_neumann_entropy": metrics.von_neumann_entropy,
     "report_for_state": metrics.report_for_state,
     "report_for_states": lambda rho: metrics.report_for_states(rho[np.newaxis], ["state"]),
     "apply_channel": lambda rho: apply_channel(rho, P1),

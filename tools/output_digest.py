@@ -24,10 +24,13 @@ sends (that module is imported, not changed):
   holds each of those queries and sweeps with one required flag left out;
   one group per entry of ``BAD_QUERIES`` holds a bad ``--format``, a bad
   ``--metric``, a value that is not a number, a flag prefix, a flag
-  without its value, an unrecognized word and an unknown subcommand; and
-  ``refusals.config`` holds an unknown key and a non-string value for a
-  string flag in a temporary ``--config`` file.  A changed refusal thus
-  names itself.
+  without its value, an unrecognized word, an unknown subcommand, and one
+  value per refusal route of the library: a squeezing out of its domain,
+  a non-finite value, an empty sweep range and an observer inside the
+  horizon; and ``refusals.config`` holds an unknown key, a non-string
+  value for a string flag, a value that is not a number and a non-finite
+  value in a temporary ``--config`` file.  A changed refusal thus names
+  itself.
 
 It prints one line ``GROUP SHA256`` per point-query format, per sweep
 file, per stdout sweep, for the defaults group and per refusals group,
@@ -136,8 +139,9 @@ def defaults_digest(cli) -> dict:
 
 
 # Usage errors beside the missing flags, by group name; each exits 2 with its message on
-# stderr.  The last four are refused by the parse itself: a flag prefix, a flag without
-# its value, an unrecognized word and an unknown subcommand.
+# stderr.  From "flag-prefix" to "unknown-subcommand" they are refused by the parse itself:
+# a flag prefix, a flag without its value, an unrecognized word and an unknown subcommand;
+# the last four by the library type that takes the value.
 BAD_QUERIES = {
     "bad-format": ["channel", "--r", "0.4", "--format", "xml"],
     "bad-metric": ["sweep", "--metric", "negativity", "--out", "-"],
@@ -146,9 +150,15 @@ BAD_QUERIES = {
     "missing-value": ["channel", "--r"],
     "unrecognized-word": ["channel", "--r", "0.4", "extra"],
     "unknown-subcommand": ["teleport", "--r", "0.4"],
+    "out-of-domain": ["protocol", "--r1", "0.2", "--r2", "2"],
+    "non-finite": ["protocol", "--r1=-inf", "--r2", "0.3"],
+    "empty-range": ["sweep", "--metric", "neg_pct_diff_mixture", "--min", "0.5", "--max", "0.2",
+                    "--out", "-"],
+    "inside-horizon": ["geometry", "--mass", "1", "--radius", "1", "--k0", "1"],
 }
-# Config files for ``channel --r 0.4``: an unknown key, and a number for the string flag --format.
-BAD_CONFIGS = [{"bogus": 1}, {"format": 1}]
+# Config files for ``channel --r 0.4`` (which --r cannot override): an unknown key, a number
+# for the string flag --format, and a --phi that is not a number or is not finite.
+BAD_CONFIGS = [{"bogus": 1}, {"format": 1}, {"phi": "abc"}, {"phi": "inf"}]
 
 
 def refusals_digest(cli) -> dict:
