@@ -13,9 +13,12 @@ override it.  Reports print as human-readable text or, with
 effective configuration under ``"config"``.
 
 Flags are spelled in full (``--res`` is refused), as argparse reads them with
-``allow_abbrev=False``.  Exit codes: 0 success or --help, 2 usage error naming its
-flag (an ``--out`` path that cannot be written included), 1 other failure (a failed
-write to the output stream, such as a closed pipe, included).  All angles are radians.
+``allow_abbrev=False``.  Every output, a sweep, a report or the ``--help`` text,
+is written to the stream that `run` was given and flushed there, except a sweep's
+``--out`` path, which `run` opens itself: the sweep emitters only write to a stream.
+Exit codes: 0 success or --help, 2 usage error naming its flag (an ``--out`` path
+that cannot be opened or written included), 1 other failure (a failed write to the
+output stream, such as a closed pipe, included).  All angles are radians.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ from .sweep import METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
 class UsageError(Exception):
     """Bad invocation: unknown flag, missing value, unreadable config file."""
-
-
-class _Help(Exception):
-    """``-h``/``--help``: the help text, which `run` prints to its output stream."""
 
 
 # Report format row shared by the subcommands that print one report.
@@ -113,7 +112,8 @@ def _resolve(word: str, flags: dict):
 
 
 def _parse(argv: list) -> tuple[Optional[str], dict]:
-    """The subcommand (None if there is none) and the given flag values by key, in one pass.
+    """The subcommand (None if there is none) and the given flag values by key, in one pass;
+    the values are None for ``-h``/``--help``, which ends the parse.
 
     Before the subcommand only the global flags count; a flag after it wins over its
     global twin, and a repeated flag's last value wins.  A flag's value is the next word
@@ -140,7 +140,7 @@ def _parse(argv: list) -> tuple[Optional[str], dict]:
             if flags[flag] is None:  # -h, --help
                 if value is not None:
                     raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
-                raise _Help(_usage(subcommand))
+                return subcommand, None
             if value is None and i < end and _resolve(argv[i], flags) is None:
                 value, i = argv[i], i + 1
             if value is None or value == "--":
@@ -308,9 +308,10 @@ def _run_sweep(cfg: dict, stream) -> None:
     emit = emit_csv if cfg["format"] == "csv" else emit_json
     if cfg["out"] == "-":  # a failed write to the output stream fails as a point query's does
         return emit(grid, stream)
-    try:
-        emit(grid, cfg["out"])
-    except OSError as exc:  # only a path that the user named is a usage error
+    try:  # the one place that opens --out; a path that the user named is a usage error
+        with open(cfg["out"], "w", encoding="utf-8", newline="") as out:
+            emit(grid, out)
+    except OSError as exc:
         raise UsageError(f"--out: {exc}")
 
 
@@ -343,21 +344,21 @@ def run(argv=None, stdout=None) -> int:
     stream = stdout if stdout is not None else sys.stdout
     try:
         subcommand, given = _parse(sys.argv[1:] if argv is None else argv)
-        if subcommand is None:
+        if given is None:  # -h or --help: written and flushed as a report is
+            stream.write(_usage(subcommand))
+        elif subcommand is None:
             raise UsageError(f"a subcommand is required ({', '.join(_PARAMS)})")
-        effective = _merge_config(subcommand, given)
-        if subcommand == "sweep":  # the one command that writes its own output
-            _run_sweep(effective, stream)
-        elif effective["format"] == "json":
-            payload = _HANDLERS[subcommand](effective)
-            payload["config"] = effective
-            stream.write(_ENCODE(payload) + "\n")
+        elif subcommand == "sweep":  # the one command that writes its own output
+            _run_sweep(_merge_config(subcommand, given), stream)
         else:
-            _print_human(_HANDLERS[subcommand](effective), stream)
+            effective = _merge_config(subcommand, given)
+            payload = _HANDLERS[subcommand](effective)
+            if effective["format"] == "json":
+                payload["config"] = effective
+                stream.write(_ENCODE(payload) + "\n")
+            else:
+                _print_human(payload, stream)
         stream.flush()  # the output is complete here, so a failed write (a closed pipe) exits 1
-        return 0
-    except _Help as exc:
-        stream.write(str(exc))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -32,7 +32,8 @@ class MetricReport:
 
     ``negativity_numeric`` is (||rho^T_A||_1 - 1)/2: zero exactly for
     separable states, 1/2 for a maximally entangled pair; values in
-    [-1e-12, 0) from roundoff are clipped to 0.  ``coherent_information``
+    [-1e-12, 0) from roundoff are stored as 0, and a lower one (or NaN) is
+    refused.  ``coherent_information``
     is S(B) - S(AB); a positive value lower-bounds the quantum capacity of
     the channel that produced the state from a maximally entangled input
     (+1 bit for a maximally entangled state, -1 bit for a maximally mixed
@@ -47,6 +48,7 @@ class MetricReport:
     def __post_init__(self):
         if not self.negativity_numeric >= -NEGATIVITY_CLIP:  # NaN fails too
             raise ValueError(f"negativity {self.negativity_numeric} below clip floor")
+        object.__setattr__(self, "negativity_numeric", max(self.negativity_numeric, 0.0))
 
 
 def check_closed_form(name: str, numeric: float, closed: float) -> None:
@@ -141,16 +143,13 @@ def report_for_states(states, names) -> list[MetricReport]:
     transposes and Rob's reduced states; its spectra of the states serve as
     S(AB) and Rob's as S(B).  Each measure is then one reduction over the
     spectra, both entropies one reduction over the two stacked.
-    `MetricReport` defines each measure.
+    `MetricReport` defines each measure and clips the negativity's roundoff.
     """
     _, eigs, pt, rob = linop.check_density_matrix(states, names, two_qubit=True)
     pt = pt.reshape(-1, 4)
     s_ab, s_b = _entropies(np.concatenate((eigs, rob)).reshape(2, -1, 4))
-    negativities = (np.abs(pt).sum(axis=-1) - 1.0) / 2.0
-    if negativities.min() < -NEGATIVITY_CLIP:
-        raise ValueError(f"negativity {negativities.min()} below clip floor {-NEGATIVITY_CLIP}")
     return [MetricReport(*report) for report in zip(
-        np.maximum(negativities, 0.0).tolist(),
+        ((np.abs(pt).sum(axis=-1) - 1.0) / 2.0).tolist(),
         (s_b - s_ab).tolist(),
         (pt[:, 0] >= PPT_TOL).tolist())]
 

@@ -24,25 +24,26 @@ are the same samples of ``SweepSpec.r_range`` and each cell is an
 elementwise expression of its own (r1, r2), so every 2-D grid is bitwise
 symmetric.  Rows are emitted in a deterministic order (r1 outer, r2
 inner, ascending): identical specs give byte-identical files.  The
-emitters also hold one row at a time: a CSV row is one %-template
-over the preformatted axis texts, and a JSON row is one call of the C
-JSON encoder inside a hand-written ``{axes, spec, values}`` frame.  A
-grid of at least ``_PARALLEL_CELLS`` cells is formatted on every
-available CPU: forked children write contiguous parts of its rows to
-temporary files, which are spliced into the output in order, so the
-bytes do not depend on the number of parts.
+emitters write to a text stream that the caller opened; they never open,
+name or close a file (open one with UTF-8 and ``newline=""`` to get the
+pinned bytes on every platform).  They hold one row at a time: a CSV row
+is one %-template over the preformatted axis texts, and a JSON row is
+one call of the C JSON encoder inside a hand-written ``{axes, spec,
+values}`` frame.  A grid of at least ``_PARALLEL_CELLS`` cells is
+formatted on every available CPU: forked children write contiguous
+parts of its rows to temporary files, which are spliced into the output
+in order, so the bytes do not depend on the number of parts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import operator
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import IO, Callable, Union
+from typing import IO, Callable
 
 import numpy as np
 
@@ -62,8 +63,6 @@ MAX_R_1D = math.pi / 2
 # The value array alone takes resolution^2 * 8 bytes: 32 MB at the cap.
 MAX_RESOLUTION = 2001
 _BLOCK_CELLS = 4096  # cells per closed-form call: each float64 temporary is 32 KB
-
-Destination = Union[str, "IO[str]"]
 
 
 @dataclass(frozen=True)
@@ -159,16 +158,6 @@ _PARALLEL_CELLS = 65_536
 _COPY_CHARS = 1 << 16  # a child's part is spliced in chunks of this many characters
 
 
-def _open_destination(destination: Destination):
-    """A context manager over the output stream; it closes only a file it opened."""
-    if hasattr(destination, "write"):
-        return contextlib.nullcontext(destination)
-    try:
-        return open(destination, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
-
-
 def _fork_part(rows: range, row_text: Callable[[int], str]) -> tuple[int, IO[str]]:
     """Start a child that writes ``row_text(i)`` for ``i`` in ``rows`` to a new temporary file.
 
@@ -237,13 +226,14 @@ def _write_rows(stream: IO[str], values: np.ndarray, row_text: Callable[[int], s
             part.close()
 
 
-def emit_csv(grid: SweepGrid, destination: Destination) -> None:
-    """Write the grid as CSV to a path or a text stream.
+def emit_csv(grid: SweepGrid, stream: IO[str]) -> None:
+    """Write the grid as CSV to the text stream ``stream``.
 
     2-D grids use the header ``r1,r2,value``; the 1-D phase curve uses
     ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.  The
     axis texts are formatted once; each r1 row (each point in 1-D) is
-    one %-template filled with that row's values.
+    one %-template filled with that row's values.  A file ``stream``
+    should be opened with ``newline=""``, so that no newline is translated.
     """
     if grid.spec.is_one_dimensional:
         header, cells = "r,value\n", ["," + _CELL + "\n"]
@@ -256,17 +246,17 @@ def emit_csv(grid: SweepGrid, destination: Destination) -> None:
     def row_text(i: int) -> str:
         return (prefixes[i] + prefixes[i].join(cells)) % tuple(rows[i].tolist())
 
-    with _open_destination(destination) as stream:
-        stream.write(header)
-        _write_rows(stream, grid.values, row_text)
+    stream.write(header)
+    _write_rows(stream, grid.values, row_text)
 
 
-def emit_json(grid: SweepGrid, destination: Destination) -> None:
-    """Write the grid as a JSON object {spec, axes, values} to a path or a text stream.
+def emit_json(grid: SweepGrid, stream: IO[str]) -> None:
+    """Write the grid as a JSON object {spec, axes, values} to the text stream ``stream``.
 
     The bytes are ``json.dumps(document, sort_keys=True,
     separators=(",", ":"))`` plus a newline, written one row of
-    ``values`` at a time; a 1-D curve is one row.
+    ``values`` at a time; a 1-D curve is one row.  A file ``stream``
+    should be opened with ``newline=""``, as for `emit_csv`.
     """
     spec = {
         "metric": grid.spec.metric,
@@ -280,8 +270,7 @@ def emit_json(grid: SweepGrid, destination: Destination) -> None:
     def row_text(i: int) -> str:
         return ("," if i else "") + _ENCODE(rows[i].tolist())
 
-    with _open_destination(destination) as stream:
-        axes = _ENCODE([axis.tolist() for axis in grid.axes])
-        stream.write(f'{{"axes":{axes},"spec":{_ENCODE(spec)},"values":' + ("" if one_d else "["))
-        _write_rows(stream, rows, row_text)
-        stream.write(("" if one_d else "]") + "}\n")
+    axes = _ENCODE([axis.tolist() for axis in grid.axes])
+    stream.write(f'{{"axes":{axes},"spec":{_ENCODE(spec)},"values":' + ("" if one_d else "["))
+    _write_rows(stream, rows, row_text)
+    stream.write(("" if one_d else "]") + "}\n")

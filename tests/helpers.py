@@ -14,7 +14,6 @@ read ``negativity_avg`` and ``coherent_info_ensemble`` of a
 """
 
 import argparse
-import contextlib
 import io
 import json
 import math
@@ -186,39 +185,28 @@ def _format(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _open_destination(destination):
-    """A context manager over the output stream; it closes only a file it opened."""
-    if hasattr(destination, "write"):
-        return contextlib.nullcontext(destination)
-    try:
-        return open(destination, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
-
-
-def reference_emit_csv(grid, destination) -> None:
-    """Write the grid as CSV to a path or a text stream.
+def reference_emit_csv(grid, stream) -> None:
+    """Write the grid as CSV to a text stream.
 
     2-D grids use the header ``r1,r2,value``; the 1-D phase curve uses
     ``r,value``.  Rows are ordered r1 outer, r2 inner, ascending.
     """
-    with _open_destination(destination) as stream:
-        if grid.spec.is_one_dimensional:
-            stream.write("r,value\n")
-            for r, v in zip(grid.axes[0], grid.values):
-                stream.write(f"{_format(r)},{_format(v)}\n")
-        else:
-            stream.write("r1,r2,value\n")
-            r2_texts = [_format(r2) for r2 in grid.axes[1]]
-            for r1, row in zip(grid.axes[0], grid.values):
-                r1_text = _format(r1)
-                stream.writelines(
-                    f"{r1_text},{r2_text},{_format(v)}\n" for r2_text, v in zip(r2_texts, row)
-                )
+    if grid.spec.is_one_dimensional:
+        stream.write("r,value\n")
+        for r, v in zip(grid.axes[0], grid.values):
+            stream.write(f"{_format(r)},{_format(v)}\n")
+    else:
+        stream.write("r1,r2,value\n")
+        r2_texts = [_format(r2) for r2 in grid.axes[1]]
+        for r1, row in zip(grid.axes[0], grid.values):
+            r1_text = _format(r1)
+            stream.writelines(
+                f"{r1_text},{r2_text},{_format(v)}\n" for r2_text, v in zip(r2_texts, row)
+            )
 
 
-def reference_emit_json(grid, destination) -> None:
-    """Write the grid as a JSON object {spec, axes, values} to a path or a text stream."""
+def reference_emit_json(grid, stream) -> None:
+    """Write the grid as a JSON object {spec, axes, values} to a text stream."""
     document = {
         "spec": {
             "metric": grid.spec.metric,
@@ -229,9 +217,8 @@ def reference_emit_json(grid, destination) -> None:
         "axes": [axis.tolist() for axis in grid.axes],
         "values": grid.values.tolist(),
     }
-    with _open_destination(destination) as stream:
-        json.dump(document, stream, sort_keys=True, separators=(",", ":"))
-        stream.write("\n")
+    json.dump(document, stream, sort_keys=True, separators=(",", ":"))
+    stream.write("\n")
 
 
 def emitted(emit, grid) -> str:
@@ -239,6 +226,15 @@ def emitted(emit, grid) -> str:
     buf = io.StringIO()
     emit(grid, buf)
     return buf.getvalue()
+
+
+def written(emit, grid, path) -> bytes:
+    """The bytes that the emitter ``emit`` writes for ``grid`` to a new file at ``path``,
+    opened as the CLI opens ``--out``."""
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        emit(grid, stream)
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 # Reference metric reports: the per-state route that the vectorised
@@ -279,8 +275,13 @@ def reference_weight_entropy(*weights):
 # Reference parse: the argparse parsers that ``cli._parse`` replaced, built from the
 # same ``cli._PARAMS`` with ``allow_abbrev=False``, as the parse reads flags spelled in
 # full.  An argv that starts with its subcommand was parsed by that subcommand's parser
-# alone, any other by the two-level parser; both raise the CLI's own exceptions, so
-# ``cli.run`` with this parse prints what it printed then.
+# alone, any other by the two-level parser.  Both raise the CLI's own usage error, and
+# a help request ends the parse as it ends ``cli._parse``, so ``cli.run`` with this parse
+# prints what it printed then, but the help text, which is the CLI's own.
+
+
+class _HelpRequested(Exception):
+    """A parser's ``-h``/``--help``, with the subcommand it belongs to (None for the command)."""
 
 
 class ReferenceParser(argparse.ArgumentParser):
@@ -293,7 +294,7 @@ class ReferenceParser(argparse.ArgumentParser):
         raise cli.UsageError(message)
 
     def print_help(self, file=None):
-        raise cli._Help(self.format_help())
+        raise _HelpRequested(self.prog.partition(" ")[2] or None)
 
 
 def _reference_parsers():
@@ -318,13 +319,17 @@ _REFERENCE_PARSER, _REFERENCE_SUBPARSERS = _reference_parsers()
 
 def reference_parse(argv):
     """``cli._parse(argv)`` by argparse: the subcommand and the given values by key,
-    a flag after the subcommand winning over its global twin."""
+    a flag after the subcommand winning over its global twin; for a help request, the
+    subcommand whose parser it reached (None for the command's) and None."""
     argv = list(argv)
-    if argv and argv[0] in _REFERENCE_SUBPARSERS:
-        values = vars(_REFERENCE_SUBPARSERS[argv[0]].parse_args(argv[1:]))
-        values.update(subcommand=argv[0], global_format=None, global_config=None)
-    else:
-        values = vars(_REFERENCE_PARSER.parse_args(argv))
+    try:
+        if argv and argv[0] in _REFERENCE_SUBPARSERS:
+            values = vars(_REFERENCE_SUBPARSERS[argv[0]].parse_args(argv[1:]))
+            values.update(subcommand=argv[0], global_format=None, global_config=None)
+        else:
+            values = vars(_REFERENCE_PARSER.parse_args(argv))
+    except _HelpRequested as help_request:
+        return help_request.args[0], None
     given = {"format": values.pop("global_format"), "config": values.pop("global_config")}
     subcommand = values.pop("subcommand")
     given.update({key: value for key, value in values.items() if value is not None})

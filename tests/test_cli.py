@@ -361,6 +361,7 @@ class TestUsageErrors:
             (["sweep", "--metric", "neg_pct_diff_mixture", "--min", "0.5", "--max", "0.2",
               "--out", "-"], "--max", ("range", "--metric", "--resolution", "--min")),
         ],
+        ids=["resolution-huge", "max-outside-domain", "r1-outside-domain", "min-nan", "empty-range"],
     )
     def test_message_names_only_the_wrong_flag(self, capsys, argv, named, not_named):
         assert cli.run(argv) == 2
@@ -428,12 +429,10 @@ PARSE_TABLE = [
 
 
 def parse_outcome(parse, argv):
-    """What ``parse`` returns, the text of the usage error it raises, or "help" (a help
-    text is exempt: its words are the parser's own)."""
+    """What ``parse`` returns (the subcommand and None for a help request), or the text
+    of the usage error it raises."""
     try:
         return parse(list(argv))
-    except cli._Help:
-        return "help"
     except cli.UsageError as exc:
         return str(exc)
 
@@ -869,20 +868,23 @@ class TestSweepCommand:
         assert cli.run(["sweep", "--metric", "phase_curve"]) == 2
         assert "--out is required" in capsys.readouterr().err
 
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
-        code = cli.run(
-            [
-                "sweep",
-                "--metric",
-                "phase_curve",
-                "--resolution",
-                "2",
-                "--out",
-                str(tmp_path / "missing/dir/grid.csv"),
-            ]
-        )
-        assert code == 2
-        assert "--out" in capsys.readouterr().err
+    def test_unwritable_out_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        """A path that cannot be opened is named once, in the words of its ``OSError``."""
+        monkeypatch.chdir(tmp_path)
+        out = io.StringIO()
+        argv = ["sweep", "--metric", "phase_curve", "--resolution", "2", "--out", "no/such/dir/x.csv"]
+        assert cli.run(argv, stdout=out) == 2
+        assert out.getvalue() == "" and list(tmp_path.iterdir()) == []
+        assert capsys.readouterr() == (
+            "", "usage error: --out: [Errno 2] No such file or directory: 'no/such/dir/x.csv'\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+    def test_failed_write_to_out_is_usage_error(self, capsys):
+        """An ``--out`` file that opens but cannot take the bytes (a full disk) is refused
+        under ``--out`` too, by the write or by the close that flushes it."""
+        argv = ["sweep", "--metric", "phase_curve", "--resolution", "2", "--out", "/dev/full"]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr() == ("", "usage error: --out: [Errno 28] No space left on device\n")
 
 
 class TestRepeatedRuns:
@@ -940,7 +942,9 @@ class TestClosedOutput:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--metric", "neg_pct_diff_mixture", "--resolution", "401", "--out", "-"],
         ["protocol", "--r1", "0.2", "--r2", "0.3"],
-    ], ids=["sweep", "protocol"])
+        ["--help"],
+        ["protocol", "-h"],
+    ], ids=["sweep", "protocol", "help", "protocol-h"])
     def test_a_closed_pipe_exits_one(self, argv, unbuffered):
         """The reader's end of the pipe is closed before the command starts, so every write
         fails (no signal is sent: Python ignores SIGPIPE); a buffered stdout may fail only at

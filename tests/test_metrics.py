@@ -313,6 +313,14 @@ class TestMetricReport:
         with pytest.raises(ValueError, match="^negativity nan below clip floor$"):
             metrics.MetricReport(math.nan, 0.0, True)
 
+    def test_report_stores_roundoff_below_zero_as_zero(self):
+        # A checked state's negativity is at least about -5e-13: |tr rho^T_A| = |tr rho|.
+        assert metrics.MetricReport(-5e-13, 0.0, True).negativity_numeric == 0.0
+
+    def test_report_refuses_negativity_below_the_floor(self):
+        with pytest.raises(ValueError, match="^negativity -2e-12 below clip floor$"):
+            metrics.MetricReport(-2e-12, 0.0, True)
+
 
 @st.composite
 def two_qubit_states(draw):

@@ -32,6 +32,7 @@ GROUPS = [
     "refusals.non-finite",
     "refusals.empty-range",
     "refusals.inside-horizon",
+    "refusals.out-path",
     "refusals.config",
 ]
 

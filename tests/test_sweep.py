@@ -23,6 +23,7 @@ from helpers import (
     reference_emit_json,
     reference_grid_sweep,
     reference_row_sweep,
+    written,
 )
 
 EMITTERS = {"csv": (emit_csv, reference_emit_csv), "json": (emit_json, reference_emit_json)}
@@ -242,16 +243,10 @@ class TestEmitCsv:
         assert len(lines) == 5
 
     def test_writes_to_path(self, tmp_path):
-        target = tmp_path / "grid.csv"
-        emit_csv(run_sweep(SweepSpec("neg_pct_diff_mixture", resolution=3)), str(target))
-        assert target.read_text().startswith("r1,r2,value\n")
-
-    def test_write_failure_names_destination(self, tmp_path):
-        with pytest.raises(OSError, match="no/such/dir"):
-            emit_csv(
-                run_sweep(SweepSpec("neg_pct_diff_mixture", resolution=2)),
-                str(tmp_path / "no/such/dir/grid.csv"),
-            )
+        """A file at a path, opened by the caller as the CLI opens ``--out``, keeps each newline as is."""
+        grid = run_sweep(SweepSpec("neg_pct_diff_mixture", resolution=3))
+        data = written(emit_csv, grid, tmp_path / "grid.csv")
+        assert data.startswith(b"r1,r2,value\n") and data.count(b"\n") == 10 and b"\r" not in data
 
 
 class TestEmitJson:
@@ -290,7 +285,8 @@ EDGE_VALUES = [
 
 
 class TestEmitterOracle:
-    """Both emitters write the reference emitters' bytes to every destination."""
+    """Both emitters write the reference emitters' bytes to a ``StringIO``, to a file opened
+    as the CLI opens ``--out``, and through the CLI to its output stream."""
 
     @pytest.mark.parametrize("fmt", sorted(EMITTERS))
     @pytest.mark.parametrize("resolution", [2, 3, 41])
@@ -300,9 +296,7 @@ class TestEmitterOracle:
         grid = run_sweep(SweepSpec(metric, resolution=resolution))
         expected = emitted(reference, grid)
         assert emitted(emit, grid) == expected
-        emit(grid, str(tmp_path / "grid"))
-        reference(grid, str(tmp_path / "reference"))
-        assert (tmp_path / "grid").read_bytes() == (tmp_path / "reference").read_bytes()
+        assert written(emit, grid, tmp_path / "grid") == written(reference, grid, tmp_path / "reference")
         out = io.StringIO()
         argv = ["sweep", "--metric", metric, "--resolution", str(resolution),
                 "--format", fmt, "--out", "-"]
@@ -355,8 +349,7 @@ class TestEmitterOracle:
             monkeypatch.setattr(os, "fork", lambda: started.append(1) or fork())
         expected = _reference_text(fmt, cells, one_d)
         assert emitted(emit, grid) == expected
-        emit(grid, str(tmp_path / "grid"))
-        assert (tmp_path / "grid").read_bytes() == expected.encode()
+        assert written(emit, grid, tmp_path / "grid") == expected.encode()
         # A 1-D JSON curve is one row, one encoder call, so one process writes it.
         assert len(started) == (0 if one_d and fmt == "json" else 2 * forks)
         _assert_no_child_left()

@@ -27,10 +27,11 @@ sends (that module is imported, not changed):
   without its value, an unrecognized word, an unknown subcommand, and one
   value per refusal route of the library: a squeezing out of its domain,
   a non-finite value, an empty sweep range and an observer inside the
-  horizon; and ``refusals.config`` holds an unknown key, a non-string
-  value for a string flag, a value that is not a number and a non-finite
-  value in a temporary ``--config`` file.  A changed refusal thus names
-  itself.
+  horizon; then an ``--out`` path in a directory that does not exist
+  (relative, so its line does not depend on a temporary directory); and
+  ``refusals.config`` holds an unknown key, a non-string value for a
+  string flag, a value that is not a number and a non-finite value in a
+  temporary ``--config`` file.  A changed refusal thus names itself.
 
 It prints one line ``GROUP SHA256`` per point-query format, per sweep
 file, per stdout sweep, for the defaults group and per refusals group,
@@ -141,7 +142,7 @@ def defaults_digest(cli) -> dict:
 # Usage errors beside the missing flags, by group name; each exits 2 with its message on
 # stderr.  From "flag-prefix" to "unknown-subcommand" they are refused by the parse itself:
 # a flag prefix, a flag without its value, an unrecognized word and an unknown subcommand;
-# the last four by the library type that takes the value.
+# the next four by the library type that takes the value; the last when the CLI opens --out.
 BAD_QUERIES = {
     "bad-format": ["channel", "--r", "0.4", "--format", "xml"],
     "bad-metric": ["sweep", "--metric", "negativity", "--out", "-"],
@@ -155,6 +156,8 @@ BAD_QUERIES = {
     "empty-range": ["sweep", "--metric", "neg_pct_diff_mixture", "--min", "0.5", "--max", "0.2",
                     "--out", "-"],
     "inside-horizon": ["geometry", "--mass", "1", "--radius", "1", "--k0", "1"],
+    "out-path": ["sweep", "--metric", "phase_curve", "--resolution", "2", "--out",
+                 "no-such-dir/curve.csv"],
 }
 # Config files for ``channel --r 0.4`` (which --r cannot override): an unknown key, a number
 # for the string flag --format, and a --phi that is not a number or is not finite.
