@@ -194,7 +194,7 @@ def cross_term(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     check.  Generally non-Hermitian for ``pi != pj``; its adjoint is the
     block with the channels swapped, and ``pi == pj`` recovers `apply_channel`.
     """
-    rho = linop.check_density_matrix(rho, "input state", two_qubit=True)[0]
+    rho = linop.check_density_matrix(rho, "input state")[0]
     return kraus_block(rho, *kraus_operators(pi, pj))
 
 

@@ -138,14 +138,14 @@ def report_for_states(states, names) -> list[MetricReport]:
     """One `MetricReport` per state of a ``(k, 4, 4)`` stack named ``names``, or of
     one 4x4 state named by the string ``names``.
 
-    The states are validated in one `linop.check_density_matrix` call with
-    ``two_qubit=True``, whose one ``eigvalsh`` also takes their partial
-    transposes and Rob's reduced states; its spectra of the states serve as
-    S(AB) and Rob's as S(B).  Each measure is then one reduction over the
-    spectra, both entropies one reduction over the two stacked.
+    The states are validated in one `linop.check_density_matrix` call,
+    whose one ``eigvalsh`` also takes their partial transposes and Rob's
+    reduced states; its spectra of the states serve as S(AB) and Rob's as
+    S(B).  Each measure is then one reduction over the spectra, both
+    entropies one reduction over the two stacked.
     `MetricReport` defines each measure and clips the negativity's roundoff.
     """
-    _, eigs, pt, rob = linop.check_density_matrix(states, names, two_qubit=True)
+    _, eigs, pt, rob = linop.check_density_matrix(states, names)
     pt = pt.reshape(-1, 4)
     s_ab, s_b = _entropies(np.concatenate((eigs, rob)).reshape(2, -1, 4))
     return [MetricReport(*report) for report in zip(

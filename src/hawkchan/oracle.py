@@ -9,10 +9,11 @@ of the production route another way, so agreement checks both:
   no Kraus operator.  It checks `channel.apply_channel`,
   `channel.cross_term` and the blocks of `protocol.measure_control`.
 * `superposed_state` assembles the 8x8 Alice-Rob-control state from the
-  interference blocks.  Projecting the control on |+>/|-> checks how
-  `measure_control` combines the blocks into branches (the minus branch
-  comes from its closed form), and tracing the control out checks the
-  mixture.
+  interference blocks; the tests check its invariants, since the
+  validator takes two-qubit states only.  Projecting the control on
+  |+>/|-> checks how `measure_control` combines the blocks into branches
+  (the minus branch comes from its closed form), and tracing the control
+  out checks the mixture.
 * The dense helpers (`tensor`, `partial_trace`, `partial_transpose`,
   `matrix_exponential`) take one matrix each.  They serve the oracles
   above and the tests' per-state reference reports for `metrics`.
@@ -146,7 +147,7 @@ def apply_channel_dilated(rho, p: ChannelParams) -> np.ndarray:
 def cross_term_dilated(rho, pi: ChannelParams, pj: ChannelParams) -> np.ndarray:
     """Cross term via the unitary dilation, Tr_partner[ U(pi) (rho x |0><0|) U(pj)^dag ]
     on the 8-dim A x R x partner space; oracle for `channel.cross_term`."""
-    arr = linop.check_density_matrix(rho, "input state", two_qubit=True)[0]
+    arr = linop.check_density_matrix(rho, "input state")[0]
     partner_vacuum = np.zeros((2, 2), dtype=complex)
     partner_vacuum[0, 0] = 1.0
     big = tensor(arr, partner_vacuum)
@@ -164,9 +165,10 @@ def superposed_state(params1: ChannelParams, params2: ChannelParams) -> np.ndarr
         1/2 [ xi_00 (x) |0><0| + xi_11 (x) |1><1|
               + xi_01 (x) |0><1| + xi_10 (x) |1><0| ].
 
-    Tracing out the control recovers the classical mixture.
+    Tracing out the control recovers the classical mixture.  The state is
+    returned unchecked: `linop.check_density_matrix` takes 4x4 states only,
+    so the tests assert its Hermiticity, trace and spectrum.
     """
     ks = kraus_operators(params1, params2)
     xi = kraus_block(BELL_STATE, ks[:, None], ks[None, :])
-    state = 0.5 * xi.transpose(2, 0, 3, 1).reshape(8, 8)
-    return linop.check_density_matrix(state, "superposed state")[0]
+    return 0.5 * xi.transpose(2, 0, 3, 1).reshape(8, 8)

@@ -22,7 +22,7 @@ import re
 import mpmath
 import numpy as np
 
-from hawkchan import cli, metrics, oracle
+from hawkchan import cli, linop, metrics, oracle
 from hawkchan.channel import apply_channel
 from hawkchan.protocol import BELL_STATE
 
@@ -37,6 +37,15 @@ def random_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def assert_density_matrix(rho):
+    """The validator's three invariants, with its tolerances, for a state of any
+    size: `linop.check_density_matrix` takes 4x4 states only."""
+    assert np.abs(rho - rho.conj().T).max() <= linop.HERMITIAN_TOL
+    trace = rho.trace()
+    assert abs(trace.real - 1.0) <= linop.TRACE_TOL and abs(trace.imag) <= linop.TRACE_TOL
+    assert np.linalg.eigvalsh(rho)[0] >= linop.EIGENVALUE_FLOOR
 
 
 def random_hermitian(rng, dim):

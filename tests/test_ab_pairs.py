@@ -78,16 +78,22 @@ print(json.dumps({"failed": 0, "metrics": {"ops_per_s": {"value": value, "unit":
 """
 
 
-def test_pairs_alternate_and_the_report_names_the_verdict(tmp_path):
+def run_stand_ins(tmp_path, pairs):
+    """The tool on two stand-in checkouts whose benchmark logs each run to
+    ``order.log`` and reports ops_per_s 100 (parent) or 110 (change) plus the seed."""
     bench = {"command": [sys.executable, "bench.py"], "run_seconds": 3,
              "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}
     for side, speed in (("parent", 100), ("change", 110)):
         (tmp_path / side).mkdir()
         (tmp_path / side / "bench.py").write_text(STAND_IN.replace("{SPEED}", str(speed)))
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
-    done = subprocess.run([sys.executable, TOOL, str(tmp_path / "parent"), str(tmp_path / "change"),
-                           "--workload", "w", "--pairs", "3", "--seed", "7"],
+    return subprocess.run([sys.executable, TOOL, str(tmp_path / "parent"), str(tmp_path / "change"),
+                           "--workload", "w", "--pairs", pairs, "--seed", "7"],
                           capture_output=True, text=True, timeout=60)
+
+
+def test_pairs_alternate_and_the_report_names_the_verdict(tmp_path):
+    done = run_stand_ins(tmp_path, "3")
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "order.log").read_text().splitlines() == [
         "parent 7 3", "change 7 3", "change 8 3", "parent 8 3", "parent 9 3", "change 9 3"]
@@ -95,3 +101,10 @@ def test_pairs_alternate_and_the_report_names_the_verdict(tmp_path):
     assert lines[0] == "pair 0 seed 7 parent: failed=0 ops_per_s=107"
     assert lines[-2].split() == ["ops_per_s", "108", "118", "3/3", "1", "yes", "yes", "no"]
     assert lines[-1] == "failed ops: parent 0, change 0"
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_fewer_than_two_pairs_are_refused_before_any_run(tmp_path, pairs):
+    done = run_stand_ins(tmp_path, pairs)
+    assert done.returncode == 2 and "--pairs" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "order.log").exists()

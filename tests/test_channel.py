@@ -293,7 +293,7 @@ CALL_PARAMS = EDGE_PARAMS + [random_params(_CALL_RNG) for _ in range(6)]
 def old_route(rho, ki, kj):
     """The checked block from Kraus rows that callers built, as the calls took them
     before they took `ChannelParams`."""
-    return kraus_block(linop.check_density_matrix(rho, "input state", two_qubit=True)[0], ki, kj)
+    return kraus_block(linop.check_density_matrix(rho, "input state")[0], ki, kj)
 
 
 class TestChannelParamsCalls:

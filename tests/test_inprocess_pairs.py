@@ -27,16 +27,28 @@ def test_the_repo_against_itself_prints_every_pair_and_the_columns():
     assert len(lines) == 4
 
 
+# Appended to a copy of cli.py: the public `run` the tool calls, wrapped to write
+# one extra space, so that no line of `run` itself is assumed.
+EXTRA_SPACE = """
+
+_run = run
+
+
+def run(argv=None, stdout=None):
+    code = _run(argv, stdout)
+    stdout.write(" ")
+    return code
+"""
+
+
 def test_a_change_whose_output_differs_is_refused(tmp_path):
     change = tmp_path / "change"
     shutil.copytree(os.path.join(ROOT, "src", "hawkchan"), change / "src" / "hawkchan",
                     ignore=shutil.ignore_patterns("__pycache__"))
     (change / "perfbench").mkdir()
     shutil.copy(os.path.join(ROOT, "perfbench", "workloads.py"), change / "perfbench")
-    cli = change / "src" / "hawkchan" / "cli.py"
-    source = cli.read_text()
-    assert source.count('_ENCODE(payload) + "\\n"') == 1
-    cli.write_text(source.replace('_ENCODE(payload) + "\\n"', '_ENCODE(payload) + " \\n"'))
+    with open(change / "src" / "hawkchan" / "cli.py", "a", encoding="utf-8") as cli:
+        cli.write(EXTRA_SPACE)
     done = run_tool(ROOT, change, "--blocks", "2", "--rounds", "1")
     assert done.returncode == 1 and done.stdout == ""
     assert re.fullmatch(r"op \d+ of block 0 \([a-z]+ --.*\) differs in stdout: "

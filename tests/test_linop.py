@@ -175,20 +175,21 @@ class TestDensityMatrixChecks:
         assert linop.check_density_matrix(rho)[0] is rho
 
     def test_rejects_non_hermitian(self):
-        bad = np.array([[0.5, 0.5], [0.0, 0.5]])
+        bad = np.diag([0.5, 0.5, 0.0, 0.0])
+        bad[0, 1] = 0.5
         with pytest.raises(ValueError, match="not Hermitian"):
             linop.check_density_matrix(bad)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            linop.check_density_matrix(np.eye(2))
+            linop.check_density_matrix(np.eye(4))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
-            linop.check_density_matrix(np.diag([1.5, -0.5]))
+            linop.check_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]))
 
     def test_tolerates_roundoff_negativity(self):
-        rho = np.diag([1.0 + 5e-11, -5e-11])
+        rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0])
         linop.check_density_matrix(rho)
 
 
@@ -229,15 +230,21 @@ class TestStackedDensityMatrixChecks:
             linop.check_density_matrix(stack, NAMES)
 
     def test_shape_errors(self):
-        with pytest.raises(ValueError, match="must be 2-D"):
+        """One shape rule, one sentence, before any entry is read: a NaN in a
+        malformed array still reads as a shape error."""
+        single = r"^state must be a 4x4 two-qubit state, got shape "
+        stack = r"^first, middle, last must be a stack of 3 4x4 two-qubit states, got shape "
+        with pytest.raises(ValueError, match=single + r"\(4,\)$"):
             linop.check_density_matrix(np.ones(4) / 4)
-        with pytest.raises(ValueError, match="must be square"):
-            linop.check_density_matrix(np.ones((2, 3)) / 2)
-        with pytest.raises(ValueError, match="must be a stack of 3 matrices"):
+        with pytest.raises(ValueError, match=single + r"\(2, 3\)$"):
+            linop.check_density_matrix(np.full((2, 3), np.nan))
+        with pytest.raises(ValueError, match=single + r"\(8, 8\)$"):
+            linop.check_density_matrix(np.eye(8) / 8)
+        with pytest.raises(ValueError, match=stack + r"\(2, 4, 4\)$"):
             linop.check_density_matrix(np.array([BELL_STATE] * 2), NAMES)
-        with pytest.raises(ValueError, match="must be a stack of 3 matrices"):
+        with pytest.raises(ValueError, match=stack + r"\(4, 4\)$"):
             linop.check_density_matrix(BELL_STATE, NAMES)
-        with pytest.raises(ValueError, match="must be square"):
+        with pytest.raises(ValueError, match=stack + r"\(3, 2, 3\)$"):
             linop.check_density_matrix(np.ones((3, 2, 3)) / 2, NAMES)
         with pytest.raises(ValueError, match=r"^no states to check: .* shape \(0, 4, 4\)$"):
             linop.check_density_matrix(np.zeros((0, 4, 4)), [])
@@ -245,18 +252,18 @@ class TestStackedDensityMatrixChecks:
     def test_returns_the_same_array_and_its_spectrum(self):
         rho = random_density(RNG, 4)
         stack = np.array([rho, BELL_STATE, np.eye(4, dtype=complex) / 4])
-        arr, eigs = linop.check_density_matrix(stack, NAMES)
+        arr, eigs, _, _ = linop.check_density_matrix(stack, NAMES)
         assert arr is stack and np.array_equal(eigs, np.linalg.eigvalsh(stack))
-        arr, eigs = linop.check_density_matrix(rho, "state")
+        arr, eigs, _, _ = linop.check_density_matrix(rho, "state")
         assert arr is rho and np.array_equal(eigs, np.linalg.eigvalsh(rho))
 
     def test_two_qubit_check_takes_a_stack(self):
         stack = np.array([BELL_STATE, np.eye(4, dtype=complex) / 4])
-        arr, eigs, pt, rob = linop.check_density_matrix(stack, NAMES[:2], two_qubit=True)
+        arr, eigs, pt, rob = linop.check_density_matrix(stack, NAMES[:2])
         assert arr is stack and eigs.shape == pt.shape == rob.shape == (2, 4)
-        with pytest.raises(ValueError, match="first, middle must be a 4x4 two-qubit state"):
-            linop.check_density_matrix(np.array([np.eye(2) / 2] * 2), NAMES[:2],
-                                     two_qubit=True)
+        with pytest.raises(ValueError, match=r"^first, middle must be a stack of 2 4x4 "
+                                             r"two-qubit states, got shape \(2, 2, 2\)$"):
+            linop.check_density_matrix(np.array([np.eye(2) / 2] * 2), NAMES[:2])
 
     def test_two_qubit_check_returns_the_partial_transpose_spectra(self):
         """Bit for bit those of `oracle.partial_transpose` and of Rob's 2x2
@@ -269,11 +276,11 @@ class TestStackedDensityMatrixChecks:
         expected = [np.linalg.eigvalsh(oracle.partial_transpose(rho, (2, 2))) for rho in stack]
         robs = [np.sort(np.append(np.linalg.eigvalsh(oracle.partial_trace(rho, (2, 2), keep=1)),
                                   [0.0, 0.0])) for rho in stack]
-        arr, eigs, pt, rob = linop.check_density_matrix(stack, names, two_qubit=True)
+        arr, eigs, pt, rob = linop.check_density_matrix(stack, names)
         assert np.array_equal(eigs, np.linalg.eigvalsh(stack)) and np.array_equal(pt, expected)
         assert np.array_equal(rob, robs) and (rob == 0.0).sum(axis=1).min() >= 2
         for rho, want, want_rob in zip(stack, expected, robs):
-            arr, eigs, pt, rob = linop.check_density_matrix(rho, two_qubit=True)
+            arr, eigs, pt, rob = linop.check_density_matrix(rho)
             assert np.array_equal(eigs, np.linalg.eigvalsh(rho)) and np.array_equal(pt, want)
             assert np.array_equal(rob, want_rob)
 

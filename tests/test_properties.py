@@ -39,6 +39,7 @@ from hawkchan.protocol import measure_control
 from hawkchan.sweep import METRICS, TWO_D_METRICS, SweepSpec, emit_csv, emit_json, run_sweep
 
 from helpers import (
+    assert_density_matrix,
     emitted,
     random_density,
     reference_emit_csv,
@@ -85,7 +86,9 @@ def test_branches_average_to_the_mixture(cfg):
 
 @given(configs())
 def test_control_trace_of_superposition_is_the_mixture(cfg):
-    reduced = partial_trace(superposed_state(*cfg), (4, 2), keep=0)
+    state = superposed_state(*cfg)
+    assert_density_matrix(state)
+    reduced = partial_trace(state, (4, 2), keep=0)
     assert np.abs(reduced - measure_control(*cfg).rho_mixture).max() <= 1e-13
 
 

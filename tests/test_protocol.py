@@ -19,7 +19,7 @@ from hawkchan.oracle import (
 )
 from hawkchan.protocol import BELL_STATE, measure_channel, measure_control
 
-from helpers import single_channel
+from helpers import assert_density_matrix, single_channel
 
 RNG = np.random.default_rng(20240813)
 
@@ -133,8 +133,7 @@ class TestSuperposedState:
     def test_valid_density_matrix(self):
         state = superposed_state(*random_config(RNG))
         assert state.shape == (8, 8)
-        assert abs(state.trace() - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(state)[0] > -1e-12
+        assert_density_matrix(state)
 
 
 class TestMeasureControl:

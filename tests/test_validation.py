@@ -38,6 +38,8 @@ BAD_STATES = {
     "non-hermitian": (_non_hermitian(), "not Hermitian"),
     "trace-two": (np.eye(4) / 2, "trace"),
     "negative-eigenvalue": (np.diag([0.6, 0.3, 0.2, -0.1]), "eigenvalue"),
+    "two-by-two": (np.eye(2) / 2, "4x4 two-qubit state"),
+    "eight-by-eight": (np.eye(8) / 8, "4x4 two-qubit state"),
 }
 
 

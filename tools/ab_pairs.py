@@ -5,7 +5,7 @@ Usage::
     python tools/ab_pairs.py PARENT CHANGE --workload W --pairs N [--seed S]
 
 ``PARENT`` and ``CHANGE`` are checkouts that each hold ``perfbench/`` and
-``BENCHMARK.json``.  Pair ``i`` (from 0) runs the benchmark command of
+``BENCHMARK.json``; ``N`` is at least 2, the fewest pairs with a spread.  Pair ``i`` (from 0) runs the benchmark command of
 CHANGE's ``BENCHMARK.json`` with ``--workload W --seed S+i --trace 0`` and
 its ``run_seconds``, once in each checkout; the parent runs first in
 even pairs and the change in odd ones.  Every run is printed as it ends.
@@ -89,6 +89,8 @@ def main(argv=None) -> None:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=200, help="seed of pair 0 (default 200)")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     sides = {"parent": args.parent, "change": args.change}
