@@ -5,7 +5,10 @@ Subcommands: ``geometry`` (geometry -> squeezing), ``channel``
 mixture), ``phase`` (opposite-phase superposition, whose classical
 mixture is the single channel's output), ``sweep`` (figure-reproduction
 grids to CSV/JSON).  Each point query copies the fields of one checked library
-call, `protocol.measure_channel` or `protocol.measure_control`.
+call, `protocol.measure_channel` or `protocol.measure_control`.  `run` parses the
+flags, merges the config file into them and hands the effective config and the
+output stream to the subcommand's one handler in ``_HANDLERS``, which writes its own
+output: a point query through `_report`, a sweep through its emitter.
 
 Values may come from a JSON config file (``--config``); explicit flags
 override it.  Reports print as human-readable text or, with
@@ -15,7 +18,8 @@ effective configuration under ``"config"``.
 Flags are spelled in full (``--res`` is refused), as argparse reads them with
 ``allow_abbrev=False``.  Every output, a sweep, a report or the ``--help`` text,
 is written to the stream that `run` was given and flushed there, except a sweep's
-``--out`` path, which `run` opens itself: the sweep emitters only write to a stream.
+``--out`` path, which the sweep handler opens itself: the sweep emitters only write
+to a stream.
 Exit codes: 0 success or --help, 2 usage error naming its flag (an ``--out`` path
 that cannot be opened or written included), 1 other failure (a failed write to the
 output stream, such as a closed pipe, included).  All angles are radians.
@@ -215,7 +219,8 @@ def _merge_config(subcommand: str, given: dict) -> dict:
             raw = config[flag]
             if ftype is str and not isinstance(raw, str):
                 raise UsageError(f"--config: key {flag!r}: expected a string, got {json.dumps(raw)}")
-            value = _convert(ftype, str(raw), f"--config: key {flag!r}")
+            word = raw if isinstance(raw, str) else json.dumps(raw)  # the user's own spelling
+            value = _convert(ftype, word, f"--config: key {flag!r}")
         if value is None:
             value = default
         if value is None:
@@ -248,27 +253,48 @@ def _checked(make, flags: dict, *args):
         raise UsageError(f"--{flags.get(exc.field, exc.field)}: {exc.reason}") from None
 
 
-def _run_geometry(cfg: dict) -> dict:
+# The bytes of json.dumps(..., sort_keys=True).  The cycle check is off: each payload
+# is a fresh tree of dicts, lists and scalars that its handler built, with no cycle.
+_ENCODE = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+def _report(payload: dict, cfg: dict, stream) -> None:
+    """Write a point query's ``payload`` to ``stream``, the one place that does: with
+    ``--format json`` as one line of sorted-key JSON that echoes the effective config
+    ``cfg`` under ``"config"``, else as one human line per key in sorted order, a matrix
+    (nested [re, im] pairs) as one line per row."""
+    if cfg["format"] == "json":
+        stream.write(_ENCODE({**payload, "config": cfg}) + "\n")
+        return
+    for key, value in sorted(payload.items()):
+        if isinstance(value, list):
+            stream.write(f"{key}:\n")
+            for row in value:
+                stream.write("  [" + ", ".join(f"{re!r}{im:+}j" for re, im in row) + "]\n")
+        else:
+            stream.write(f"{key} = {value}\n")
+
+
+def _run_geometry(cfg: dict, stream) -> None:
     geometry = _checked(BlackHoleGeometry, {}, cfg["mass"], cfg["radius"], cfg["k0"], cfg["hbar"])
-    params = squeezing_from_geometry(geometry)
-    return {
-        "r": params.r,
+    _report({
+        "r": squeezing_from_geometry(geometry).r,
         "f0": geometry.redshift_factor,
         "kappa": geometry.surface_gravity,
         "horizon_radius": geometry.horizon_radius,
-    }
+    }, cfg, stream)
 
 
-def _run_channel(cfg: dict) -> dict:
+def _run_channel(cfg: dict, stream) -> None:
     stats = protocol.measure_channel(_checked(ChannelParams, {}, cfg["r"], cfg["phi"]))
-    return {
+    _report({
         **_fields(stats, ("output_state", "closed_form_state", "negativity_closed_form")),
         "kraus_m0": _matrix_payload(stats.kraus[0]),
         "kraus_m1": _matrix_payload(stats.kraus[1]),
         "negativity": stats.report.negativity_numeric,
         "coherent_information": stats.report.coherent_information,
         "ppt": stats.report.ppt,
-    }
+    }, cfg, stream)
 
 
 # The `BranchStatistics` fields that `phase` and `protocol` print under their own names.
@@ -278,28 +304,28 @@ _PROTOCOL_FIELDS = _PHASE_FIELDS + ("a_scalar", "b_scalar", "c_scalar", "coheren
                                     "negativity_mixture_closed", "negativity_convex_avg")
 
 
-def _run_protocol(cfg: dict) -> dict:
+def _run_protocol(cfg: dict, stream) -> None:
     p1 = _checked(ChannelParams, {"r": "r1", "phi": "phi1"}, cfg["r1"], cfg["phi1"])
     p2 = _checked(ChannelParams, {"r": "r2", "phi": "phi2"}, cfg["r2"], cfg["phi2"])
     stats = protocol.measure_control(p1, p2)
     plus, *_, mixture = stats.reports
-    return {
+    _report({
         **_fields(stats, _PROTOCOL_FIELDS),
         "coherent_info_mixture": mixture.coherent_information,
         "coherent_info_plus_branch": plus.coherent_information,
         "negativity_mixture": mixture.negativity_numeric,
-    }
+    }, cfg, stream)
 
 
-def _run_phase(cfg: dict) -> dict:
+def _run_phase(cfg: dict, stream) -> None:
     # Equal squeezing, opposite phases: the classical mixture is the single channel's output.
     p = _checked(ChannelParams, {}, cfg["r"])
     stats = protocol.measure_control(p, ChannelParams(p.r, math.pi))
-    return {
+    _report({
         **_fields(stats, _PHASE_FIELDS),
         "negativity_plus": stats.reports[0].negativity_numeric,
         "negativity_single_channel": stats.reports[-1].negativity_numeric,
-    }
+    }, cfg, stream)
 
 
 def _run_sweep(cfg: dict, stream) -> None:
@@ -315,27 +341,14 @@ def _run_sweep(cfg: dict, stream) -> None:
         raise UsageError(f"--out: {exc}")
 
 
-def _print_human(payload: dict, stream) -> None:
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, list):  # matrix as nested [re, im] pairs
-            stream.write(f"{key}:\n")
-            for row in value:
-                cells = ", ".join(f"{re!r}{im:+}j" for re, im in row)
-                stream.write(f"  [{cells}]\n")
-        else:
-            stream.write(f"{key} = {value}\n")
-
-
-# The bytes of json.dumps(..., sort_keys=True).  The cycle check is off: each payload
-# is a fresh tree of dicts, lists and scalars that its handler built, with no cycle.
-_ENCODE = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-
+# One handler per subcommand: it takes the effective config and the output stream,
+# and writes its whole output there (or to the --out path) itself.
 _HANDLERS = {
     "geometry": _run_geometry,
     "channel": _run_channel,
     "protocol": _run_protocol,
     "phase": _run_phase,
+    "sweep": _run_sweep,
 }
 
 
@@ -348,16 +361,8 @@ def run(argv=None, stdout=None) -> int:
             stream.write(_usage(subcommand))
         elif subcommand is None:
             raise UsageError(f"a subcommand is required ({', '.join(_PARAMS)})")
-        elif subcommand == "sweep":  # the one command that writes its own output
-            _run_sweep(_merge_config(subcommand, given), stream)
         else:
-            effective = _merge_config(subcommand, given)
-            payload = _HANDLERS[subcommand](effective)
-            if effective["format"] == "json":
-                payload["config"] = effective
-                stream.write(_ENCODE(payload) + "\n")
-            else:
-                _print_human(payload, stream)
+            _HANDLERS[subcommand](_merge_config(subcommand, given), stream)
         stream.flush()  # the output is complete here, so a failed write (a closed pipe) exits 1
         return 0
     except UsageError as exc:

@@ -78,6 +78,13 @@ def _plus_branch_terms(r1, r2, dphi):
     return w_sq, np.cos(r1) + np.cos(r2)
 
 
+def _x_negativity(w_sq, c_sum):
+    """``(-w_sq + sqrt(w_sq^2 + 16 c_sum^2)) / 16``: the negativity of an X state with
+    no |10> weight, whose |00><11| coherence is ``c_sum / 4`` and |01> weight ``w_sq / 8``
+    (only these two enter its partial transpose's negative eigenvalue)."""
+    return (-w_sq + np.sqrt(16.0 * c_sum**2 + w_sq**2)) / 16.0
+
+
 def negativity_avg_closed(r1, r2, dphi=0.0):
     """Average post-measurement negativity of the superposed channels.
 
@@ -86,15 +93,15 @@ def negativity_avg_closed(r1, r2, dphi=0.0):
     equals `measure_control`'s ``negativity_avg`` (``p_plus`` times the plus
     branch's negativity; the minus branch is separable) within 1e-10.  At r1 = r2 and dphi = pi it is exactly |cos r|/2.
     """
-    w_sq, c_sum = _plus_branch_terms(r1, r2, dphi)
-    return (-w_sq + np.sqrt(16.0 * c_sum**2 + w_sq**2)) / 16.0
+    return _x_negativity(*_plus_branch_terms(r1, r2, dphi))
 
 
 def negativity_mixture_closed(r1, r2):
-    """Negativity of the equal classical mixture of the two channel outputs."""
-    s_sq = np.sin(r1) ** 2 + np.sin(r2) ** 2
-    c_sum = np.cos(r1) + np.cos(r2)
-    return (-s_sq + np.sqrt(4.0 * c_sum**2 + s_sq**2)) / 8.0
+    """Negativity of the equal classical mixture of the two channel outputs: its
+    |00><11| coherence and |01> weight are the plus branch's with ``|w|^2`` replaced
+    by ``2 S``, ``S = s1^2 + s2^2``.  Every scaling between `_x_negativity` of those
+    and ``(-S + sqrt(S^2 + 4 (c1 + c2)^2)) / 8`` is a power of 2: the same bits."""
+    return _x_negativity(2.0 * (np.sin(r1) ** 2 + np.sin(r2) ** 2), np.cos(r1) + np.cos(r2))
 
 
 def negativity_convex_avg(r1, r2):

@@ -276,6 +276,15 @@ def reference_reports(states, spectra):
     return reports
 
 
+def reference_negativity_mixture(r1, r2):
+    """The mixture negativity as `metrics.negativity_mixture_closed` spelled it before
+    it shared the plus branch's form: ``(-S + sqrt(4 (c1 + c2)^2 + S^2)) / 8`` with
+    ``S = s1^2 + s2^2``."""
+    s_sq = np.sin(r1) ** 2 + np.sin(r2) ** 2
+    c_sum = np.cos(r1) + np.cos(r2)
+    return (-s_sq + np.sqrt(4.0 * c_sum**2 + s_sq**2)) / 8.0
+
+
 def reference_weight_entropy(*weights):
     """``sum(-x log2 x)`` with the zero weights masked to ``log2 1`` by ``np.where``."""
     return sum(-x * np.log2(np.where(x > 0.0, x, 1.0)) for x in weights)

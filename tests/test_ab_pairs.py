@@ -103,6 +103,14 @@ def test_pairs_alternate_and_the_report_names_the_verdict(tmp_path):
     assert lines[-1] == "failed ops: parent 0, change 0"
 
 
+def test_help_says_to_compare_two_fresh_copies():
+    done = subprocess.run([sys.executable, TOOL, "--help"], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    note = " ".join(done.stdout.split()).partition("(default 200) ")[2]
+    assert note.startswith("Compare two fresh `git archive` copies") and "not a working tree" in note
+
+
 @pytest.mark.parametrize("pairs", ["1", "0"])
 def test_fewer_than_two_pairs_are_refused_before_any_run(tmp_path, pairs):
     done = run_stand_ins(tmp_path, pairs)

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
@@ -533,6 +534,23 @@ def table_examples(test):
     return functools.reduce(lambda t, row: hypothesis.example(row[0])(t), PARSE_TABLE, test)
 
 
+class TestOneDispatch:
+    def test_every_subcommand_has_one_handler_of_the_config_and_the_stream(self):
+        """`run` dispatches through ``_HANDLERS`` alone, so every subcommand, the sweep
+        included, has its handler, and each takes ``(cfg, stream)``."""
+        assert cli._HANDLERS.keys() == cli._PARAMS.keys()
+        for handler in cli._HANDLERS.values():
+            assert list(inspect.signature(handler).parameters) == ["cfg", "stream"]
+
+    @pytest.mark.parametrize("subcommand", cli._PARAMS)
+    def test_each_handler_writes_what_run_writes_and_returns_none(self, subcommand):
+        argv = given(subcommand, VALID[subcommand], False, None)
+        direct, through_run = io.StringIO(), io.StringIO()
+        assert cli._HANDLERS[subcommand](cli._merge_config(*cli._parse(argv)), direct) is None
+        assert cli.run(argv, stdout=through_run) == 0
+        assert direct.getvalue() == through_run.getvalue() != ""
+
+
 class TestArgparseOracle:
     @table_examples
     @hypothesis.settings(max_examples=500)
@@ -750,6 +768,25 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"usage error: --config: key {key!r}: expected a string, got {json.dumps(value)}\n")
         assert stdout.getvalue() == "" and os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("key, value, spelled", [
+        pytest.param(key, value, spelled, id=f"{key}-{name}") for key in ("r", "resolution")
+        for name, value, spelled in (("null", None, "'null'"), ("true", True, "'true'"),
+                                     ("list", [1, 2], "'[1, 2]'"),
+                                     ("object", {"a": 1}, """'{"a": 1}'"""))
+    ])
+    def test_numeric_flag_quotes_a_json_value_as_the_file_spells_it(
+            self, tmp_path, capsys, key, value, spelled):
+        """A value of the wrong JSON type is quoted in JSON, not as Python's ``str``
+        spells it (``'None'``, ``'True'``, ``"{'a': 1}"``)."""
+        sub, ftype = ("channel", "float") if key == "r" else ("sweep", "int")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**VALID[sub], key: value}))
+        stdout = io.StringIO()
+        assert cli.run([sub, "--config", str(path)], stdout=stdout) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --config: key {key!r}: invalid {ftype} value: {spelled}\n")
+        assert stdout.getvalue() == ""
 
     @pytest.mark.parametrize(
         "argv, key, value",

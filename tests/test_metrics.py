@@ -20,6 +20,7 @@ from helpers import (
     entropy,
     random_density,
     random_unitary,
+    reference_negativity_mixture,
     reference_reports,
     reference_weight_entropy,
     single_channel,
@@ -108,6 +109,23 @@ class TestClosedFormNegativities:
         r1, r2 = np.meshgrid(*2 * [np.linspace(0.0, math.pi / 4, 101)], indexing="ij")
         assert metrics.negativity_mixture_closed(r1, r2).min() >= 0.25 - 1e-15
         assert metrics.negativity_convex_avg(r1, r2).min() >= 0.25 - 1e-15
+
+    def test_mixture_is_bitwise_its_former_spelling(self):
+        """The mixture's negativity through the plus branch's form, with |w|^2 = 2 S,
+        has the bits of its own former formula: every scaling between them is a power
+        of 2.  The sample is edge-heavy: squeezings from 1e-300 (sin^2 underflows) up
+        to pi/2 - 1e-16 (cos is about 1e-16), plus uniform ones across the domain."""
+        rng = np.random.default_rng(35)
+        n = 50_000
+        rs = np.concatenate((10.0 ** rng.uniform(-300.0, 0.0, n),
+                             math.pi / 2 - 10.0 ** rng.uniform(-16.0, 0.0, n),
+                             rng.uniform(0.0, math.pi / 2, 2 * n),
+                             [0.0, math.pi / 4, np.nextafter(math.pi / 2, 0.0)]))
+        r1, r2 = np.concatenate((rs, rs)), np.concatenate((rng.permutation(rs), rs))  # and r1 = r2
+        got = metrics.negativity_mixture_closed(r1, r2)
+        want = reference_negativity_mixture(r1, r2)
+        assert got.size >= 10**5
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestConvexGapOracle:
